@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import bounds, encoding, experiment, steering, tomography
+from .qmath import DensityMatrix
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,7 +52,9 @@ def _parse_grid(text: str) -> list[float]:
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             raise ValueError(f"grid stop precedes start in {text!r}")
-        return [start + i * step for i in range(count)]
+        # snap a float-drifted last point onto stop, within the same tolerance
+        return [stop if abs(x - stop) <= 1e-9 * step else x
+                for x in (start + i * step for i in range(count))]
     values = [float(p) for p in text.split(",") if p != ""]
     if not values:
         raise ValueError(f"empty grid {text!r}")
@@ -114,15 +117,18 @@ def cmd_bound(config: dict) -> None:
     _write_sidecar(config)
 
 
-def _common_run_inputs(config: dict):
-    mset = steering.platonic_set(config["n"])
+def _prepared_state(config: dict):
     noise = experiment.NoiseModel(werner_v=_resolve_visibility(config),
                                   dephasing=config.get("dephasing", 0.0))
+    return experiment.prepare_state(noise, config["encoding"])
+
+
+def _common_run_inputs(config: dict):
+    mset = steering.platonic_set(config["n"])
     channel = experiment.ChannelModel(
         bob_efficiency=config["efficiency"],
         alice_efficiency=config.get("alice_efficiency", 1.0))
-    state = experiment.prepare_state(noise, config["encoding"])
-    return mset, channel, state
+    return mset, channel, _prepared_state(config)
 
 
 def cmd_steer(config: dict) -> None:
@@ -162,15 +168,12 @@ def cmd_dynamic(config: dict) -> None:
 
 
 def cmd_tomo(config: dict) -> None:
-    v = _resolve_visibility(config)
-    rho4 = experiment.werner_state(v)
-    if config["encoding"] == "polarization":
-        rho4 = experiment.rotated_polarization_state(
-            rho4, math.radians(config["theta_deg"]))
-    # vortex: the analyzer-frame logical state is orientation-invariant and
-    # equals the pre-encoding polarization state
+    # the state Bob's rotated analyzer detects, renormalised to detection
+    detected = encoding.receiver(config["encoding"]).detected_state(
+        _prepared_state(config), math.radians(config["theta_deg"]))
+    rho = DensityMatrix(detected / np.trace(detected).real)
     spec = tomography.standard_settings(config["counts_per_setting"])
-    counts = tomography.simulate_counts(rho4, spec, config["seed"])
+    counts = tomography.simulate_counts(rho, spec, config["seed"])
     report = tomography.reconstruct(counts, spec, target=encoding.singlet_pol())
     payload = {
         "rho_hat": [[{"re": float(z.real), "im": float(z.imag)}

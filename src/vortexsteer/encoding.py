@@ -24,6 +24,7 @@ major.  The logical vortex qubit is |0> = |L, l=-1>, |1> = |R, l=+1>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def pol_projector(direction: BlochVector, outcome: int) -> np.ndarray:
 
 def pol_rotation(theta: float) -> np.ndarray:
     """2x2 polarization-only physical rotation: exp(-i theta sigma_circ)."""
-    return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * POL_Z
+    return receiver("polarization").rotation(theta)
 
 
 @dataclass(frozen=True)
@@ -196,15 +197,8 @@ def qplate_apply(qp: QPlate, state: StateVector, space: OamSpace = DEFAULT_SPACE
 
 def rotation_operator(theta: float, space: OamSpace = DEFAULT_SPACE) -> ModeOperator:
     """Physical rotation by theta about the beam axis on the composite space."""
-    n = space.n_levels
-    l_vals = space.l_values()
-    phases = np.concatenate([
-        np.exp(-1j * (1 + l_vals) * theta),    # L component, spin +1
-        np.exp(-1j * (-1 + l_vals) * theta),   # R component, spin -1
-    ])
-    basis = np.kron(CIRC_TO_HV, np.eye(n))
-    u = basis @ np.diag(phases) @ basis.conj().T
-    return ModeOperator(u, OperatorKind.UNITARY)
+    return ModeOperator(receiver("vortex", space).rotation(theta),
+                        OperatorKind.UNITARY)
 
 
 @dataclass(frozen=True)
@@ -298,3 +292,59 @@ def logical_reduction(rho_joint: DensityMatrix, space: OamSpace = DEFAULT_SPACE,
     if weight <= 0:
         raise ValueError("state has no weight in the logical subspace")
     return DensityMatrix(reduced / weight), weight
+
+
+@dataclass(frozen=True, eq=False)
+class Receiver:
+    """Bob's side of one encoding, behind a receiver rotated by theta.
+
+    ``encoder`` (d x 2) carries a polarization qubit into Bob's modes.  The
+    analyzer reads out the l=0 polarization behind a reverse q-plate; for
+    q = 1/2 that read-out qubit, pulled back through the plate, is the same
+    isometry.  ``frame`` holds the circular basis as columns, with total
+    angular momenta ``momenta`` (m = s + l).
+    """
+
+    kind: str
+    encoder: np.ndarray
+    frame: np.ndarray
+    momenta: np.ndarray
+
+    def rotation(self, theta: float) -> np.ndarray:
+        return (self.frame * np.exp(-1j * self.momenta * theta)) @ self.frame.conj().T
+
+    def detected_state(self, rho: DensityMatrix, theta, span: float = 0.0) -> np.ndarray:
+        """Unnormalised 4x4 state, Alice (x) read-out qubit, behind the analyzer.
+
+        ``theta`` is one angle, or one per setting ((n,) gives (n, 4, 4)); a
+        positive ``span`` averages the orientation uniformly over
+        [theta, theta + span].  In the circular frame a rotation multiplies
+        entry (i, j) by exp(i (m_i - m_j) theta), so that average is exact.
+        """
+        d = self.encoder.shape[0]
+        if rho.dim != 2 * d:
+            raise ValueError(f"{self.kind} receiver expects a {2 * d}x{2 * d} state")
+        gap = np.subtract.outer(self.momenta, self.momenta)
+        mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
+        kernel = np.exp(1j * gap * mid) * np.sinc(gap * span / (2 * np.pi))
+        w = np.kron(np.eye(2), self.frame)
+        v = np.kron(np.eye(2), self.frame.conj().T @ self.encoder)
+        circ = w.conj().T @ rho.entries @ w
+        return v.conj().T @ (circ * np.tile(kernel, (2, 2))) @ v
+
+
+@lru_cache(maxsize=None)
+def receiver(kind: str, space: OamSpace = DEFAULT_SPACE) -> Receiver:
+    """The receiver of encoding ``kind``: "polarization" or "vortex"."""
+    if kind == "polarization":
+        parts = (np.eye(2, dtype=complex), CIRC_TO_HV.copy(), np.array([1, -1]))
+    elif kind == "vortex":
+        l_vals = space.l_values()
+        parts = (encode_isometry(space),
+                 np.kron(CIRC_TO_HV, np.eye(space.n_levels)),
+                 np.concatenate([1 + l_vals, -1 + l_vals]))
+    else:
+        raise ValueError(f"unknown encoding {kind!r}")
+    for a in parts:
+        a.flags.writeable = False   # shared through the cache
+    return Receiver(kind, *parts)

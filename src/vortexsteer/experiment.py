@@ -62,6 +62,12 @@ class ThetaPolicy:
     theta_max: float = math.pi / 2
     per_setting_block: bool = False
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "dynamic"):
+            raise ValueError(f"unknown theta policy {self.kind!r}")
+        if not self.theta_min <= self.theta_max:
+            raise ValueError("theta_min must not exceed theta_max")
+
     @classmethod
     def fixed(cls, theta: float) -> "ThetaPolicy":
         return cls(kind="fixed", theta=float(theta))
@@ -73,12 +79,17 @@ class ThetaPolicy:
                    theta_max=float(theta_max),
                    per_setting_block=per_setting_block)
 
-    def describe(self) -> str:
+    def orientation(self, n: int, rng: np.random.Generator) -> tuple:
+        """(theta, span) for `Receiver.detected_state`.
+
+        Block mode draws one angle per setting.  Per-trial mode returns the
+        whole range: the aggregate tallies follow the exact average over it.
+        """
         if self.kind == "fixed":
-            return f"fixed:{math.degrees(self.theta):g}"
-        mode = "block" if self.per_setting_block else "trial"
-        return (f"dynamic:{math.degrees(self.theta_min):g}:"
-                f"{math.degrees(self.theta_max):g}:{mode}")
+            return self.theta, 0.0
+        if self.per_setting_block:
+            return rng.uniform(self.theta_min, self.theta_max, size=n), 0.0
+        return self.theta_min, self.theta_max - self.theta_min
 
 
 @dataclass(frozen=True)
@@ -133,19 +144,13 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex",
     rho4 = werner_state(noise.werner_v).entries
     if noise.dephasing > 0:
         rho4 = _dephase_bob(rho4, noise.dephasing)
-    if encoding_kind == "polarization":
-        return DensityMatrix(rho4)
-    if encoding_kind == "vortex":
-        v = encoding.encode_isometry(space)
-        w = np.kron(np.eye(2), v)
-        return DensityMatrix(w @ rho4 @ w.conj().T)
-    raise ValueError(f"unknown encoding {encoding_kind!r}")
+    w = np.kron(np.eye(2), encoding.receiver(encoding_kind, space).encoder)
+    return DensityMatrix(w @ rho4 @ w.conj().T)
 
 
 def rotated_polarization_state(rho4: DensityMatrix, theta: float) -> DensityMatrix:
     """Bob's polarization qubit seen through a receiver rotated by theta."""
-    r = np.kron(np.eye(2), encoding.pol_rotation(theta))
-    return DensityMatrix(r.conj().T @ rho4.entries @ r)
+    return DensityMatrix(encoding.receiver("polarization").detected_state(rho4, theta))
 
 
 def infer_encoding(state: DensityMatrix,
@@ -155,35 +160,6 @@ def infer_encoding(state: DensityMatrix,
     if state.dim == 2 * space.dim:
         return "vortex"
     raise ValueError(f"cannot infer encoding from dimension {state.dim}")
-
-
-def _lossless_probabilities(state, mset, encoding_kind, policy, space,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Per-setting outcome table p[k, alice, bob(+1,-1,null)] before loss."""
-    if policy.kind == "fixed":
-        est = steering._joint_probabilities(state, mset, encoding_kind,
-                                            policy.theta, space)
-        return est
-    if policy.kind != "dynamic":
-        raise ValueError(f"unknown theta policy {policy.kind!r}")
-    if policy.per_setting_block:
-        thetas = rng.uniform(policy.theta_min, policy.theta_max, size=mset.n)
-        probs = np.zeros((mset.n, 2, 3))
-        for k, th in enumerate(thetas):
-            probs[k] = steering._joint_probabilities(state, mset, encoding_kind,
-                                                     float(th), space)[k]
-        return probs
-    # per-trial uniform theta: the aggregate tallies follow the theta-averaged
-    # distribution exactly; average by Gauss-Legendre quadrature
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    lo, hi = policy.theta_min, policy.theta_max
-    thetas = (hi - lo) / 2 * nodes + (hi + lo) / 2
-    weights = weights / weights.sum()
-    probs = np.zeros((mset.n, 2, 3))
-    for th, w in zip(thetas, weights):
-        probs += w * steering._joint_probabilities(state, mset, encoding_kind,
-                                                   float(th), space)
-    return probs
 
 
 def _fold_channel(probs: np.ndarray, channel: ChannelModel) -> np.ndarray:
@@ -199,12 +175,11 @@ def _fold_channel(probs: np.ndarray, channel: ChannelModel) -> np.ndarray:
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    channel: ChannelModel, theta_policy: ThetaPolicy,
                    trials: int, seed: int,
-                   space: encoding.OamSpace = encoding.DEFAULT_SPACE,
-                   encoding_kind: str | None = None) -> SteeringRunResult:
+                   space: encoding.OamSpace = encoding.DEFAULT_SPACE) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
-    encoding_kind = encoding_kind or infer_encoding(state, space)
+    encoding_kind = infer_encoding(state, space)
     rng = np.random.default_rng(seed)
 
     # rng draw order is fixed: alice thinning, block thetas, setting split,
@@ -212,9 +187,10 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
     n_eff = trials
     if channel.alice_efficiency < 1.0:
         n_eff = int(rng.binomial(trials, channel.alice_efficiency))
-    probs = _lossless_probabilities(state, mset, encoding_kind, theta_policy,
-                                    space, rng)
-    probs = _fold_channel(probs, channel)
+    theta, span = theta_policy.orientation(mset.n, rng)
+    detected = encoding.receiver(encoding_kind, space).detected_state(
+        state, theta, span)
+    probs = _fold_channel(steering.born_table(state, mset, detected), channel)
 
     per_setting = rng.multinomial(n_eff, np.full(mset.n, 1.0 / mset.n))
     counts = np.zeros((mset.n, 2, 3), dtype=np.int64)
@@ -241,8 +217,8 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 
 def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
                 channel: ChannelModel, thetas, trials_per_point: int,
-                seed: int, space: encoding.OamSpace = encoding.DEFAULT_SPACE,
-                encoding_kind: str | None = None) -> list[SteeringRunResult]:
+                seed: int, space: encoding.OamSpace = encoding.DEFAULT_SPACE
+                ) -> list[SteeringRunResult]:
     """One fixed-orientation run per theta (radians), seeds derived from seed."""
     thetas = [float(t) for t in thetas]
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
@@ -250,7 +226,7 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     child_seeds = derive_seeds(seed, len(thetas))
     return [
         run_experiment(state, mset, channel, ThetaPolicy.fixed(t),
-                       trials_per_point, s, space, encoding_kind)
+                       trials_per_point, s, space)
         for t, s in zip(thetas, child_seeds)
     ]
 
@@ -258,10 +234,8 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
 def dynamic_rotation_run(state: DensityMatrix, mset: steering.MeasurementSet,
                          channel: ChannelModel, trials: int, seed: int,
                          space: encoding.OamSpace = encoding.DEFAULT_SPACE,
-                         encoding_kind: str | None = None,
                          per_setting_block: bool = False) -> SteeringRunResult:
     """Dynamically rotating receiver: theta uniform on [0, pi/2] per trial."""
     policy = ThetaPolicy.dynamic(0.0, math.pi / 2,
                                  per_setting_block=per_setting_block)
-    return run_experiment(state, mset, channel, policy, trials, seed,
-                          space, encoding_kind)
+    return run_experiment(state, mset, channel, policy, trials, seed, space)

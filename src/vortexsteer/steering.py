@@ -95,62 +95,38 @@ class SteeringEstimate:
         object.__setattr__(self, "per_setting_correlations", corr)
 
 
-def _joint_probabilities(rho: DensityMatrix, mset: MeasurementSet,
-                         encoding_kind: str, theta: float,
-                         space: encoding.OamSpace) -> np.ndarray:
-    """Lossless outcome table p[k, alice, bob] with bob in (+1, -1, null)."""
-    n = mset.n
-    if encoding_kind == "polarization":
-        if rho.dim != 4:
-            raise ValueError("polarization encoding expects a 4x4 two-qubit state")
-        r = encoding.pol_rotation(theta)
-        bob_dim = 2
+def born_table(rho: DensityMatrix, mset: MeasurementSet,
+               detected: np.ndarray) -> np.ndarray:
+    """Lossless outcome table p[k, alice, bob] with bob in (+1, -1, null).
 
-        def bob_proj(u, outcome):
-            return r @ encoding.pol_projector(u, outcome) @ r.conj().T
-
-        bob_passed = np.eye(2)
-    elif encoding_kind == "vortex":
-        if rho.dim != 2 * space.dim:
-            raise ValueError("vortex encoding expects Alice-pol x composite state")
-        bob_dim = space.dim
-
-        def bob_proj(u, outcome):
-            return encoding.bob_analyzer(u, theta, outcome, space).entries
-
-        bob_passed = encoding.bob_analyzer_passed(theta, space).entries
-    else:
-        raise ValueError(f"unknown encoding {encoding_kind!r}")
-
-    probs = np.zeros((n, 2, 3))
-    for k, u in enumerate(mset.directions):
-        alice = [encoding.pol_projector(u, a) for a in ALICE_OUTCOMES]
-        bob = [bob_proj(u, +1), bob_proj(u, -1)]
-        bob_null = np.eye(bob_dim) - bob_passed
-        for ia, pa in enumerate(alice):
-            for ib, pb in enumerate(bob + [bob_null]):
-                val = np.trace(rho.entries @ np.kron(pa, pb))
-                probs[k, ia, ib] = max(0.0, float(val.real))
-    return probs
+    ``detected`` is the receiver's detected state (4x4, or one per setting);
+    the null entry is Alice's marginal minus the announced entries.
+    """
+    proj = np.array([[encoding.pol_projector(u, a) for a in ALICE_OUTCOMES]
+                     for u in mset.directions])
+    sigma = np.broadcast_to(detected, (mset.n, 4, 4)).reshape(mset.n, 2, 2, 2, 2)
+    d = rho.dim // 2
+    alice = np.einsum("ajbj->ab", rho.entries.reshape(2, d, 2, d))
+    probs = np.empty((mset.n, 2, 3))
+    probs[:, :, :2] = np.einsum("kxyzw,kazx,kbwy->kab", sigma, proj, proj).real
+    probs[:, :, 2] = (np.einsum("xz,kazx->ka", alice, proj).real
+                      - probs[:, :, :2].sum(axis=2))
+    return np.maximum(probs, 0.0)
 
 
 def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              encoding_kind: str = "vortex", theta: float = 0.0,
                              space: encoding.OamSpace = encoding.DEFAULT_SPACE) -> SteeringEstimate:
-    """S_n computed directly from the state by Born-rule traces."""
-    probs = _joint_probabilities(rho, mset, encoding_kind, theta, space)
-    corr = np.zeros(mset.n)
-    announced = np.zeros(mset.n)
-    for k in range(mset.n):
-        p = probs[k]
-        announced[k] = p[:, :2].sum()
-        if announced[k] <= 0:
-            raise ValueError(f"setting {k} never produces an announced outcome")
-        # B_k is the negated raw outcome: agreement = (alice, bob raw) opposite
-        agree = p[0, 1] + p[1, 0]
-        disagree = p[0, 0] + p[1, 1]
-        corr[k] = (agree - disagree) / announced[k]
-    corr = np.clip(corr, -1.0, 1.0)
+    """S_n computed directly from the state by the Born rule."""
+    detected = encoding.receiver(encoding_kind, space).detected_state(rho, theta)
+    probs = born_table(rho, mset, detected)
+    announced = probs[:, :, :2].sum(axis=(1, 2))
+    if np.any(announced <= 0):
+        bad = int(np.argmin(announced))
+        raise ValueError(f"setting {bad} never produces an announced outcome")
+    # B_k is the negated raw outcome: agreement = (alice, bob raw) opposite
+    agree = probs[:, 0, 1] + probs[:, 1, 0]
+    corr = np.clip((2 * agree - announced) / announced, -1.0, 1.0)
     return SteeringEstimate(
         s_value=float(np.mean(corr)),
         std_err=0.0,
@@ -169,18 +145,14 @@ def steering_parameter_counts(counts: np.ndarray) -> SteeringEstimate:
     if counts.ndim != 3 or counts.shape[1] != 2 or counts.shape[2] != 3:
         raise ValueError("counts must have shape (n, 2, 3)")
     n = counts.shape[0]
-    corr = np.zeros(n)
-    var = np.zeros(n)
     announced = counts[:, :, :2].sum(axis=(1, 2)).astype(float)
     if np.any(announced == 0):
         bad = int(np.argmin(announced))
         raise ValueError(f"setting {bad} has zero announced events")
-    for k in range(n):
-        agree = counts[k, 0, 1] + counts[k, 1, 0]
-        disagree = counts[k, 0, 0] + counts[k, 1, 1]
-        corr[k] = (agree - disagree) / announced[k]
-        p_hat = agree / announced[k]
-        var[k] = 4 * p_hat * (1 - p_hat) / announced[k]
+    agree = counts[:, 0, 1] + counts[:, 1, 0]
+    corr = (2 * agree - announced) / announced
+    p_hat = agree / announced
+    var = 4 * p_hat * (1 - p_hat) / announced
     total = counts.sum()
     return SteeringEstimate(
         s_value=float(np.mean(corr)),

@@ -38,6 +38,14 @@ class TestBoundCommand:
         assert run(["bound", "--n", "3", "--xi", "1.0:0.5:0.1",
                     "--output", str(out)]) == 2
 
+    def test_float_drifted_grid_ends_exactly_at_stop(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run(["bound", "--n", "3", "--xi", "0.09:1.0:0.07",
+                    "--output", str(out)]) == 0
+        config = json.loads((tmp_path / "curve.csv.config.json").read_text())
+        assert config["xi_grid"][-1] == 1.0
+        assert read_lines(out)[-1].split(",")[0] == "1"
+
 
 class TestSteerCommand:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -128,6 +136,18 @@ class TestTomoCommand:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
         assert abs(payload["fidelity"] - 0.977) < 0.01
+
+    @pytest.mark.parametrize("encoding", ["polarization", "vortex"])
+    def test_dephasing_lowers_fidelity(self, tmp_path, encoding):
+        fidelities = []
+        for dephasing in ("0", "0.5"):
+            out = tmp_path / f"tomo-{dephasing}.json"
+            assert run(["tomo", "--encoding", encoding, "--fidelity", "0.977",
+                        "--dephasing", dephasing,
+                        "--counts-per-setting", "20000", "--seed", "3",
+                        "--output", str(out)]) == 0
+            fidelities.append(json.loads(out.read_text())["fidelity"])
+        assert fidelities[1] < fidelities[0] - 0.1
 
     def test_rerun_from_sidecar(self, tmp_path):
         out = tmp_path / "tomo.json"

@@ -50,6 +50,16 @@ class TestPrepareState:
                 < fidelity_pure(enc.singlet_pol(), clean))
 
 
+class TestThetaPolicy:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            ex.ThetaPolicy(kind="bogus")
+
+    def test_reversed_dynamic_range_rejected(self):
+        with pytest.raises(ValueError):
+            ex.ThetaPolicy.dynamic(1.0, 0.5)
+
+
 class TestRunExperiment:
     def test_seed_reproducibility(self):
         state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")

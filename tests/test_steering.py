@@ -133,6 +133,22 @@ class TestSteeringCounts:
         est = result.estimate
         assert abs(est.s_value - v) < 3 * est.std_err
 
+    def test_matches_per_setting_loop(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4, 6):
+            counts = rng.integers(1, 10**6, size=(n, 2, 3))
+            corr, var = [], []
+            for k in range(n):
+                announced = float(counts[k, :, :2].sum())
+                agree = counts[k, 0, 1] + counts[k, 1, 0]
+                disagree = counts[k, 0, 0] + counts[k, 1, 1]
+                corr.append((agree - disagree) / announced)
+                p_hat = agree / announced
+                var.append(4 * p_hat * (1 - p_hat) / announced)
+            est = st.steering_parameter_counts(counts)
+            assert est.per_setting_correlations == tuple(corr)
+            assert est.std_err == float(np.sqrt(np.sum(var)) / n)
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             st.steering_parameter_counts(np.zeros((3, 2)))
