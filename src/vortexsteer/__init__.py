@@ -37,10 +37,8 @@ from .bounds import (
     BoundCurve,
     CheatStrategy,
     bound_curve,
-    bound_oracle,
     deterministic_bound,
     loss_tolerant_bound,
-    strategy_payoff,
 )
 from .experiment import (
     ChannelModel,

@@ -5,27 +5,26 @@ Alice (a Bloch vector) plus a deterministic per-setting instruction: answer
 +1, answer -1, or decline.  The achievable conditional correlation, maximized
 over probabilistic mixtures of such strategies subject to a floor xi on the
 expected announce fraction, is the bound C_n(xi) that honest quantum
-correlations must beat.
+correlations must beat (Bennet et al., PRX 2, 031003, 2012).
 
-For a fixed answer pattern a (on the answered subset T) the optimal Bloch
-vector is the normalized resultant sum_{k in T} a_k u_k, with payoff equal to
-the resultant's norm.  Maximizing the mixture ratio
-
-    E[payoff] / E[#answered]    s.t.   E[#answered] / n >= xi
-
-is a linear-fractional program over the finite strategy set; the standard
-Charnes-Cooper normalization (scale weights so the denominator is 1) turns it
-into a linear program solved here with scipy's HiGHS backend.  An optimal
-basic solution mixes at most two strategies.
+For an answer pattern s (s_k in {+1, -1, 0}) the optimal Bloch vector is the
+normalized resultant sum_k s_k u_k, with payoff equal to the resultant's
+norm.  Among patterns answering a settings only the best payoff P*(a)
+matters, so a mixture is a distribution over a = 1..n with value
+E[P*(a)] / E[a], subject to E[a] >= n xi.  An optimal mixture has at most two
+points, and for two points the value is monotone in the mixing weight.  So
+C_n(xi) is the best of the single points a >= n xi and the pairs
+lo < n xi < hi mixed to mean exactly n xi: O(n^2) candidates from P*, which
+is enumerated once per measurement set.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .qmath import BlochVector
 from .steering import MeasurementSet
@@ -68,147 +67,53 @@ class BoundCurve:
     witnesses: tuple
 
 
-def strategy_payoff(strategy: CheatStrategy, mset: MeasurementSet) -> tuple[float, int]:
-    """(sum of answered payoffs, number of answered settings)."""
-    if len(strategy.answers) != mset.n:
-        raise ValueError("strategy length does not match measurement set")
-    b = strategy.bloch.as_array()
-    payoff = sum(a * float(u.as_array() @ b)
-                 for a, u in zip(strategy.answers, mset.directions))
-    return payoff, strategy.answered
+@functools.lru_cache(maxsize=32)
+def best_strategies(mset: MeasurementSet) -> tuple:
+    """(P*(a), strategy) for a = 1..n: the longest resultant over answer
+    patterns with a answered settings, with its optimal Bloch vector.
 
-
-def enumerate_strategies(mset: MeasurementSet):
-    """All 3^n - 1 answer patterns, each with its optimal Bloch vector.
-
-    Patterns are generated in a fixed lexicographic order (null < +1 < -1
-    per setting) so downstream witness selection is reproducible.
+    Patterns are scanned in a fixed lexicographic order (null < +1 < -1 per
+    setting) and the first longest one is kept, so witnesses are
+    reproducible.
     """
     dirs = mset.as_matrix()
-    strategies = []
-    payoffs = []
-    answered = []
-    for pattern in product((0, 1, -1), repeat=mset.n):
-        if all(a == 0 for a in pattern):
-            continue
-        resultant = np.asarray(pattern, dtype=float) @ dirs
-        norm = float(np.linalg.norm(resultant))
-        if norm > 1e-15:
-            bloch = BlochVector.unit(resultant)
-        else:
-            bloch = BlochVector(0.0, 0.0, 1.0)  # payoff 0, direction irrelevant
-        strategies.append(CheatStrategy(bloch, pattern))
-        payoffs.append(norm)
-        answered.append(sum(1 for a in pattern if a != 0))
-    return strategies, np.array(payoffs), np.array(answered, dtype=float)
+    patterns = np.array(list(product((0, 1, -1), repeat=mset.n)))
+    resultants = patterns @ dirs
+    norms = np.linalg.norm(resultants, axis=1)
+    answered = np.count_nonzero(patterns, axis=1)
+    best = []
+    for a in range(1, mset.n + 1):
+        j = int(np.argmax(np.where(answered == a, norms, -1.0)))
+        strategy = CheatStrategy(BlochVector.unit(resultants[j]), tuple(patterns[j]))
+        best.append((float(norms[j]), strategy))
+    return tuple(best)
 
 
 def deterministic_bound(mset: MeasurementSet) -> float:
     """C_n at xi = 1: every setting answered, optimal sign pattern and state."""
-    best = 0.0
-    dirs = mset.as_matrix()
-    for pattern in product((1, -1), repeat=mset.n):
-        best = max(best, float(np.linalg.norm(np.asarray(pattern, float) @ dirs)))
-    return best / mset.n
+    return best_strategies(mset)[-1][0] / mset.n
 
 
-def loss_tolerant_bound(mset: MeasurementSet, xi: float,
-                        per_setting: bool = False):
-    """C_n(xi) and an optimizing mixture of at most two strategies.
-
-    With per_setting=True the announce floor is imposed for every setting
-    individually instead of on the average (strict reading).
-    """
+def loss_tolerant_bound(mset: MeasurementSet, xi: float):
+    """C_n(xi) and an optimizing mixture of at most two strategies."""
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    n = mset.n
-    strategies, payoffs, answered = enumerate_strategies(mset)
-    m = len(strategies)
-
-    # Charnes-Cooper variables q_j >= 0 with sum_j q_j A_j = 1:
-    #   maximize sum q_j P_j,  subject to sum q_j <= 1 / (n xi)
-    a_eq = [answered]
-    b_eq = [1.0]
-    a_ub = [np.ones(m)]
-    b_ub = [1.0 / (n * xi)]
-    if per_setting:
-        indicator = np.array([[1.0 if s.answers[k] != 0 else 0.0
-                               for s in strategies] for k in range(n)])
-        # sum_j q_j 1{k in T_j} >= xi sum_j q_j  for each setting k
-        for k in range(n):
-            a_ub.append(xi * np.ones(m) - indicator[k])
-            b_ub.append(0.0)
-    res = linprog(-payoffs, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"bound LP failed: {res.message}")
-    q = res.x
-    total = q.sum()
-    support = np.nonzero(q > SUPPORT_TOL * max(1.0, total))[0]
-    witness = tuple((float(q[j] / total), strategies[j]) for j in support)
-    return float(-res.fun), witness
+    best = best_strategies(mset)
+    floor = mset.n * xi
+    value, mixture = 0.0, ()
+    for lo, (p_lo, s_lo) in enumerate(best, 1):
+        if lo >= floor and p_lo / lo > value:
+            value, mixture = p_lo / lo, ((1.0, s_lo),)
+        for hi, (p_hi, s_hi) in enumerate(best[lo:], lo + 1):
+            if lo < floor < hi:
+                w = (hi - floor) / (hi - lo)
+                mixed = (w * p_lo + (1 - w) * p_hi) / floor
+                if mixed > value:
+                    value, mixture = mixed, ((w, s_lo), (1 - w, s_hi))
+    return value, tuple((w, s) for w, s in mixture if w > SUPPORT_TOL)
 
 
-def bound_oracle(mset: MeasurementSet, xi: float,
-                 sphere_resolution: float = 1e-2) -> float:
-    """Independent brute-force lower bound on C_n(xi).
-
-    Grid-searches the Bloch sphere for every answer pattern, then mixes every
-    pair of strategies.  For a pair, the conditional correlation is a
-    monotone fractional-linear function of the mixing weight, so only the
-    endpoints of the feasible weight interval need evaluation.
-    """
-    if sphere_resolution > 1e-2 + 1e-15:
-        raise ValueError("sphere resolution must be <= 1e-2")
-    if not 0.0 < xi <= 1.0:
-        raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    n = mset.n
-    dirs = mset.as_matrix()
-
-    grid = _fibonacci_sphere(int(np.ceil(4 * np.pi / sphere_resolution ** 2)))
-    patterns = [np.asarray(p, float) for p in product((0, 1, -1), repeat=n)
-                if any(p)]
-    resultants = np.array(patterns) @ dirs                  # (m, 3)
-    payoffs = np.max(grid @ resultants.T, axis=0)           # grid-limited P_j
-    answered = np.array([np.count_nonzero(p) for p in patterns], dtype=float)
-
-    floor = n * xi
-    p_i = payoffs[:, None]
-    p_j = payoffs[None, :]
-    a_i = answered[:, None]
-    a_j = answered[None, :]
-
-    best = 0.0
-    # candidate mixing weights: w = 0, w = 1, and the constraint boundary
-    for w in (np.zeros_like(p_i + p_j), np.ones_like(p_i + p_j),
-              _boundary_weight(a_i, a_j, floor)):
-        mixed_a = w * a_i + (1 - w) * a_j
-        feasible = (mixed_a >= floor - 1e-12) & (w >= 0) & (w <= 1)
-        if not feasible.any():
-            continue
-        value = np.where(feasible, (w * p_i + (1 - w) * p_j)
-                         / np.where(mixed_a > 0, mixed_a, 1.0), -np.inf)
-        best = max(best, float(value.max()))
-    return best
-
-
-def _boundary_weight(a_i, a_j, floor):
-    denom = a_i - a_j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (floor - a_j) / denom
-    return np.where(np.isfinite(w), w, -1.0)
-
-
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count)
-    z = 1 - (2 * i + 1) / count
-    r = np.sqrt(np.maximum(0.0, 1 - z ** 2))
-    phi = i * np.pi * (3 - np.sqrt(5))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
-def bound_curve(mset: MeasurementSet, xi_grid, per_setting: bool = False) -> BoundCurve:
+def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
     """Evaluate the loss-tolerant bound on a strictly increasing xi grid."""
     xi_grid = tuple(float(x) for x in xi_grid)
     if any(not 0.0 < x <= 1.0 for x in xi_grid):
@@ -218,7 +123,7 @@ def bound_curve(mset: MeasurementSet, xi_grid, per_setting: bool = False) -> Bou
     values = []
     witnesses = []
     for xi in xi_grid:
-        c, w = loss_tolerant_bound(mset, xi, per_setting=per_setting)
+        c, w = loss_tolerant_bound(mset, xi)
         values.append(c)
         witnesses.append(w)
     for a, b in zip(values, values[1:]):

@@ -109,8 +109,7 @@ def _run_row(theta_label, result) -> tuple:
 
 def cmd_bound(config: dict) -> None:
     mset = steering.platonic_set(config["n"])
-    curve = bounds.bound_curve(mset, config["xi_grid"],
-                               per_setting=config.get("per_setting", False))
+    curve = bounds.bound_curve(mset, config["xi_grid"])
     rows = [(xi, c, _witness_text(w))
             for xi, c, w in zip(curve.xi_grid, curve.c_values, curve.witnesses)]
     _write_table(config, BOUND_COLUMNS, rows)
@@ -222,8 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="loss-tolerant bound curve C_n(xi)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--xi", required=True, help="grid start:stop:step or list")
-    p.add_argument("--per-setting", action="store_true",
-                   help="strict per-setting announce floor")
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -254,8 +251,7 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     cmd = args.command
     config = {"command": cmd, "output": args.output, "format": args.format}
     if cmd == "bound":
-        config.update(n=args.n, xi_grid=_parse_grid(args.xi),
-                      per_setting=args.per_setting)
+        config.update(n=args.n, xi_grid=_parse_grid(args.xi))
         return config
     config.update(
         n=args.n, encoding=args.encoding, visibility=args.visibility,

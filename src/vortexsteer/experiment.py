@@ -192,13 +192,13 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
         state, theta, span)
     probs = _fold_channel(steering.born_table(state, mset, detected), channel)
 
-    per_setting = rng.multinomial(n_eff, np.full(mset.n, 1.0 / mset.n))
+    setting_trials = rng.multinomial(n_eff, np.full(mset.n, 1.0 / mset.n))
     counts = np.zeros((mset.n, 2, 3), dtype=np.int64)
     for k in range(mset.n):
         p = probs[k].ravel()
         p = np.maximum(p, 0.0)
         p = p / p.sum()
-        counts[k] = rng.multinomial(per_setting[k], p).reshape(2, 3)
+        counts[k] = rng.multinomial(setting_trials[k], p).reshape(2, 3)
 
     estimate = steering.steering_parameter_counts(counts)
     bound, _ = bounds.loss_tolerant_bound(mset, estimate.announce_fraction)

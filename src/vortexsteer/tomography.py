@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import fractional_matrix_power
 
 from . import encoding, qmath
 from .qmath import DensityMatrix, StateVector
@@ -123,9 +122,12 @@ def _project_physical(rho: np.ndarray) -> np.ndarray:
     return (evecs * evals) @ evecs.conj().T
 
 
-def _log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
+def _log_likelihood(counts: np.ndarray, probs: np.ndarray, scale: int) -> float:
+    """Poisson log-likelihood of counts with means scale * probs, up to a
+    constant that does not depend on probs."""
     mask = counts > 0
-    return float(np.sum(counts[mask] * np.log(np.maximum(probs[mask], 1e-300))))
+    return float(np.sum(counts[mask] * np.log(np.maximum(probs[mask], 1e-300)))
+                 - scale * probs.sum())
 
 
 def reconstruct(counts, spec: TomographySpec,
@@ -140,14 +142,18 @@ def reconstruct(counts, spec: TomographySpec,
         raise ValueError("counts shape does not match the settings list")
     projs = np.array(spec.projectors)
     g = projs.sum(axis=0)
-    g_inv_sqrt = fractional_matrix_power(g, -0.5)
+    g_evals, g_evecs = np.linalg.eigh(g)
+    g_inv_sqrt = (g_evecs / np.sqrt(g_evals)) @ g_evecs.conj().T
 
     rho = _project_physical(_linear_inversion(counts / spec.counts_per_setting, spec))
 
     def probs_of(r):
         return np.maximum(np.einsum("sij,ji->s", projs, r).real, 0.0)
 
-    loglik = _log_likelihood(counts, probs_of(rho))
+    def loglik_of(r):
+        return _log_likelihood(counts, probs_of(r), spec.counts_per_setting)
+
+    loglik = loglik_of(rho)
     history = [loglik]
     converged = False
     iterations = 0
@@ -163,7 +169,7 @@ def reconstruct(counts, spec: TomographySpec,
             if tr <= 0:
                 return None, -np.inf
             cand = (cand + cand.conj().T) / 2 / tr
-            return cand, _log_likelihood(counts, probs_of(cand))
+            return cand, loglik_of(cand)
 
         # full multiplicative R-rho-R step, diluted additive steps as fallback
         cand, cand_ll = apply_update(t_op)

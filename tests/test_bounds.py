@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
+import bound_oracles as bo
 from vortexsteer import bounds as bd
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
@@ -13,13 +16,13 @@ M4 = st.platonic_set(4)
 class TestStrategyPayoff:
     def test_single_aligned_answer(self):
         s = bd.CheatStrategy(BlochVector(0, 0, 1), (1, 0, 0))
-        payoff, answered = bd.strategy_payoff(s, M3)
+        payoff, answered = bo.strategy_payoff(s, M3)
         assert payoff == pytest.approx(1.0)
         assert answered == 1
 
     def test_diagonal_state_all_answered(self):
         s = bd.CheatStrategy(BlochVector.unit([1, 1, 1]), (1, 1, 1))
-        payoff, answered = bd.strategy_payoff(s, M3)
+        payoff, answered = bo.strategy_payoff(s, M3)
         assert payoff == pytest.approx(np.sqrt(3))
         assert answered == 3
 
@@ -40,7 +43,7 @@ class TestDeterministicBound:
     def test_tetrahedron_against_dense_grid(self):
         # independent oracle: exhaustive sign patterns x dense sphere grid
         analytic = bd.deterministic_bound(M4)
-        grid_value = bd.bound_oracle(M4, xi=1.0, sphere_resolution=1e-2)
+        grid_value = bo.bound_oracle(M4, xi=1.0, sphere_resolution=1e-2)
         assert analytic >= grid_value - 1e-12
         assert analytic == pytest.approx(grid_value, abs=1e-4)
 
@@ -58,13 +61,13 @@ class TestLossTolerantBound:
 
     def test_oracle_agreement_n3(self):
         c, _ = bd.loss_tolerant_bound(M3, 2 / 3)
-        assert c == pytest.approx(bd.bound_oracle(M3, 2 / 3), abs=1e-6)
+        assert c == pytest.approx(bo.bound_oracle(M3, 2 / 3), abs=1e-6)
 
     @pytest.mark.parametrize("mset", [M3, M4], ids=["n3", "n4"])
     @pytest.mark.parametrize("xi", [0.4, 0.5, 0.7, 1.0])
     def test_lp_within_oracle_band(self, mset, xi):
         lp, _ = bd.loss_tolerant_bound(mset, xi)
-        oracle = bd.bound_oracle(mset, xi)
+        oracle = bo.bound_oracle(mset, xi)
         assert lp >= oracle - 1e-4
         assert lp <= oracle + 1e-3
 
@@ -82,20 +85,20 @@ class TestLossTolerantBound:
     def test_per_setting_floor_is_no_easier_for_the_cheater(self):
         for xi in (0.45, 0.6, 0.8):
             avg, _ = bd.loss_tolerant_bound(M3, xi)
-            strict, _ = bd.loss_tolerant_bound(M3, xi, per_setting=True)
+            strict, _ = bo.lp_bound(M3, xi, per_setting=True)
             assert strict <= avg + 1e-9
 
 
 class TestOracle:
     def test_monotone_in_xi(self):
-        assert bd.bound_oracle(M3, 0.5) >= bd.bound_oracle(M3, 0.9) - 1e-12
+        assert bo.bound_oracle(M3, 0.5) >= bo.bound_oracle(M3, 0.9) - 1e-12
 
     def test_floor_value(self):
-        assert bd.bound_oracle(M3, 1 / 3) == pytest.approx(1.0, abs=1e-4)
+        assert bo.bound_oracle(M3, 1 / 3) == pytest.approx(1.0, abs=1e-4)
 
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
-            bd.bound_oracle(M3, 0.5, sphere_resolution=0.5)
+            bo.bound_oracle(M3, 0.5, sphere_resolution=0.5)
 
 
 class TestBoundCurve:
@@ -122,13 +125,87 @@ class TestBoundCurve:
         c3, _ = bd.loss_tolerant_bound(M3, xi)
         c4, _ = bd.loss_tolerant_bound(M4, xi)
         assert c4 > c3
-        assert bd.bound_oracle(M4, xi) > bd.bound_oracle(M3, xi)
+        assert bo.bound_oracle(M4, xi) > bo.bound_oracle(M3, xi)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             bd.bound_curve(M3, [0.0, 0.5])
         with pytest.raises(ValueError):
             bd.bound_curve(M3, [0.5, 0.4])
+
+
+SEEDS = hs.integers(0, 2 ** 32 - 1)
+XI = hs.floats(1e-3, 1.0)
+
+
+def random_set(n: int, seed: int) -> st.MeasurementSet:
+    vecs = np.random.default_rng(seed).normal(size=(n, 3))
+    try:
+        return st.MeasurementSet(tuple(BlochVector.unit(v) for v in vecs))
+    except ValueError:   # a (near-)parallel pair
+        assume(False)
+
+
+def witness_value(mset, witness) -> float:
+    """Payoff per answered setting of a witness mixture, summed setting by
+    setting."""
+    payoff = sum(w * bo.strategy_payoff(s, mset)[0] for w, s in witness)
+    return payoff / sum(w * s.answered for w, s in witness)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_exact_just_above_one_setting(self, n, k):
+        # within its feasibility tolerance an LP returns exactly 1 here
+        mset = st.platonic_set(n)
+        xi = 1 / n + 10.0 ** -k
+        c, _ = bd.loss_tolerant_bound(mset, xi)
+        assert c == pytest.approx(bo.envelope(bo.brute_force_pstar(mset), xi),
+                                  rel=0, abs=1e-12)
+        assert c < 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_payoff_table_matches_enumeration(self, n):
+        mset = st.platonic_set(n)
+        best = bd.best_strategies(mset)
+        assert best is bd.best_strategies(st.platonic_set(n))   # cached
+        pstar = bo.brute_force_pstar(mset)
+        for a, (payoff, strategy) in enumerate(best, 1):
+            assert payoff == pytest.approx(pstar[a], rel=0, abs=1e-12)
+            assert bo.strategy_payoff(strategy, mset) == pytest.approx((payoff, a),
+                                                                       abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=hs.integers(2, 5), seed=SEEDS, xi=XI)
+    def test_matches_average_floor_lp(self, n, seed, xi):
+        # the LP's feasibility tolerance makes it inexact just past n xi = k
+        assume(min(abs(n * xi - k) for k in range(1, n + 1)) > 1e-6)
+        mset = random_set(n, seed)
+        c, witness = bd.loss_tolerant_bound(mset, xi)
+        lp, _ = bo.lp_bound(mset, xi)
+        assert c == pytest.approx(lp, rel=0, abs=1e-9)
+        assert 1 <= len(witness) <= 2
+        assert witness_value(mset, witness) == pytest.approx(c, rel=0, abs=1e-9)
+        answered = sum(w * s.answered for w, s in witness)
+        assert answered >= n * xi - 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=hs.integers(2, 4), seed=SEEDS, xi=XI)
+    def test_at_least_grid_oracle(self, n, seed, xi):
+        mset = random_set(n, seed)
+        c, _ = bd.loss_tolerant_bound(mset, xi)
+        assert c >= bo.bound_oracle(mset, xi) - 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=hs.sampled_from([2, 3, 4, 6]), xi=XI)
+    def test_per_setting_floor_gives_the_same_value(self, n, xi):
+        # every Platonic set's symmetry group is transitive on settings
+        assume(min(abs(n * xi - k) for k in range(1, n + 1)) > 1e-6)
+        mset = st.platonic_set(n)
+        c, _ = bd.loss_tolerant_bound(mset, xi)
+        strict, _ = bo.lp_bound(mset, xi, per_setting=True)
+        assert c == pytest.approx(strict, rel=0, abs=1e-9)
 
 
 def test_quantum_separable_state_never_beats_bound():

@@ -90,6 +90,42 @@ class TestSidecarRerun:
         assert run(["--config", str(sidecar)]) == 0
         assert out.read_bytes() == original
 
+    def test_sidecar_with_retired_per_setting_key_reruns(self, tmp_path):
+        # sidecar and result as written before the strict per-setting floor
+        # was retired; on every supported set it equals the average floor
+        out = tmp_path / "old.csv"
+        sidecar = tmp_path / "old.csv.config.json"
+        sidecar.write_text(json.dumps({
+            "command": "bound", "format": "csv", "n": 4, "output": str(out),
+            "per_setting": False, "xi_grid": [0.2, 0.3, 0.45, 0.6, 1.0]}))
+        assert run(["--config", str(sidecar)]) == 0
+        assert out.read_text() == (
+            "xi,c_n,witness_pattern\n"
+            "0.2,1,...+:1.000000\n"
+            "0.3,0.938832193643,...+:0.800000;..+-:0.200000\n"
+            "0.45,0.836885849714,...+:0.200000;..+-:0.800000\n"
+            "0.6,0.736781143682,..+-:0.800000;++--:0.200000\n"
+            "1,0.57735026919,++--:1.000000\n")
+
+    def test_sidecar_asking_for_per_setting_floor_keeps_its_values(self, tmp_path):
+        # the strict floor's values, as written before it was retired; the
+        # witness column now holds the average floor's two-point mixture
+        out = tmp_path / "old.csv"
+        sidecar = tmp_path / "old.csv.config.json"
+        sidecar.write_text(json.dumps({
+            "command": "bound", "format": "csv", "n": 3, "output": str(out),
+            "per_setting": True, "xi_grid": [0.35, 0.45, 0.7, 1.0]}))
+        assert run(["--config", str(sidecar)]) == 0
+        values = [line.split(",")[1] for line in read_lines(out)[1:]]
+        assert values == ["0.972105407732", "0.848129442097",
+                          "0.688570136616", "0.57735026919"]
+
+    def test_per_setting_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["bound", "--n", "3", "--xi", "0.5", "--per-setting",
+                 "--output", str(tmp_path / "c.csv")])
+        assert exc.value.code == 2
+
     def test_config_plus_subcommand_rejected(self, tmp_path):
         sidecar = tmp_path / "x.config.json"
         sidecar.write_text(json.dumps({"command": "bound"}))

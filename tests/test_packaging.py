@@ -1,0 +1,30 @@
+"""The package needs numpy only: importing it loads no scipy, and numpy is
+the only declared runtime dependency."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, vortexsteer; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert done.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in project["dependencies"]]
+    assert names == ["numpy"]

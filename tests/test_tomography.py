@@ -87,6 +87,28 @@ class TestReconstruct:
         diffs = np.diff(rep.history)
         assert np.all(diffs >= -1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 16, 22, 30, 73])
+    def test_minimal_settings_fit_beats_true_state(self, seed):
+        # Sigma projectors is not proportional to I for the 16 settings, so
+        # the -N sum(p) Poisson term matters; without it these seeds stopped
+        # after one step, below the true state's likelihood
+        spec = tm.minimal_settings(100_000)
+        rho = ex.werner_state(ex.visibility_for_fidelity(0.977))
+        counts = tm.simulate_counts(rho, spec, seed)
+        projs = np.array(spec.projectors)
+
+        def loglik(r):
+            p = np.einsum("sij,ji->s", projs, r).real
+            seen = counts > 0
+            return (np.sum(counts[seen] * np.log(p[seen]))
+                    - spec.counts_per_setting * p.sum())
+
+        rep = tm.reconstruct(counts, spec)
+        assert rep.converged
+        assert rep.log_likelihood == pytest.approx(loglik(rep.rho_hat.entries),
+                                                   rel=1e-9)
+        assert rep.log_likelihood >= loglik(rho.entries)
+
     def test_minimal_settings_also_reconstruct(self):
         spec = tm.minimal_settings(200_000)
         rho = ex.werner_state(0.9693)
