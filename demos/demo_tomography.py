@@ -14,6 +14,7 @@ import numpy as np
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import tomography as tm
+from vortexsteer.qmath import DensityMatrix
 
 FIDELITY = 0.977
 COUNTS = 100_000
@@ -38,7 +39,8 @@ print(np.array_str(report.rho_hat.entries.real, precision=3,
                    suppress_small=True))
 print()
 
-rotated = ex.rotated_polarization_state(ex.werner_state(1.0), math.pi / 2)
+rotated = DensityMatrix(enc.receiver("polarization").detected_state(
+    ex.werner_state(1.0), math.pi / 2))
 counts = tm.simulate_counts(rotated, spec, seed=8)
 report = tm.reconstruct(counts, spec, target=enc.singlet_pol())
 print("pure singlet seen through a receiver rotated by 90 degrees:")

@@ -3,27 +3,14 @@
 from .qmath import (
     BlochVector,
     DensityMatrix,
-    ModeOperator,
-    OperatorKind,
     StateVector,
-    expectation,
     fidelity_pure,
-    partial_trace,
     purity,
-    tensor,
-    trace_distance,
 )
 from .encoding import (
     DEFAULT_SPACE,
-    LogicalVortexQubit,
-    NonClosureError,
     OamSpace,
-    QPlate,
-    bob_analyzer,
-    encode_to_vortex,
-    logical_vortex_qubit,
-    qplate_operator,
-    rotation_operator,
+    receiver,
     singlet_pol,
 )
 from .steering import (

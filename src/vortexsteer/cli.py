@@ -32,6 +32,16 @@ BOUND_COLUMNS = ("xi", "c_n", "witness_pattern")
 
 SAMPLING_COMMANDS = {"steer", "sweep", "dynamic", "tomo"}
 
+# keys each command reads besides "command" and "seed"
+_RUN_KEYS = ("output", "format", "n", "encoding", "efficiency", "trials")
+CONFIG_KEYS = {
+    "bound": ("output", "format", "n", "xi_grid"),
+    "steer": _RUN_KEYS + ("theta_deg",),
+    "sweep": _RUN_KEYS + ("thetas_deg",),
+    "dynamic": _RUN_KEYS,
+    "tomo": ("output", "encoding", "theta_deg", "counts_per_setting"),
+}
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -123,6 +133,8 @@ def _prepared_state(config: dict):
 
 
 def _common_run_inputs(config: dict):
+    if config["trials"] < 1:
+        raise ValueError("trials must be positive")
     mset = steering.platonic_set(config["n"])
     channel = experiment.ChannelModel(
         bob_efficiency=config["efficiency"],
@@ -131,8 +143,6 @@ def _common_run_inputs(config: dict):
 
 
 def cmd_steer(config: dict) -> None:
-    if config["trials"] < 1:
-        raise ValueError("trials must be positive")
     mset, channel, state = _common_run_inputs(config)
     theta = math.radians(config["theta_deg"])
     result = experiment.run_experiment(state, mset, channel,
@@ -143,8 +153,6 @@ def cmd_steer(config: dict) -> None:
 
 
 def cmd_sweep(config: dict) -> None:
-    if config["trials"] < 1:
-        raise ValueError("trials must be positive")
     mset, channel, state = _common_run_inputs(config)
     thetas_deg = config["thetas_deg"]
     results = experiment.sweep_theta(state, mset, channel,
@@ -156,8 +164,6 @@ def cmd_sweep(config: dict) -> None:
 
 
 def cmd_dynamic(config: dict) -> None:
-    if config["trials"] < 1:
-        raise ValueError("trials must be positive")
     mset, channel, state = _common_run_inputs(config)
     result = experiment.dynamic_rotation_run(
         state, mset, channel, config["trials"], config["seed"],
@@ -282,9 +288,14 @@ def main(argv=None) -> int:
                 raise ValueError("--config replaces the subcommand and flags")
             with open(args.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("sidecar must hold a JSON object")
             if config.get("command") not in COMMANDS:
                 raise ValueError(f"sidecar has unknown command "
                                  f"{config.get('command')!r}")
+            missing = [k for k in CONFIG_KEYS[config["command"]] if k not in config]
+            if missing:
+                raise ValueError(f"sidecar lacks {', '.join(missing)}")
         else:
             if args.command is None:
                 parser.print_usage(sys.stderr)

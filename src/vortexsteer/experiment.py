@@ -134,8 +134,7 @@ def _dephase_bob(rho4: np.ndarray, d: float) -> np.ndarray:
     return (1 - d / 2) * rho4 + (d / 2) * (z @ rho4 @ z)
 
 
-def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex",
-                  space: encoding.OamSpace = encoding.DEFAULT_SPACE) -> DensityMatrix:
+def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMatrix:
     """Distributed two-photon state in the requested encoding.
 
     Polarization: 4x4 on Alice-pol (x) Bob-pol.  Vortex: Bob's factor is the
@@ -144,22 +143,8 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex",
     rho4 = werner_state(noise.werner_v).entries
     if noise.dephasing > 0:
         rho4 = _dephase_bob(rho4, noise.dephasing)
-    w = np.kron(np.eye(2), encoding.receiver(encoding_kind, space).encoder)
+    w = np.kron(np.eye(2), encoding.receiver(encoding_kind).encoder)
     return DensityMatrix(w @ rho4 @ w.conj().T)
-
-
-def rotated_polarization_state(rho4: DensityMatrix, theta: float) -> DensityMatrix:
-    """Bob's polarization qubit seen through a receiver rotated by theta."""
-    return DensityMatrix(encoding.receiver("polarization").detected_state(rho4, theta))
-
-
-def infer_encoding(state: DensityMatrix,
-                   space: encoding.OamSpace = encoding.DEFAULT_SPACE) -> str:
-    if state.dim == 4:
-        return "polarization"
-    if state.dim == 2 * space.dim:
-        return "vortex"
-    raise ValueError(f"cannot infer encoding from dimension {state.dim}")
 
 
 def _fold_channel(probs: np.ndarray, channel: ChannelModel) -> np.ndarray:
@@ -174,12 +159,11 @@ def _fold_channel(probs: np.ndarray, channel: ChannelModel) -> np.ndarray:
 
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    channel: ChannelModel, theta_policy: ThetaPolicy,
-                   trials: int, seed: int,
-                   space: encoding.OamSpace = encoding.DEFAULT_SPACE) -> SteeringRunResult:
+                   trials: int, seed: int) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
-    encoding_kind = infer_encoding(state, space)
+    rx = encoding.receiver_for(state.dim)
     rng = np.random.default_rng(seed)
 
     # rng draw order is fixed: alice thinning, block thetas, setting split,
@@ -188,8 +172,7 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
     if channel.alice_efficiency < 1.0:
         n_eff = int(rng.binomial(trials, channel.alice_efficiency))
     theta, span = theta_policy.orientation(mset.n, rng)
-    detected = encoding.receiver(encoding_kind, space).detected_state(
-        state, theta, span)
+    detected = rx.detected_state(state, theta, span)
     probs = _fold_channel(steering.born_table(state, mset, detected), channel)
 
     setting_trials = rng.multinomial(n_eff, np.full(mset.n, 1.0 / mset.n))
@@ -204,7 +187,7 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
     bound, _ = bounds.loss_tolerant_bound(mset, estimate.announce_fraction)
     violated = estimate.s_value - 2 * estimate.std_err > bound
     return SteeringRunResult(
-        n=mset.n, encoding_kind=encoding_kind, theta_policy=theta_policy,
+        n=mset.n, encoding_kind=rx.kind, theta_policy=theta_policy,
         trials=trials, estimate=estimate, bound_at_observed_xi=bound,
         violated=violated, seed=seed,
     )
@@ -217,8 +200,7 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 
 def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
                 channel: ChannelModel, thetas, trials_per_point: int,
-                seed: int, space: encoding.OamSpace = encoding.DEFAULT_SPACE
-                ) -> list[SteeringRunResult]:
+                seed: int) -> list[SteeringRunResult]:
     """One fixed-orientation run per theta (radians), seeds derived from seed."""
     thetas = [float(t) for t in thetas]
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
@@ -226,16 +208,15 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     child_seeds = derive_seeds(seed, len(thetas))
     return [
         run_experiment(state, mset, channel, ThetaPolicy.fixed(t),
-                       trials_per_point, s, space)
+                       trials_per_point, s)
         for t, s in zip(thetas, child_seeds)
     ]
 
 
 def dynamic_rotation_run(state: DensityMatrix, mset: steering.MeasurementSet,
                          channel: ChannelModel, trials: int, seed: int,
-                         space: encoding.OamSpace = encoding.DEFAULT_SPACE,
                          per_setting_block: bool = False) -> SteeringRunResult:
     """Dynamically rotating receiver: theta uniform on [0, pi/2] per trial."""
     policy = ThetaPolicy.dynamic(0.0, math.pi / 2,
                                  per_setting_block=per_setting_block)
-    return run_experiment(state, mset, channel, policy, trials, seed, space)
+    return run_experiment(state, mset, channel, policy, trials, seed)

@@ -1,7 +1,7 @@
 """Small dense complex linear algebra for few-qubit optical systems.
 
-States and operators are thin immutable wrappers around numpy arrays with
-invariant checks at construction time.  Composite spaces use first-factor-major
+States are thin immutable wrappers around numpy arrays with invariant
+checks at construction time.  Composite spaces use first-factor-major
 (Kronecker) index ordering throughout; for two-photon states the order is
 always Alice then Bob.
 """
@@ -9,7 +9,6 @@ always Alice then Bob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,8 +16,6 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
 IMAG_TOL = 1e-10
 
 
@@ -26,12 +23,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=complex)
     arr.setflags(write=False)
     return arr
-
-
-class OperatorKind(Enum):
-    UNITARY = "unitary"
-    HERMITIAN = "hermitian"
-    PROJECTOR = "projector"
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,22 +40,9 @@ class StateVector:
             raise ValueError(f"state vector not normalized: |psi|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def normalized(cls, amplitudes) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm)
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def inner(self, other: "StateVector") -> complex:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -90,38 +68,6 @@ class DensityMatrix:
         if evals.min() < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {evals.min()}")
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ModeOperator:
-    """Operator on a composite mode space, tagged by its algebraic kind."""
-
-    entries: np.ndarray
-    kind: OperatorKind = OperatorKind.HERMITIAN
-
-    def __post_init__(self):
-        m = _freeze(np.asarray(self.entries))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator must be square")
-        kind = OperatorKind(self.kind)
-        if kind is OperatorKind.UNITARY:
-            err = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if err > UNITARITY_TOL:
-                raise ValueError(f"operator not unitary (deviation {err:.3e})")
-        elif kind is OperatorKind.PROJECTOR:
-            if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-                raise ValueError("projector not Hermitian")
-            if np.max(np.abs(m @ m - m)) > PROJECTOR_TOL:
-                raise ValueError("projector not idempotent")
-        else:
-            if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-                raise ValueError("observable not Hermitian")
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "kind", kind)
 
     @property
     def dim(self) -> int:
@@ -163,38 +109,6 @@ class BlochVector:
         return cls.from_array(a / n)
 
 
-def tensor(a, b):
-    """Kronecker product of two like-kind objects (first factor major)."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.entries, b.entries))
-    if isinstance(a, ModeOperator) and isinstance(b, ModeOperator):
-        if a.kind == b.kind:
-            kind = a.kind
-        else:
-            kind = OperatorKind.HERMITIAN
-        return ModeOperator(np.kron(a.entries, b.entries), kind)
-    raise TypeError("tensor operands must be the same kind of object")
-
-
-def partial_trace(rho: DensityMatrix, keep: int, dims) -> DensityMatrix:
-    """Reduced state on subsystem ``keep`` of a composite with factor ``dims``."""
-    dims = list(int(d) for d in dims)
-    if int(np.prod(dims)) != rho.dim:
-        raise ValueError(f"product of dims {dims} != rho.dim {rho.dim}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range for {len(dims)} factors")
-    n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    # trace out every factor except `keep`, from the back to keep axes stable
-    for i in reversed(range(n)):
-        if i == keep:
-            continue
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    return DensityMatrix(t)
-
-
 def fidelity_pure(psi: StateVector, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi> of a pure target with a mixed state, in [0, 1]."""
     if psi.dim != rho.dim:
@@ -209,24 +123,3 @@ def purity(rho: DensityMatrix) -> float:
     """Tr rho^2; equals 1 iff the state is pure."""
     val = float(np.trace(rho.entries @ rho.entries).real)
     return min(1.0, max(1.0 / rho.dim, val))
-
-
-def expectation(rho: DensityMatrix, obs: ModeOperator) -> float:
-    """Tr(rho obs) for a Hermitian observable."""
-    m = obs.entries
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("observable not Hermitian")
-    if rho.dim != obs.dim:
-        raise ValueError("dimension mismatch")
-    val = complex(np.trace(rho.entries @ m))
-    if abs(val.imag) > IMAG_TOL:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag}")
-    return float(val.real)
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """(1/2) ||a - b||_1."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    diff = (a.entries - b.entries + (a.entries - b.entries).conj().T) / 2
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())

@@ -23,7 +23,6 @@ EQUALITY_TOL = 1e-12
 _GOLDEN = (1 + np.sqrt(5)) / 2
 
 ALICE_OUTCOMES = (+1, -1)
-BOB_OUTCOMES = (+1, -1, None)
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,9 @@ def born_table(rho: DensityMatrix, mset: MeasurementSet,
 
 
 def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
-                             encoding_kind: str = "vortex", theta: float = 0.0,
-                             space: encoding.OamSpace = encoding.DEFAULT_SPACE) -> SteeringEstimate:
+                             theta: float = 0.0) -> SteeringEstimate:
     """S_n computed directly from the state by the Born rule."""
-    detected = encoding.receiver(encoding_kind, space).detected_state(rho, theta)
+    detected = encoding.receiver_for(rho.dim).detected_state(rho, theta)
     probs = born_table(rho, mset, detected)
     announced = probs[:, :, :2].sum(axis=(1, 2))
     if np.any(announced <= 0):

@@ -90,16 +90,14 @@ def born_probabilities(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
                      for p in spec.projectors])
 
 
-def simulate_counts(rho: DensityMatrix, spec: TomographySpec, seed: int) -> np.ndarray:
-    """Poisson coincidence counts for every setting, reproducible from seed."""
-    rng = np.random.default_rng(seed)
-    expected = spec.counts_per_setting * born_probabilities(rho, spec)
-    return rng.poisson(expected)
-
-
 def expected_counts(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
     """Noiseless (infinite-statistics) count table."""
     return spec.counts_per_setting * born_probabilities(rho, spec)
+
+
+def simulate_counts(rho: DensityMatrix, spec: TomographySpec, seed: int) -> np.ndarray:
+    """Poisson coincidence counts for every setting, reproducible from seed."""
+    return np.random.default_rng(seed).poisson(expected_counts(rho, spec))
 
 
 def _linear_inversion(freqs: np.ndarray, spec: TomographySpec) -> np.ndarray:

@@ -16,13 +16,14 @@ import pytest
 
 import bound_oracles as bo
 import conftest
+from qmath_helpers import trace_distance
 from vortexsteer import bounds as bd
 from vortexsteer import cli
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
 from vortexsteer import tomography as tm
-from vortexsteer.qmath import trace_distance
+from vortexsteer.qmath import DensityMatrix
 
 M3 = st.platonic_set(3)
 M4 = st.platonic_set(4)
@@ -67,7 +68,7 @@ def test_criterion_1_bounds():
 @report(2, "encoded qubit: steering value independent of receiver angle")
 def test_criterion_2_rotation_invariance():
     state = ex.prepare_state(ex.NoiseModel(V), "vortex")
-    exact = [st.steering_parameter_exact(state, M3, "vortex", theta=t).s_value
+    exact = [st.steering_parameter_exact(state, M3, theta=t).s_value
              for t in np.radians(np.arange(0.0, 360.0, 10.0))]
     assert np.ptp(exact) < 1e-9
 
@@ -139,7 +140,8 @@ def test_criterion_6_tomography():
             hits += 1
     assert hits >= 95
 
-    rot = ex.rotated_polarization_state(ex.werner_state(1.0), math.pi / 2)
+    rot = DensityMatrix(enc.receiver("polarization").detected_state(
+        ex.werner_state(1.0), math.pi / 2))
     counts = tm.simulate_counts(rot, spec, seed=7)
     rep = tm.reconstruct(counts, spec, target=enc.singlet_pol())
     assert abs(rep.fidelity_to_target - 0.0) < 0.005

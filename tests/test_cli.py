@@ -140,6 +140,28 @@ class TestSidecarRerun:
         sidecar.write_text(json.dumps({"command": "frobnicate"}))
         assert run(["--config", str(sidecar)]) == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["bound", "--n", "3", "--xi", "0.5,1.0"], "xi_grid"),
+        (["steer", "--n", "3", "--fidelity", "0.977", "--trials", "1000",
+          "--seed", "1"], "trials"),
+    ], ids=["bound", "steer"])
+    def test_sidecar_missing_a_key_exits_2(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "run.csv"
+        assert run(argv + ["--output", str(out)]) == 0
+        sidecar = tmp_path / "run.csv.config.json"
+        config = json.loads(sidecar.read_text())
+        del config[key]
+        sidecar.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(["--config", str(sidecar)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_sidecar_holding_a_list_exits_2(self, tmp_path, capsys):
+        sidecar = tmp_path / "list.config.json"
+        sidecar.write_text(json.dumps([{"command": "bound"}]))
+        assert run(["--config", str(sidecar)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
 
 class TestDynamicCommand:
     def test_csv_row_shape_and_verdict_fields(self, tmp_path):

@@ -1,76 +1,81 @@
 import numpy as np
 import pytest
 
+import vortex_oracle as vo
 from vortexsteer import encoding as enc
-from vortexsteer.qmath import BlochVector, OperatorKind, StateVector, fidelity_pure
+from vortexsteer.qmath import BlochVector, DensityMatrix, StateVector, fidelity_pure
 
-QP = enc.QPlate(0.5)
 SPACE = enc.DEFAULT_SPACE
-LOGICAL = enc.logical_vortex_qubit()
+VORTEX = enc.receiver("vortex")
+QP = vo.qplate(SPACE)
+# logical vortex qubit |0> = |L, -1>, |1> = |R, +1>
+LOGICAL_ZERO = vo.composite_ket(enc.KET_L, -1, SPACE)
+LOGICAL_ONE = vo.composite_ket(enc.KET_R, +1, SPACE)
 
 
-def overlap(a: StateVector, b: StateVector) -> float:
-    return abs(a.inner(b))
+def overlap(a: np.ndarray, b: np.ndarray) -> float:
+    return abs(np.vdot(a, b))
 
 
 class TestQPlate:
-    def test_charge_must_be_half_integer(self):
-        with pytest.raises(ValueError):
-            enc.QPlate(0.3)
-        enc.QPlate(1.0)
-        enc.QPlate(-0.5)
+    """The receiver's closed-form encoder against the explicit test q-plate."""
 
     def test_operator_is_unitary(self):
-        op = enc.qplate_operator(QP)
-        assert op.kind is OperatorKind.UNITARY
+        assert np.allclose(QP.conj().T @ QP, np.eye(SPACE.dim), atol=1e-12)
+
+    @pytest.mark.parametrize("space", [SPACE, enc.OamSpace(-1, 1), enc.OamSpace(-5, 4)])
+    def test_encoder_is_qplate_image_of_l0(self, space):
+        np.testing.assert_allclose(enc.receiver("vortex", space).encoder,
+                                   vo.qplate_encoder(space), rtol=0, atol=1e-15)
 
     def test_left_circular_input_gains_oam(self):
-        out = enc.qplate_apply(QP, enc.composite_ket(enc.KET_L, 0))
-        assert overlap(out, LOGICAL.one_ket) == pytest.approx(1.0, abs=1e-12)
+        out = VORTEX.encoder @ enc.KET_L
+        assert overlap(out, QP @ vo.composite_ket(enc.KET_L, 0, SPACE)) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert overlap(out, LOGICAL_ONE) == pytest.approx(1.0, abs=1e-12)
 
     def test_right_circular_input_loses_oam(self):
-        out = enc.qplate_apply(QP, enc.composite_ket(enc.KET_R, 0))
-        assert overlap(out, LOGICAL.zero_ket) == pytest.approx(1.0, abs=1e-12)
+        out = VORTEX.encoder @ enc.KET_R
+        assert overlap(out, QP @ vo.composite_ket(enc.KET_R, 0, SPACE)) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert overlap(out, LOGICAL_ZERO) == pytest.approx(1.0, abs=1e-12)
 
     def test_double_pass_is_identity_on_pipeline_span(self):
         seeds = [
-            enc.composite_ket(enc.KET_L, 0),
-            enc.composite_ket(enc.KET_R, 0),
-            enc.composite_ket(enc.KET_L, -1),
-            enc.composite_ket(enc.KET_R, +1),
-            enc.composite_ket(enc.KET_R, -1),
-            enc.composite_ket(enc.KET_L, +1),
+            vo.composite_ket(enc.KET_L, 0, SPACE),
+            vo.composite_ket(enc.KET_R, 0, SPACE),
+            LOGICAL_ZERO,
+            LOGICAL_ONE,
+            vo.composite_ket(enc.KET_R, -1, SPACE),
+            vo.composite_ket(enc.KET_L, +1, SPACE),
         ]
         for psi in seeds:
-            twice = enc.qplate_apply(QP, enc.qplate_apply(QP, psi))
-            assert overlap(twice, psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_boundary_amplitude_reports_non_closure(self):
-        boundary = enc.composite_ket(enc.KET_L, SPACE.l_max)
-        with pytest.raises(enc.NonClosureError):
-            enc.qplate_apply(QP, boundary)
+            assert overlap(QP @ QP @ psi, psi) == pytest.approx(1.0, abs=1e-12)
+        # a second pass brings the encoded qubit back to l=0
+        back = np.column_stack([vo.composite_ket(p, 0, SPACE)
+                                for p in (enc.KET_H, enc.KET_V)])
+        assert np.allclose(QP @ VORTEX.encoder, back, atol=1e-12)
 
 
 class TestRotation:
     @pytest.mark.parametrize("theta", np.linspace(0, 2 * np.pi, 17))
     def test_logical_states_are_fixed_points(self, theta):
-        r = enc.rotation_operator(theta).entries
-        for k in (LOGICAL.zero_ket, LOGICAL.one_ket):
-            assert np.max(np.abs(r @ k.amplitudes - k.amplitudes)) < 1e-12
+        r = VORTEX.rotation(theta)
+        for k in (LOGICAL_ZERO, LOGICAL_ONE):
+            assert np.max(np.abs(r @ k - k)) < 1e-12
 
     def test_quarter_turn_maps_h_to_v(self):
-        h0 = enc.composite_ket(enc.KET_H, 0)
-        v0 = enc.composite_ket(enc.KET_V, 0)
-        out = enc.rotation_operator(np.pi / 2).entries @ h0.amplitudes
-        assert abs(np.vdot(v0.amplitudes, out)) == pytest.approx(1.0, abs=1e-12)
+        h0 = vo.composite_ket(enc.KET_H, 0, SPACE)
+        v0 = vo.composite_ket(enc.KET_V, 0, SPACE)
+        out = VORTEX.rotation(np.pi / 2) @ h0
+        assert abs(np.vdot(v0, out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_angle_is_identity(self):
-        assert np.allclose(enc.rotation_operator(0.0).entries,
-                           np.eye(SPACE.dim), atol=1e-14)
+        assert np.allclose(VORTEX.rotation(0.0), np.eye(SPACE.dim), atol=1e-14)
 
     def test_pol_rotation_spins_linear_axis_by_twice_theta(self):
         theta = 0.37
-        r = enc.pol_rotation(theta)
+        r = enc.receiver("polarization").rotation(theta)
         rotated = r @ enc.pol_observable(BlochVector(1, 0, 0)) @ r.conj().T
         expected = (np.cos(2 * theta) * enc.POL_X + np.sin(2 * theta) * enc.POL_Y)
         assert np.allclose(rotated, expected, atol=1e-12)
@@ -80,22 +85,17 @@ class TestRotation:
 
 class TestEncode:
     def test_h_encodes_to_equal_logical_superposition(self):
-        out = enc.encode_to_vortex(enc.composite_ket(enc.KET_H, 0))
-        target = StateVector((LOGICAL.zero_ket.amplitudes
-                              + LOGICAL.one_ket.amplitudes) / np.sqrt(2))
+        out = VORTEX.encoder @ enc.KET_H
+        target = (LOGICAL_ZERO + LOGICAL_ONE) / np.sqrt(2)
         assert overlap(out, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_left_circular_encodes_to_logical_one(self):
-        out = enc.encode_to_vortex(enc.composite_ket(enc.KET_L, 0))
-        assert overlap(out, LOGICAL.one_ket) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_amplitude_off_l0(self):
-        with pytest.raises(ValueError):
-            enc.encode_to_vortex(enc.composite_ket(enc.KET_H, 1))
+        out = VORTEX.encoder @ enc.KET_L
+        assert overlap(out, LOGICAL_ONE) == pytest.approx(1.0, abs=1e-12)
 
     def test_isometry_preserves_inner_products(self):
         rng = np.random.default_rng(7)
-        v = enc.encode_isometry()
+        v = VORTEX.encoder
         assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
         for _ in range(5):
             a = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -104,35 +104,40 @@ class TestEncode:
 
     def test_encoded_singlet_reduces_to_polarization_singlet(self):
         # the two-photon shared state after Bob-side conversion is the
-        # singlet in the logical frame defined by the conversion isometry
+        # singlet in the logical frame the receiver reads out
         psi = enc.singlet_pol()
-        v = enc.encode_isometry()
-        w = np.kron(np.eye(2), v)
+        w = np.kron(np.eye(2), VORTEX.encoder)
         joint = StateVector(w @ psi.amplitudes).density()
-        reduced, weight = enc.logical_reduction(joint)
+        reduced = VORTEX.detected_state(joint, 0.0)
+        weight = float(np.trace(reduced).real)
         assert weight == pytest.approx(1.0, abs=1e-12)
-        assert fidelity_pure(psi, reduced) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_pure(psi, DensityMatrix(reduced / weight)) == \
+            pytest.approx(1.0, abs=1e-12)
+
+
+def rotated_analyzer(direction: BlochVector, theta: float, outcome) -> np.ndarray:
+    """Test q-plate analyzer element for one outcome (None: either one)."""
+    pol_op = np.eye(2) if outcome is None else enc.pol_projector(direction, outcome)
+    r = VORTEX.rotation(theta)
+    return r @ vo.analyzer_element(pol_op, SPACE) @ r.conj().T
 
 
 class TestBobAnalyzer:
     def test_is_projector(self):
-        op = enc.bob_analyzer(BlochVector(0, 1, 0), 0.4, +1)
-        assert op.kind is OperatorKind.PROJECTOR
+        e = rotated_analyzer(BlochVector(0, 1, 0), 0.4, +1)
+        assert np.max(np.abs(e - e.conj().T)) < 1e-12
+        assert np.max(np.abs(e @ e - e)) < 1e-10
 
     def test_passes_logical_one_on_circular_axis(self):
-        e_plus = enc.bob_analyzer(BlochVector(0, 0, 1), 0.0, +1).entries
-        one = LOGICAL.one_ket.amplitudes
-        assert np.allclose(e_plus @ one, one, atol=1e-12)
-        zero = LOGICAL.zero_ket.amplitudes
-        assert np.max(np.abs(e_plus @ zero)) < 1e-12
+        e_plus = rotated_analyzer(BlochVector(0, 0, 1), 0.0, +1)
+        assert np.allclose(e_plus @ LOGICAL_ONE, LOGICAL_ONE, atol=1e-12)
+        assert np.max(np.abs(e_plus @ LOGICAL_ZERO)) < 1e-12
 
     def test_completeness_with_out_of_subspace_projector(self):
         u = BlochVector.unit([1.0, 2.0, -0.5])
         theta = 1.1
-        total = (enc.bob_analyzer(u, theta, +1).entries
-                 + enc.bob_analyzer(u, theta, -1).entries)
-        assert np.allclose(total, enc.bob_analyzer_passed(theta).entries,
-                           atol=1e-12)
+        total = rotated_analyzer(u, theta, +1) + rotated_analyzer(u, theta, -1)
+        assert np.allclose(total, rotated_analyzer(u, theta, None), atol=1e-12)
         null = np.eye(SPACE.dim) - total
         assert np.allclose(null @ null, null, atol=1e-12)
 
@@ -140,12 +145,11 @@ class TestBobAnalyzer:
         # central invariance claim: statistics on the encoded singlet do not
         # depend on the receiver orientation
         psi = enc.singlet_pol()
-        w = np.kron(np.eye(2), enc.encode_isometry())
+        w = np.kron(np.eye(2), VORTEX.encoder)
         rho = StateVector(w @ psi.amplitudes).density()
         u = BlochVector.unit([0.3, -1.2, 0.4])
         values = []
         for theta in np.linspace(0, 2 * np.pi, 25):
-            e_plus = enc.bob_analyzer(u, theta, +1).entries
-            op = np.kron(np.eye(2), e_plus)
+            op = np.kron(np.eye(2), rotated_analyzer(u, theta, +1))
             values.append(float(np.trace(rho.entries @ op).real))
         assert np.ptp(values) < 1e-12

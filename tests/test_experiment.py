@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import vortex_oracle as vo
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
-from vortexsteer.qmath import fidelity_pure
+from vortexsteer.qmath import StateVector, fidelity_pure
 
 M3 = st.platonic_set(3)
 V_PAPER = ex.visibility_for_fidelity(0.977)
@@ -36,8 +37,7 @@ class TestPrepareState:
         if kind == "polarization":
             target = enc.singlet_pol()
         else:
-            w = np.kron(np.eye(2), enc.encode_isometry())
-            from vortexsteer.qmath import StateVector
+            w = np.kron(np.eye(2), vo.qplate_encoder(enc.DEFAULT_SPACE))
             target = StateVector(w @ enc.singlet_pol().amplitudes)
         assert fidelity_pure(target, rho) == pytest.approx(v + (1 - v) / 4,
                                                            abs=1e-12)

@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from vortexsteer import encoding as enc
-from vortexsteer import experiment as ex
-from vortexsteer.qmath import (
-    BlochVector,
-    DensityMatrix,
+from qmath_helpers import (
     ModeOperator,
     OperatorKind,
-    StateVector,
     expectation,
-    fidelity_pure,
+    normalized,
     partial_trace,
-    purity,
     tensor,
     trace_distance,
 )
+from vortexsteer import encoding as enc
+from vortexsteer import experiment as ex
+from vortexsteer.qmath import BlochVector, DensityMatrix, StateVector, fidelity_pure, purity
 
 SIGMA = {
     "x": enc.POL_X,
@@ -40,8 +37,8 @@ class TestConstructors:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0]))
 
-    def test_state_vector_normalized_classmethod(self):
-        psi = StateVector.normalized([1.0, 1.0])
+    def test_normalized_helper_gives_unit_vector(self):
+        psi = normalized([1.0, 1.0])
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - 1) < 1e-12
 
     def test_density_rejects_nonhermitian(self):
@@ -90,7 +87,7 @@ class TestTensor:
         assert np.argmax(np.abs(out.amplitudes)) == 1
 
     def test_dim_multiplies_and_associativity(self):
-        a, b, c = ket(1, 0), ket(0, 1), StateVector.normalized([1, 1j])
+        a, b, c = ket(1, 0), ket(0, 1), normalized([1, 1j])
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
         assert left.dim == 8
@@ -110,7 +107,7 @@ class TestPartialTrace:
 
     def test_product_state_recovery(self):
         rho_a = ket(1, 0).density()
-        rho_b = StateVector.normalized([1, 1j]).density()
+        rho_b = normalized([1, 1j]).density()
         joint = tensor(rho_a, rho_b)
         assert np.allclose(partial_trace(joint, 0, [2, 2]).entries, rho_a.entries)
         assert np.allclose(partial_trace(joint, 1, [2, 2]).entries, rho_b.entries)
@@ -127,7 +124,7 @@ class TestPartialTrace:
 
 class TestFidelityPurity:
     def test_fidelity_with_own_projector(self):
-        psi = StateVector.normalized([1, 2j, -1, 0.5])
+        psi = normalized([1, 2j, -1, 0.5])
         assert fidelity_pure(psi, psi.density()) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_maximally_mixed(self):
@@ -141,7 +138,7 @@ class TestFidelityPurity:
             expected, abs=1e-12)
 
     def test_purity_pure_and_mixed(self):
-        psi = StateVector.normalized([1, 1j])
+        psi = normalized([1, 1j])
         assert purity(psi.density()) == pytest.approx(1.0, abs=1e-12)
         assert purity(DensityMatrix(np.eye(4) / 4)) == pytest.approx(0.25)
 
@@ -153,7 +150,7 @@ class TestFidelityPurity:
     def test_brute_force_agreement_on_random_states(self):
         # oracle: eigendecomposition-based fidelity and purity
         rng = np.random.default_rng(20260823)
-        psi = StateVector.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+        psi = normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
         for _ in range(25):
             rho = random_state(rng)
             evals, evecs = np.linalg.eigh(rho.entries)
@@ -165,7 +162,7 @@ class TestFidelityPurity:
 
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity_pure(StateVector.normalized([1, 1]), ex.werner_state(1.0))
+            fidelity_pure(normalized([1, 1]), ex.werner_state(1.0))
 
 
 class TestExpectation:

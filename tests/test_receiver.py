@@ -2,9 +2,10 @@
 
 The oracle builds every table entry as its own trace Tr[rho (P_a (x) E_b)]
 over the full joint space: Alice's polarization projector, Bob's analyzer
-element taken from `bob_analyzer` / `bob_analyzer_passed` at zero
-orientation, and the receiver rotation written out here from the phase
-conventions in `encoding`, independent of `Receiver.rotation`.
+element QP^dag (Pi (x) |l=0><l=0|) QP at zero orientation from the explicit
+q-plate matrix in `vortex_oracle`, and the receiver rotation written out
+there from the phase conventions in `encoding`.  None of it reads a
+`Receiver`.
 """
 
 from functools import lru_cache
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import vortex_oracle as vo
 from vortexsteer import encoding as enc
 from vortexsteer import steering
 from vortexsteer.qmath import BlochVector, DensityMatrix
@@ -34,16 +36,6 @@ def random_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def explicit_rotation(kind: str, theta: float, space: enc.OamSpace) -> np.ndarray:
-    if kind == "polarization":
-        return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * enc.POL_Z
-    l_vals = space.l_values()
-    phases = np.concatenate([np.exp(-1j * (1 + l_vals) * theta),
-                             np.exp(-1j * (-1 + l_vals) * theta)])
-    basis = np.kron(enc.CIRC_TO_HV, np.eye(space.n_levels))
-    return basis @ np.diag(phases) @ basis.conj().T
-
-
 @lru_cache(maxsize=None)
 def unrotated_bob_elements(u: BlochVector, kind: str, space: enc.OamSpace):
     """Bob's (+1, -1, null) elements at zero orientation."""
@@ -51,8 +43,9 @@ def unrotated_bob_elements(u: BlochVector, kind: str, space: enc.OamSpace):
         plus, minus = (enc.pol_projector(u, b) for b in (+1, -1))
         passed = np.eye(2)
     else:
-        plus, minus = (enc.bob_analyzer(u, 0.0, b, space).entries for b in (+1, -1))
-        passed = enc.bob_analyzer_passed(0.0, space).entries
+        plus, minus = (vo.analyzer_element(enc.pol_projector(u, b), space)
+                       for b in (+1, -1))
+        passed = vo.analyzer_element(np.eye(2), space)
     return plus, minus, np.eye(len(passed)) - passed
 
 
@@ -61,7 +54,7 @@ def oracle_table(rho: DensityMatrix, mset, kind: str, thetas,
     """p[k, alice, bob] from 6n separate traces; one angle per setting."""
     probs = np.zeros((mset.n, 2, 3))
     for k, (u, theta) in enumerate(zip(mset.directions, thetas)):
-        r = explicit_rotation(kind, theta, space)
+        r = vo.explicit_rotation(kind, theta, space)
         for ia, a in enumerate((+1, -1)):
             pa = enc.pol_projector(u, a)
             for ib, e in enumerate(unrotated_bob_elements(u, kind, space)):
@@ -102,9 +95,10 @@ def test_span_average_matches_quadrature(receiver, n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, theta=hs.floats(-50, 50), span=hs.floats(0, 10))
-def test_encoded_two_qubit_state_is_rotation_invariant(seed, theta, span):
-    rx = enc.receiver("vortex")
+@given(space=hs.sampled_from([SPACE, WIDE_SPACE, enc.OamSpace(-8, 8)]),
+       seed=SEEDS, theta=hs.floats(-50, 50), span=hs.floats(0, 10))
+def test_encoded_two_qubit_state_is_rotation_invariant(space, seed, theta, span):
+    rx = enc.receiver("vortex", space)
     rho4 = random_state(np.random.default_rng(seed), 4)
     w = np.kron(np.eye(2), rx.encoder)
     encoded = DensityMatrix(w @ rho4.entries @ w.conj().T)
@@ -113,24 +107,45 @@ def test_encoded_two_qubit_state_is_rotation_invariant(seed, theta, span):
         np.testing.assert_allclose(got, rho4.entries, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("space", [enc.OamSpace(0, 2), enc.OamSpace(1, 3),
+                                   enc.OamSpace(-3, -1)])
+def test_vortex_receiver_needs_levels_minus_one_to_plus_one(space):
+    with pytest.raises(ValueError):
+        enc.receiver("vortex", space)
+
+
 @pytest.mark.parametrize("space", [SPACE, WIDE_SPACE])
 def test_rotation_operator_matches_phase_convention(space):
     for theta in np.linspace(-3, 7, 11):
-        assert np.allclose(enc.rotation_operator(theta, space).entries,
-                           explicit_rotation("vortex", theta, space), atol=1e-13)
+        assert np.allclose(enc.receiver("vortex", space).rotation(theta),
+                           vo.explicit_rotation("vortex", theta, space), atol=1e-13)
 
 
-def test_oracle_analyzer_rotation_matches_bob_analyzer():
+def test_oracle_analyzer_matches_receiver_readout():
+    # rotated oracle elements are the receiver's read-out qubit projected
+    # through its encoder: R V Pi V^dag R^dag, and I - R V V^dag R^dag for null
     u = BlochVector.unit([0.3, -1.2, 0.4])
-    for theta in (0.0, 0.7, 2.9):
-        r = explicit_rotation("vortex", theta, SPACE)
-        plus, _, null = unrotated_bob_elements(u, "vortex", SPACE)
-        assert np.allclose(enc.bob_analyzer(u, theta, +1).entries,
-                           r @ plus @ r.conj().T, atol=1e-13)
-        assert np.allclose(np.eye(SPACE.dim) - enc.bob_analyzer_passed(theta).entries,
-                           r @ null @ r.conj().T, atol=1e-13)
+    for space in (SPACE, WIDE_SPACE):
+        rx = enc.receiver("vortex", space)
+        plus, _, null = unrotated_bob_elements(u, "vortex", space)
+        for theta in (0.0, 0.7, 2.9):
+            r = vo.explicit_rotation("vortex", theta, space)
+            rv = rx.rotation(theta) @ rx.encoder
+            assert np.allclose(r @ plus @ r.conj().T,
+                               rv @ enc.pol_projector(u, +1) @ rv.conj().T,
+                               atol=1e-13)
+            assert np.allclose(r @ null @ r.conj().T,
+                               np.eye(space.dim) - rv @ rv.conj().T, atol=1e-13)
 
 
 def test_unknown_encoding_rejected():
     with pytest.raises(ValueError):
         enc.receiver("time-bin")
+
+
+def test_receiver_for_maps_state_dimension_to_encoding():
+    assert enc.receiver_for(4) is enc.receiver("polarization")
+    assert enc.receiver_for(2 * SPACE.dim) is enc.receiver("vortex")
+    for dim in (2, 8, 2 * WIDE_SPACE.dim):
+        with pytest.raises(ValueError):
+            enc.receiver_for(dim)

@@ -44,31 +44,28 @@ class TestSteeringExact:
     @pytest.mark.parametrize("encoding_kind", ["polarization", "vortex"])
     def test_singlet_perfect_correlations(self, n, encoding_kind):
         state = ex.prepare_state(ex.NoiseModel(1.0), encoding_kind)
-        est = st.steering_parameter_exact(state, st.platonic_set(n),
-                                          encoding_kind, theta=0.0)
+        est = st.steering_parameter_exact(state, st.platonic_set(n), theta=0.0)
         assert est.s_value == pytest.approx(1.0, abs=1e-9)
         assert est.announce_fraction == pytest.approx(1.0, abs=1e-9)
 
     def test_werner_gives_visibility(self):
         v = 0.73
         state = ex.prepare_state(ex.NoiseModel(v), "polarization")
-        est = st.steering_parameter_exact(state, st.platonic_set(3),
-                                          "polarization", theta=0.0)
+        est = st.steering_parameter_exact(state, st.platonic_set(3), theta=0.0)
         assert est.s_value == pytest.approx(v, abs=1e-12)
 
     @pytest.mark.parametrize("theta", np.linspace(0, np.pi, 9))
     def test_polarization_closed_form_in_theta(self, theta):
         v = 0.9693
         state = ex.prepare_state(ex.NoiseModel(v), "polarization")
-        est = st.steering_parameter_exact(state, st.platonic_set(3),
-                                          "polarization", theta=theta)
+        est = st.steering_parameter_exact(state, st.platonic_set(3), theta=theta)
         assert est.s_value == pytest.approx(v * (1 + 2 * np.cos(2 * theta)) / 3,
                                             abs=1e-10)
 
     def test_vortex_orientation_invariance(self):
         state = ex.prepare_state(ex.NoiseModel(0.9693), "vortex")
         values = [st.steering_parameter_exact(state, st.platonic_set(3),
-                                              "vortex", theta=t).s_value
+                                              theta=t).s_value
                   for t in np.linspace(0, 2 * np.pi, 37)]
         assert np.ptp(values) < 1e-9
 
@@ -78,9 +75,9 @@ class TestSteeringExact:
         rho2 = ex.werner_state(0.2)
         alpha = 0.37
         mix = DensityMatrix(alpha * rho1.entries + (1 - alpha) * rho2.entries)
-        s1 = st.steering_parameter_exact(rho1, mset, "polarization").s_value
-        s2 = st.steering_parameter_exact(rho2, mset, "polarization").s_value
-        s_mix = st.steering_parameter_exact(mix, mset, "polarization").s_value
+        s1 = st.steering_parameter_exact(rho1, mset).s_value
+        s2 = st.steering_parameter_exact(rho2, mset).s_value
+        s_mix = st.steering_parameter_exact(mix, mset).s_value
         assert s_mix == pytest.approx(alpha * s1 + (1 - alpha) * s2, abs=1e-10)
 
     def test_magnitude_never_exceeds_one(self):
@@ -90,14 +87,15 @@ class TestSteeringExact:
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
             rho = DensityMatrix(m / np.trace(m).real)
-            est = st.steering_parameter_exact(rho, mset, "polarization",
+            est = st.steering_parameter_exact(rho, mset,
                                               theta=rng.uniform(0, np.pi))
             assert abs(est.s_value) <= 1.0 + 1e-12
 
     def test_dimension_mismatch(self):
+        # 8x8 is neither the 4x4 polarization nor the 20x20 vortex joint space
         with pytest.raises(ValueError):
-            st.steering_parameter_exact(ex.werner_state(1.0),
-                                        st.platonic_set(3), "vortex")
+            st.steering_parameter_exact(DensityMatrix(np.eye(8) / 8),
+                                        st.platonic_set(3))
 
 
 class TestSteeringCounts:

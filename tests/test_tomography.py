@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from qmath_helpers import trace_distance
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import tomography as tm
-from vortexsteer.qmath import DensityMatrix, StateVector, trace_distance
+from vortexsteer.qmath import DensityMatrix, StateVector
 
 
 class TestSettings:
@@ -124,7 +125,8 @@ class TestReconstruct:
         # rotating the receiver by 90 degrees makes the shared pure singlet
         # orthogonal to the unrotated target
         spec = tm.standard_settings(100_000)
-        rot = ex.rotated_polarization_state(ex.werner_state(1.0), np.pi / 2)
+        rot = DensityMatrix(enc.receiver("polarization").detected_state(
+            ex.werner_state(1.0), np.pi / 2))
         counts = tm.simulate_counts(rot, spec, seed=77)
         rep = tm.reconstruct(counts, spec, target=enc.singlet_pol())
         assert rep.fidelity_to_target < 0.005
