@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,18 +30,7 @@ EXIT_VALIDATION = 2
 SWEEP_COLUMNS = ("theta_deg", "encoding", "n", "s_value", "std_err",
                  "announce_fraction", "bound", "violated")
 BOUND_COLUMNS = ("xi", "c_n", "witness_pattern")
-
-SAMPLING_COMMANDS = {"steer", "sweep", "dynamic", "tomo"}
-
-# keys each command reads besides "command" and "seed"
-_RUN_KEYS = ("output", "format", "n", "encoding", "efficiency", "trials")
-CONFIG_KEYS = {
-    "bound": ("output", "format", "n", "xi_grid"),
-    "steer": _RUN_KEYS + ("theta_deg",),
-    "sweep": _RUN_KEYS + ("thetas_deg",),
-    "dynamic": _RUN_KEYS,
-    "tomo": ("output", "encoding", "theta_deg", "counts_per_setting"),
-}
+MAX_GRID_POINTS = 10**6
 
 
 def _fmt(x) -> str:
@@ -57,14 +47,18 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid start, stop and step must be finite in {text!r}")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
+        steps = (stop - start) / step + 1e-9
+        if steps < 0:
             raise ValueError(f"grid stop precedes start in {text!r}")
+        if steps >= MAX_GRID_POINTS:  # checked before any point is built
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
         # snap a float-drifted last point onto stop, within the same tolerance
         return [stop if abs(x - stop) <= 1e-9 * step else x
-                for x in (start + i * step for i in range(count))]
+                for x in (start + i * step for i in range(int(steps) + 1))]
     values = [float(p) for p in text.split(",") if p != ""]
     if not values:
         raise ValueError(f"empty grid {text!r}")
@@ -89,19 +83,6 @@ def _write_table(config: dict, columns, rows) -> None:
     _atomic_write(config["output"], text)
 
 
-def _write_sidecar(config: dict) -> None:
-    _atomic_write(config["output"] + ".config.json",
-                  json.dumps(config, sort_keys=True, indent=2) + "\n")
-
-
-def _resolve_visibility(config: dict) -> float:
-    if config.get("visibility") is not None:
-        return float(config["visibility"])
-    if config.get("fidelity") is not None:
-        return experiment.visibility_for_fidelity(float(config["fidelity"]))
-    raise ValueError("one of --visibility / --fidelity is required")
-
-
 def _witness_text(witness) -> str:
     parts = []
     for weight, strat in witness:
@@ -118,17 +99,23 @@ def _run_row(theta_label, result) -> tuple:
 
 
 def cmd_bound(config: dict) -> None:
+    """loss-tolerant bound curve C_n(xi)"""
     mset = steering.platonic_set(config["n"])
     curve = bounds.bound_curve(mset, config["xi_grid"])
     rows = [(xi, c, _witness_text(w))
             for xi, c, w in zip(curve.xi_grid, curve.c_values, curve.witnesses)]
     _write_table(config, BOUND_COLUMNS, rows)
-    _write_sidecar(config)
 
 
 def _prepared_state(config: dict):
-    noise = experiment.NoiseModel(werner_v=_resolve_visibility(config),
-                                  dephasing=config.get("dephasing", 0.0))
+    if config["visibility"] is not None:
+        visibility = float(config["visibility"])
+    elif config["fidelity"] is not None:
+        visibility = experiment.visibility_for_fidelity(float(config["fidelity"]))
+    else:
+        raise ValueError("one of --visibility / --fidelity is required")
+    noise = experiment.NoiseModel(werner_v=visibility,
+                                  dephasing=config["dephasing"])
     return experiment.prepare_state(noise, config["encoding"])
 
 
@@ -138,21 +125,22 @@ def _common_run_inputs(config: dict):
     mset = steering.platonic_set(config["n"])
     channel = experiment.ChannelModel(
         bob_efficiency=config["efficiency"],
-        alice_efficiency=config.get("alice_efficiency", 1.0))
+        alice_efficiency=config["alice_efficiency"])
     return mset, channel, _prepared_state(config)
 
 
 def cmd_steer(config: dict) -> None:
+    """single fixed-orientation run"""
     mset, channel, state = _common_run_inputs(config)
     theta = math.radians(config["theta_deg"])
     result = experiment.run_experiment(state, mset, channel,
                                        experiment.ThetaPolicy.fixed(theta),
                                        config["trials"], config["seed"])
     _write_table(config, SWEEP_COLUMNS, [_run_row(config["theta_deg"], result)])
-    _write_sidecar(config)
 
 
 def cmd_sweep(config: dict) -> None:
+    """orientation sweep"""
     mset, channel, state = _common_run_inputs(config)
     thetas_deg = config["thetas_deg"]
     results = experiment.sweep_theta(state, mset, channel,
@@ -160,19 +148,19 @@ def cmd_sweep(config: dict) -> None:
                                      config["trials"], config["seed"])
     rows = [_run_row(t, r) for t, r in zip(thetas_deg, results)]
     _write_table(config, SWEEP_COLUMNS, rows)
-    _write_sidecar(config)
 
 
 def cmd_dynamic(config: dict) -> None:
+    """dynamically rotating receiver"""
     mset, channel, state = _common_run_inputs(config)
     result = experiment.dynamic_rotation_run(
         state, mset, channel, config["trials"], config["seed"],
-        per_setting_block=config.get("block", False))
+        per_setting_block=config["block"])
     _write_table(config, SWEEP_COLUMNS, [_run_row("dynamic", result)])
-    _write_sidecar(config)
 
 
 def cmd_tomo(config: dict) -> None:
+    """simulated state tomography"""
     # the state Bob's rotated analyzer detects, renormalised to detection
     detected = encoding.receiver(config["encoding"]).detected_state(
         _prepared_state(config), math.radians(config["theta_deg"]))
@@ -189,7 +177,6 @@ def cmd_tomo(config: dict) -> None:
     }
     _atomic_write(config["output"],
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_sidecar(config)
 
 
 COMMANDS = {
@@ -201,82 +188,82 @@ COMMANDS = {
 }
 
 
+# A command has the flag exactly when its sidecar has the key; n has two rows,
+# as only bound requires it. kind: int, float, str, bool, list (a grid) or a
+# tuple of choices; a default of None allows null. Ranges are checked where used.
+Key = namedtuple("Key", "name flag kind default commands help", defaults=(None,))
+REQUIRED = ...  # default of a key with a required flag
+_SAMPLING = ("steer", "sweep", "dynamic", "tomo")
+_RUNS = ("steer", "sweep", "dynamic")
+KEYS = (
+    Key("output", "--output", str, REQUIRED, tuple(COMMANDS)),
+    Key("format", "--format", ("csv", "json"), "csv", tuple(COMMANDS)),
+    Key("n", "--n", int, REQUIRED, ("bound",)),
+    Key("n", "--n", int, 3, _SAMPLING),
+    Key("xi_grid", "--xi", list, REQUIRED, ("bound",),
+        "grid start:stop:step or list"),
+    Key("encoding", "--encoding", ("vortex", "polarization"), "vortex", _SAMPLING),
+    Key("visibility", "--visibility", float, None, _SAMPLING),
+    Key("fidelity", "--fidelity", float, None, _SAMPLING),
+    Key("efficiency", "--efficiency", float, 1.0, _RUNS,
+        "Bob-side heralding efficiency (xi proxy)"),
+    Key("alice_efficiency", "--alice-efficiency", float, 1.0, _RUNS,
+        "advanced: trusted-side efficiency, rate only"),
+    Key("dephasing", "--dephasing", float, 0.0, _SAMPLING),
+    Key("seed", "--seed", int, REQUIRED, _SAMPLING),
+    Key("theta_deg", "--theta", float, 0.0, ("steer", "tomo"), "degrees"),
+    Key("thetas_deg", "--thetas", list, REQUIRED, ("sweep",),
+        "degrees grid or list"),
+    Key("block", "--block", bool, False, ("dynamic",),
+        "redraw theta per setting block instead of per trial"),
+    Key("trials", "--trials", int, experiment.DEFAULT_TRIALS, _RUNS),
+    Key("counts_per_setting", "--counts-per-setting", int, 100_000, ("tomo",)),
+)
+COMMAND_KEYS = {c: [key for key in KEYS if c in key.commands] for c in COMMANDS}
+_KIND_TEXT = {int: "an integer", float: "a finite number", str: "a string",
+              bool: "true or false", list: "a list of finite numbers"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vortexsteer",
         description="Vector vortex quantum steering simulator")
     parser.add_argument("--config", help="re-run from a config sidecar JSON")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, sampling=True):
-        p.add_argument("--output", required=True)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if sampling:
-            p.add_argument("--n", type=int, default=3)
-            p.add_argument("--encoding", choices=("vortex", "polarization"),
-                           default="vortex")
-            p.add_argument("--visibility", type=float)
-            p.add_argument("--fidelity", type=float)
-            p.add_argument("--efficiency", type=float, default=1.0,
-                           help="Bob-side heralding efficiency (xi proxy)")
-            p.add_argument("--alice-efficiency", type=float, default=1.0,
-                           help="advanced: trusted-side efficiency, rate only")
-            p.add_argument("--dephasing", type=float, default=0.0)
-            p.add_argument("--seed", type=int, required=True)
-
-    p = sub.add_parser("bound", help="loss-tolerant bound curve C_n(xi)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--xi", required=True, help="grid start:stop:step or list")
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("steer", help="single fixed-orientation run")
-    add_common(p)
-    p.add_argument("--theta", type=float, default=0.0, help="degrees")
-    p.add_argument("--trials", type=int, default=experiment.DEFAULT_TRIALS)
-
-    p = sub.add_parser("sweep", help="orientation sweep")
-    add_common(p)
-    p.add_argument("--thetas", required=True, help="degrees grid or list")
-    p.add_argument("--trials", type=int, default=experiment.DEFAULT_TRIALS)
-
-    p = sub.add_parser("dynamic", help="dynamically rotating receiver")
-    add_common(p)
-    p.add_argument("--block", action="store_true",
-                   help="redraw theta per setting block instead of per trial")
-    p.add_argument("--trials", type=int, default=experiment.DEFAULT_TRIALS)
-
-    p = sub.add_parser("tomo", help="simulated state tomography")
-    add_common(p)
-    p.add_argument("--theta", type=float, default=0.0, help="degrees")
-    p.add_argument("--counts-per-setting", type=int, default=100_000)
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for key in COMMAND_KEYS[command]:
+            options = {"action": "store_true"} if key.kind is bool else dict(
+                required=key.default is REQUIRED, default=key.default,
+                type=key.kind if key.kind in (int, float) else None,
+                choices=key.kind if isinstance(key.kind, tuple) else None)
+            p.add_argument(key.flag, dest=key.name, help=key.help, **options)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    config = {"command": cmd, "output": args.output, "format": args.format}
-    if cmd == "bound":
-        config.update(n=args.n, xi_grid=_parse_grid(args.xi))
-        return config
-    config.update(
-        n=args.n, encoding=args.encoding, visibility=args.visibility,
-        fidelity=args.fidelity, efficiency=args.efficiency,
-        alice_efficiency=args.alice_efficiency, dephasing=args.dephasing,
-        seed=args.seed,
-    )
-    if cmd == "steer":
-        config.update(theta_deg=args.theta, trials=args.trials)
-    elif cmd == "sweep":
-        config.update(thetas_deg=_parse_grid(args.thetas), trials=args.trials)
-    elif cmd == "dynamic":
-        config.update(block=args.block, trials=args.trials)
-    elif cmd == "tomo":
-        config.update(theta_deg=args.theta,
-                      counts_per_setting=args.counts_per_setting)
-        config.pop("efficiency")
-        config.pop("alice_efficiency")
-    return config
+def _has_kind(value, kind) -> bool:
+    # type(True) is not int; abs() <= max rejects NaN, inf and too large ints
+    if kind is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return type(value) is list and all(_has_kind(x, float) for x in value)
+    return value in kind if isinstance(kind, tuple) else type(value) is kind
+
+
+def _validate(config) -> None:
+    """Check that every key of the command is present and well typed."""
+    if not isinstance(config, dict):
+        raise ValueError("sidecar must hold a JSON object")
+    if config.get("command") not in tuple(COMMANDS):  # a list is unhashable
+        raise ValueError(f"sidecar has unknown command "
+                         f"{config.get('command')!r}")
+    for key in COMMAND_KEYS[config["command"]]:
+        if key.name not in config:
+            raise ValueError(f"sidecar lacks {key.name}")
+        value = config[key.name]
+        if not (value is None and key.default is None or _has_kind(value, key.kind)):
+            kind = _KIND_TEXT.get(key.kind) or "one of " + ", ".join(key.kind)
+            raise ValueError(f"{key.name} must be {kind}, got {value!r}")
 
 
 def main(argv=None) -> int:
@@ -288,22 +275,18 @@ def main(argv=None) -> int:
                 raise ValueError("--config replaces the subcommand and flags")
             with open(args.config) as fh:
                 config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError("sidecar must hold a JSON object")
-            if config.get("command") not in COMMANDS:
-                raise ValueError(f"sidecar has unknown command "
-                                 f"{config.get('command')!r}")
-            missing = [k for k in CONFIG_KEYS[config["command"]] if k not in config]
-            if missing:
-                raise ValueError(f"sidecar lacks {', '.join(missing)}")
+        elif args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_VALIDATION
         else:
-            if args.command is None:
-                parser.print_usage(sys.stderr)
-                return EXIT_VALIDATION
-            config = _config_from_args(args)
-        if config["command"] in SAMPLING_COMMANDS and config.get("seed") is None:
-            raise ValueError("seed is mandatory for sampling commands")
+            kinds = {key.name: key.kind for key in COMMAND_KEYS[args.command]}
+            config = {"command": args.command} | {
+                name: _parse_grid(value) if kinds[name] is list else value
+                for name, value in vars(args).items() if name in kinds}
+        _validate(config)
         COMMANDS[config["command"]](config)
+        _atomic_write(config["output"] + ".config.json",
+                      json.dumps(config, sort_keys=True, indent=2) + "\n")
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

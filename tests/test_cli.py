@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -38,6 +39,23 @@ class TestBoundCommand:
         assert run(["bound", "--n", "3", "--xi", "1.0:0.5:0.1",
                     "--output", str(out)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "3", "--xi", "0.5:inf:0.1"],
+        ["bound", "--n", "3", "--xi", "0.5:nan:0.1"],
+        ["bound", "--n", "3", "--xi=-inf:1.0:0.1"],
+        ["sweep", "--visibility", "0.9", "--seed", "1", "--thetas", "0:inf:10"],
+        ["sweep", "--visibility", "0.9", "--seed", "1", "--thetas", "0:90:inf"],
+    ], ids=["xi-stop-inf", "xi-stop-nan", "xi-start-inf", "thetas-stop-inf",
+            "thetas-step-inf"])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--output", str(tmp_path / "g.csv")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_grid_point_cap_is_checked_before_building(self):
+        assert len(cli._parse_grid("0:9:1")) == 10
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_grid(f"0:{cli.MAX_GRID_POINTS}:1")
+
     def test_float_drifted_grid_ends_exactly_at_stop(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run(["bound", "--n", "3", "--xi", "0.09:1.0:0.07",
@@ -69,6 +87,14 @@ class TestSteerCommand:
             run(["steer", "--n", "3", "--visibility", "0.9",
                  "--output", str(out)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, value", [
+        ("steer", "inf"), ("steer", "nan"), ("tomo", "nan"), ("tomo", "-inf")])
+    def test_non_finite_theta_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     command, value):
+        assert run([command, "--visibility", "0.9", "--seed", "1",
+                    f"--theta={value}", "--output", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: theta_deg ")
 
     def test_missing_visibility_and_fidelity_exits_2(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -140,6 +166,12 @@ class TestSidecarRerun:
         sidecar.write_text(json.dumps({"command": "frobnicate"}))
         assert run(["--config", str(sidecar)]) == 2
 
+    @pytest.mark.parametrize("command", [[], {}, None, 3])
+    def test_sidecar_with_malformed_command_exits_2(self, tmp_path, command):
+        sidecar = tmp_path / "bad.config.json"
+        sidecar.write_text(json.dumps({"command": command}))
+        assert run(["--config", str(sidecar)]) == 2
+
     @pytest.mark.parametrize("argv, key", [
         (["bound", "--n", "3", "--xi", "0.5,1.0"], "xi_grid"),
         (["steer", "--n", "3", "--fidelity", "0.977", "--trials", "1000",
@@ -161,6 +193,99 @@ class TestSidecarRerun:
         sidecar.write_text(json.dumps([{"command": "bound"}]))
         assert run(["--config", str(sidecar)]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+# one small run per command, and the keys its sidecar holds
+COMMAND_ARGV = {
+    "bound": ["bound", "--n", "3", "--xi", "0.5,1.0"],
+    "steer": ["steer", "--visibility", "0.95", "--fidelity", "0.977",
+              "--trials", "1000", "--seed", "1"],
+    "sweep": ["sweep", "--visibility", "0.95", "--thetas", "0,30",
+              "--trials", "1000", "--seed", "1"],
+    "dynamic": ["dynamic", "--visibility", "0.95", "--trials", "1000",
+                "--seed", "1"],
+    "tomo": ["tomo", "--visibility", "0.95", "--counts-per-setting", "1000",
+             "--seed", "1"],
+}
+RUN_SIDECAR_KEYS = {"command", "output", "format", "n", "encoding", "visibility",
+             "fidelity", "efficiency", "alice_efficiency", "dephasing", "seed",
+             "trials"}
+SIDECAR_KEYS = {
+    "bound": {"command", "output", "format", "n", "xi_grid"},
+    "steer": RUN_SIDECAR_KEYS | {"theta_deg"},
+    "sweep": RUN_SIDECAR_KEYS | {"thetas_deg"},
+    "dynamic": RUN_SIDECAR_KEYS | {"block"},
+    "tomo": {"command", "output", "format", "n", "encoding", "visibility",
+             "fidelity", "dephasing", "seed", "theta_deg", "counts_per_setting"},
+}
+
+
+def write_sidecar(tmp_path, command):
+    out = tmp_path / f"{command}.out"
+    assert run(COMMAND_ARGV[command] + ["--output", str(out)]) == 0
+    return tmp_path / f"{command}.out.config.json"
+
+
+class TestSidecarSchema:
+    @pytest.mark.parametrize("command", sorted(SIDECAR_KEYS))
+    def test_sidecar_key_set(self, tmp_path, command):
+        sidecar = json.loads(write_sidecar(tmp_path, command).read_text())
+        assert set(sidecar) == SIDECAR_KEYS[command]
+
+    def test_flags_map_one_to_one_onto_sidecar_keys(self):
+        sub, = (a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(SIDECAR_KEYS)
+        for command, keys in SIDECAR_KEYS.items():
+            actions = [a for a in sub.choices[command]._actions
+                       if a.dest != "help"]
+            assert all(len(a.option_strings) == 1 for a in actions)
+            assert sorted(a.dest for a in actions) == sorted(keys - {"command"})
+
+    @pytest.mark.parametrize("flag", ["--efficiency", "--alice-efficiency"])
+    def test_tomo_efficiency_flags_are_gone(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(COMMAND_ARGV["tomo"] + [flag, "0.3",
+                                        "--output", str(tmp_path / "t.json")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, key, value, code", [
+        ("steer", "trials", "1000", 2),
+        ("steer", "trials", True, 2),
+        ("steer", "trials", 1000.0, 2),
+        ("steer", "seed", "x", 2),
+        ("steer", "seed", True, 2),
+        ("steer", "seed", None, 2),
+        ("steer", "n", "3", 2),
+        ("steer", "n", 3.0, 2),
+        ("steer", "efficiency", "0.45", 2),
+        ("steer", "theta_deg", "25", 2),
+        ("steer", "theta_deg", math.nan, 2),
+        ("steer", "theta_deg", 10**400, 2),
+        ("steer", "format", "xml", 2),
+        ("steer", "output", 5, 2),
+        ("steer", "fidelity", "0.9", 2),
+        ("steer", "dephasing", None, 2),
+        ("dynamic", "block", "yes", 2),
+        ("bound", "xi_grid", 0.5, 2),
+        ("bound", "xi_grid", ["0.5"], 2),
+        ("sweep", "thetas_deg", "0,30", 2),
+        ("steer", "theta_deg", 25, 0),
+        ("steer", "visibility", None, 0),
+        ("steer", "fidelity", None, 0),
+    ])
+    def test_sidecar_value_types(self, tmp_path, capsys, command, key, value,
+                                 code):
+        sidecar = write_sidecar(tmp_path, command)
+        config = json.loads(sidecar.read_text())
+        config[key] = value
+        sidecar.write_text(json.dumps(config))
+        before = sidecar.read_bytes()
+        capsys.readouterr()
+        assert run(["--config", str(sidecar)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith(f"error: {key} ")
+            assert sidecar.read_bytes() == before
 
 
 class TestDynamicCommand:
