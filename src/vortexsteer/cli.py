@@ -189,8 +189,8 @@ COMMANDS = {
 
 
 # A command has the flag exactly when its sidecar has the key; n has two rows,
-# as only bound requires it. kind: int, float, str, bool, list (a grid) or a
-# tuple of choices; a default of None allows null. Ranges are checked where used.
+# as only bound requires it. kind: int (>= 0), float, str, bool, list (a grid)
+# or a tuple of choices; None allows null. Other ranges are checked where used.
 Key = namedtuple("Key", "name flag kind default commands help", defaults=(None,))
 REQUIRED = ...  # default of a key with a required flag
 _SAMPLING = ("steer", "sweep", "dynamic", "tomo")
@@ -220,8 +220,9 @@ KEYS = (
     Key("counts_per_setting", "--counts-per-setting", int, 100_000, ("tomo",)),
 )
 COMMAND_KEYS = {c: [key for key in KEYS if c in key.commands] for c in COMMANDS}
-_KIND_TEXT = {int: "an integer", float: "a finite number", str: "a string",
-              bool: "true or false", list: "a list of finite numbers"}
+_KIND_TEXT = {int: "a non-negative integer", float: "a finite number",
+              str: "a string", bool: "true or false",
+              list: "a non-empty list of finite numbers"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,7 +247,10 @@ def _has_kind(value, kind) -> bool:
     if kind is float:
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if kind is list:
-        return type(value) is list and all(_has_kind(x, float) for x in value)
+        return type(value) is list and value != [] and all(
+            _has_kind(x, float) for x in value)
+    if kind is int:
+        return type(value) is int and value >= 0
     return value in kind if isinstance(kind, tuple) else type(value) is kind
 
 

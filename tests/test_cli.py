@@ -96,6 +96,15 @@ class TestSteerCommand:
                     f"--theta={value}", "--output", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: theta_deg ")
 
+    @pytest.mark.parametrize("command, value", [("steer", "-1"), ("tomo", "-3")])
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                  command, value):
+        assert run([command, "--visibility", "0.9", "--seed", value,
+                    "--output", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: seed must be a non-negative integer, got {value}\n")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_visibility_and_fidelity_exits_2(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["steer", "--n", "3", "--seed", "1",
@@ -273,6 +282,10 @@ class TestSidecarSchema:
         ("steer", "theta_deg", 25, 0),
         ("steer", "visibility", None, 0),
         ("steer", "fidelity", None, 0),
+        ("bound", "xi_grid", [], 2),
+        ("sweep", "thetas_deg", [], 2),
+        ("steer", "seed", -1, 2),
+        ("tomo", "seed", -3, 2),
     ])
     def test_sidecar_value_types(self, tmp_path, capsys, command, key, value,
                                  code):

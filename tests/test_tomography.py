@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from qmath_helpers import trace_distance
 from vortexsteer import encoding as enc
@@ -21,10 +23,25 @@ class TestSettings:
         for p in tm.standard_settings().projectors:
             assert np.allclose(p @ p, p, atol=1e-12)
 
+    def test_projectors_are_one_read_only_array(self):
+        projs = tm.standard_settings().projectors
+        assert projs.shape == (36, 4, 4)
+        with pytest.raises(ValueError):
+            projs[0, 0, 0] = 0.5
+
     def test_incomplete_settings_rejected(self):
         spec = tm.standard_settings()
         with pytest.raises(ValueError):
             tm.TomographySpec(spec.labels[:8], spec.projectors[:8], 100)
+
+    def test_settings_must_be_two_qubit_operators(self):
+        # 70 random 8x8 rank-one projectors span more than 16 dimensions
+        rng = np.random.default_rng(0)
+        kets = rng.normal(size=(70, 8)) + 1j * rng.normal(size=(70, 8))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        projs = np.einsum("si,sj->sij", kets, kets.conj())
+        with pytest.raises(ValueError, match="two-qubit"):
+            tm.TomographySpec(tuple(map(str, range(70))), projs, 100)
 
 
 class TestSimulateCounts:
@@ -130,3 +147,67 @@ class TestReconstruct:
         counts = tm.simulate_counts(rot, spec, seed=77)
         rep = tm.reconstruct(counts, spec, target=enc.singlet_pol())
         assert rep.fidelity_to_target < 0.005
+
+
+def certificate(counts, spec, rho):
+    """Poisson log-likelihood of rho (up to a constant) and its first-order
+    gap, from the counts and the projectors alone.  f = N sum(p) - sum(n log p)
+    is convex in rho, so <grad f, rho> - lambda_min(grad f) >= f(rho) - min f."""
+    n = np.asarray(counts, dtype=float)
+    scale = spec.counts_per_setting
+    loglik, grad = 0.0, np.zeros((4, 4), dtype=complex)
+    for n_s, proj in zip(n, np.array(spec.projectors)):
+        p_s = np.trace(proj @ rho).real
+        loglik += (n_s * np.log(p_s) if n_s > 0 else 0.0) - scale * p_s
+        grad += (scale - (n_s / p_s if n_s > 0 else 0.0)) * proj
+    return loglik, np.trace(grad @ rho).real - np.linalg.eigvalsh(grad)[0]
+
+
+F977 = ex.werner_state(ex.visibility_for_fidelity(0.977))
+
+
+class TestCertifiedFit:
+    # these fits stopped 0.003 to 6.1 nats below the maximum while most of
+    # them reported converged=True; 1e-8 nats per count is the certified gap
+    @pytest.mark.parametrize("kind, per_setting, seed", [
+        *[("standard", 1_000, s) for s in (0, 5, 10, 16, 19, 26, 34)],
+        ("minimal", 100_000, 56),
+    ])
+    def test_fit_reaches_certified_maximum(self, kind, per_setting, seed):
+        spec = getattr(tm, f"{kind}_settings")(per_setting)
+        counts = tm.simulate_counts(F977, spec, seed)
+        rep = tm.reconstruct(counts, spec)
+        loglik, gap = certificate(counts, spec, rep.rho_hat.entries)
+        assert rep.converged
+        assert gap <= 1e-8 * counts.sum()
+        assert rep.gap == pytest.approx(gap, rel=1e-6, abs=1e-9 * counts.sum())
+        assert rep.log_likelihood == pytest.approx(loglik, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rank=hs.integers(1, 4), exponent=hs.floats(1, 5),
+           minimal=hs.booleans(), seed=hs.integers(0, 2**32 - 1))
+    def test_converged_exactly_when_certified(self, rank, exponent, minimal, seed):
+        rng = np.random.default_rng(seed)
+        ginibre = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = ginibre @ ginibre.conj().T
+        rho = DensityMatrix(rho / np.trace(rho).real)
+        spec = (tm.minimal_settings if minimal else tm.standard_settings)(
+            int(10 ** exponent))
+        counts = tm.simulate_counts(rho, spec, seed)
+        rep = tm.reconstruct(counts, spec, keep_history=True)
+        loglik, gap = certificate(counts, spec, rep.rho_hat.entries)
+        assert rep.converged == (gap <= tm.GAP_TOL * counts.sum())
+        assert rep.gap == pytest.approx(gap, rel=1e-6, abs=1e-9 * counts.sum())
+        assert np.all(np.diff(rep.history) >= 0)
+        assert len(rep.history) <= rep.iterations + 1
+        assert rep.history[-1] == rep.log_likelihood
+
+    def test_iteration_cap_is_not_convergence(self, monkeypatch):
+        spec = tm.minimal_settings(100_000)
+        counts = tm.simulate_counts(F977, spec, 56)
+        monkeypatch.setattr(tm, "MAX_ITERATIONS", 3)
+        rep = tm.reconstruct(counts, spec)
+        _, gap = certificate(counts, spec, rep.rho_hat.entries)
+        assert rep.iterations == 3
+        assert not rep.converged
+        assert gap > tm.GAP_TOL * counts.sum()
