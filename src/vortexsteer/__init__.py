@@ -1,7 +1,6 @@
 """Loss-tolerant quantum steering with rotation-invariant vector vortex qubits."""
 
 from .qmath import (
-    BlochVector,
     DensityMatrix,
     StateVector,
     fidelity_pure,

@@ -26,13 +26,13 @@ from itertools import product
 
 import numpy as np
 
-from .qmath import BlochVector
+from .qmath import unit_directions
 from .steering import MeasurementSet
 
 SUPPORT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheatStrategy:
     """One deterministic LHS strategy: answers[k] in {+1, -1, 0}, 0 = decline.
 
@@ -40,7 +40,7 @@ class CheatStrategy:
     the payoff for setting k is answers[k] * (u_k . bloch).
     """
 
-    bloch: BlochVector
+    bloch: np.ndarray          # unit 3-vector
     answers: tuple
 
     def __post_init__(self):
@@ -50,11 +50,7 @@ class CheatStrategy:
         if all(a == 0 for a in answers):
             raise ValueError("strategy must answer at least one setting")
         object.__setattr__(self, "answers", answers)
-        self.bloch.require_unit()
-
-    @property
-    def answered(self) -> int:
-        return sum(1 for a in self.answers if a != 0)
+        object.__setattr__(self, "bloch", unit_directions(self.bloch, ndim=1))
 
 
 @dataclass(frozen=True)
@@ -76,15 +72,14 @@ def best_strategies(mset: MeasurementSet) -> tuple:
     setting) and the first longest one is kept, so witnesses are
     reproducible.
     """
-    dirs = mset.as_matrix()
     patterns = np.array(list(product((0, 1, -1), repeat=mset.n)))
-    resultants = patterns @ dirs
+    resultants = patterns @ mset.directions
     norms = np.linalg.norm(resultants, axis=1)
     answered = np.count_nonzero(patterns, axis=1)
     best = []
     for a in range(1, mset.n + 1):
         j = int(np.argmax(np.where(answered == a, norms, -1.0)))
-        strategy = CheatStrategy(BlochVector.unit(resultants[j]), tuple(patterns[j]))
+        strategy = CheatStrategy(resultants[j] / norms[j], tuple(patterns[j]))
         best.append((float(norms[j]), strategy))
     return tuple(best)
 

@@ -120,8 +120,6 @@ def _prepared_state(config: dict):
 
 
 def _common_run_inputs(config: dict):
-    if config["trials"] < 1:
-        raise ValueError("trials must be positive")
     mset = steering.platonic_set(config["n"])
     channel = experiment.ChannelModel(
         bob_efficiency=config["efficiency"],
@@ -168,6 +166,10 @@ def cmd_tomo(config: dict) -> None:
     spec = tomography.standard_settings(config["counts_per_setting"])
     counts = tomography.simulate_counts(rho, spec, config["seed"])
     report = tomography.reconstruct(counts, spec, target=encoding.singlet_pol())
+    if not report.converged:
+        print(f"warning: tomography fit not certified (gap {report.gap:.3g} > "
+              f"{tomography.GAP_TOL * counts.sum():.3g} after {report.iterations} "
+              f"iterations)", file=sys.stderr)
     payload = {
         "rho_hat": [[{"re": float(z.real), "im": float(z.imag)}
                      for z in row] for row in report.rho_hat.entries],

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import BlochVector, DensityMatrix, StateVector
+from .qmath import DensityMatrix, StateVector, unit_directions
 
 # polarization kets in (H, V) coordinates
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -53,14 +53,15 @@ POL_EIGENSTATES = {
 }
 
 
-def pol_observable(direction: BlochVector) -> np.ndarray:
-    """2x2 observable u . sigma in the optical Bloch convention."""
-    u = direction.require_unit()
-    return u.x * POL_X + u.y * POL_Y + u.z * POL_Z
+def pol_observable(direction) -> np.ndarray:
+    """u . sigma in the optical Bloch convention: 2x2 for one unit direction,
+    (..., 2, 2) for a stack (..., 3) of them."""
+    u = unit_directions(direction)[..., None, None]
+    return u[..., 0, :, :] * POL_X + u[..., 1, :, :] * POL_Y + u[..., 2, :, :] * POL_Z
 
 
-def pol_projector(direction: BlochVector, outcome: int) -> np.ndarray:
-    """Rank-1 polarization projector onto the `outcome` (+1/-1) eigenstate."""
+def pol_projector(direction, outcome: int) -> np.ndarray:
+    """Rank-1 polarization projector(s) onto the `outcome` (+1/-1) eigenstate."""
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     return (np.eye(2) + outcome * pol_observable(direction)) / 2

@@ -21,8 +21,24 @@ IMAG_TOL = 1e-10
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def unit_directions(arr, ndim: int | None = None) -> np.ndarray:
+    """Read-only float copy of unit 3-vectors along the last axis; ``ndim``
+    pins the shape (1: one vector, 2: an (n, 3) array)."""
+    u = np.array(arr, dtype=float)
+    if u.shape[-1:] != (3,) or ndim not in (None, u.ndim):
+        want = {1: "(3,)", 2: "(n, 3)"}.get(ndim, "(..., 3)")
+        raise ValueError(f"directions must have shape {want}, got {u.shape}")
+    norms = np.linalg.norm(u, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # NaN fails here too
+        raise ValueError(f"direction not unit length: |u| = {norms!r}")
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,41 +88,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real three-vector; measurement directions must be unit length."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def require_unit(self) -> "BlochVector":
-        if abs(self.norm() - 1.0) > NORM_TOL:
-            raise ValueError(f"Bloch direction not unit length: |u| = {self.norm()!r}")
-        return self
-
-    @classmethod
-    def from_array(cls, arr) -> "BlochVector":
-        a = np.asarray(arr, dtype=float).ravel()
-        if a.size != 3:
-            raise ValueError("Bloch vector needs exactly three components")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    @classmethod
-    def unit(cls, arr) -> "BlochVector":
-        a = np.asarray(arr, dtype=float).ravel()
-        n = np.linalg.norm(a)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls.from_array(a / n)
 
 
 def fidelity_pure(psi: StateVector, rho: DensityMatrix) -> float:

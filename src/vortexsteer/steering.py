@@ -12,12 +12,13 @@ axis 1 indexes Alice's outcome (0 -> +1, 1 -> -1), axis 2 Bob's raw outcome
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoding
-from .qmath import BlochVector, DensityMatrix
+from .qmath import DensityMatrix, unit_directions
 
 EQUALITY_TOL = 1e-12
 _GOLDEN = (1 + np.sqrt(5)) / 2
@@ -25,19 +26,18 @@ _GOLDEN = (1 + np.sqrt(5)) / 2
 ALICE_OUTCOMES = (+1, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """n Bloch directions shared by Alice and an honest Bob."""
+    """n unit Bloch directions shared by Alice and an honest Bob, held as one
+    read-only (n, 3) array; any pairwise non-(anti)parallel set will do."""
 
-    directions: tuple
+    directions: np.ndarray
 
     def __post_init__(self):
-        dirs = tuple(d.require_unit() for d in self.directions)
+        dirs = unit_directions(self.directions, ndim=2)
         if len(dirs) < 2:
             raise ValueError("need at least two measurement settings")
-        mats = np.array([d.as_array() for d in dirs])
-        gram = mats @ mats.T
-        off = gram[~np.eye(len(dirs), dtype=bool)]
+        off = (dirs @ dirs.T)[~np.eye(len(dirs), dtype=bool)]
         if np.any(np.abs(off) > 1 - 1e-9):
             raise ValueError("measurement directions must be pairwise non-(anti)parallel")
         object.__setattr__(self, "directions", dirs)
@@ -47,9 +47,10 @@ class MeasurementSet:
         return len(self.directions)
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([d.as_array() for d in self.directions])
+        return self.directions
 
 
+@functools.cache  # one shared set per n; its array is read-only
 def platonic_set(n: int) -> MeasurementSet:
     """Canonical direction sets: 2 orthogonal axes, Pauli axes, tetrahedron,
     or six icosahedron half-vertices.  z-axis member listed first where the
@@ -67,11 +68,10 @@ def platonic_set(n: int) -> MeasurementSet:
             (1, _GOLDEN, 0), (-1, _GOLDEN, 0),
             (_GOLDEN, 0, 1), (-_GOLDEN, 0, 1),
         ]
-        norm = np.sqrt(1 + _GOLDEN ** 2)
-        vecs = [tuple(c / norm for c in v) for v in raw]
+        vecs = np.array(raw) / np.sqrt(1 + _GOLDEN ** 2)
     else:
         raise ValueError(f"unsupported number of settings n={n} (use 2, 3, 4 or 6)")
-    return MeasurementSet(tuple(BlochVector(*v) for v in vecs))
+    return MeasurementSet(vecs)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def born_table(rho: DensityMatrix, mset: MeasurementSet,
     ``detected`` is the receiver's detected state (4x4, or one per setting);
     the null entry is Alice's marginal minus the announced entries.
     """
-    proj = np.array([[encoding.pol_projector(u, a) for a in ALICE_OUTCOMES]
-                     for u in mset.directions])
+    proj = np.stack([encoding.pol_projector(mset.directions, a)
+                     for a in ALICE_OUTCOMES], axis=1)
     sigma = np.broadcast_to(detected, (mset.n, 4, 4)).reshape(mset.n, 2, 2, 2, 2)
     d = rho.dim // 2
     alice = np.einsum("ajbj->ab", rho.entries.reshape(2, d, 2, d))

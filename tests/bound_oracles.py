@@ -16,7 +16,6 @@ from itertools import product
 import numpy as np
 
 from vortexsteer.bounds import SUPPORT_TOL, CheatStrategy
-from vortexsteer.qmath import BlochVector
 from vortexsteer.steering import MeasurementSet
 
 
@@ -24,10 +23,9 @@ def strategy_payoff(strategy: CheatStrategy, mset: MeasurementSet) -> tuple[floa
     """(sum of answered payoffs, number of answered settings)."""
     if len(strategy.answers) != mset.n:
         raise ValueError("strategy length does not match measurement set")
-    b = strategy.bloch.as_array()
-    payoff = sum(a * float(u.as_array() @ b)
+    payoff = sum(a * float(u @ strategy.bloch)
                  for a, u in zip(strategy.answers, mset.directions))
-    return payoff, strategy.answered
+    return payoff, sum(1 for a in strategy.answers if a != 0)
 
 
 def enumerate_strategies(mset: MeasurementSet):
@@ -43,9 +41,9 @@ def enumerate_strategies(mset: MeasurementSet):
         resultant = np.asarray(pattern, dtype=float) @ dirs
         norm = float(np.linalg.norm(resultant))
         if norm > 1e-15:
-            bloch = BlochVector.unit(resultant)
+            bloch = resultant / norm
         else:
-            bloch = BlochVector(0.0, 0.0, 1.0)  # payoff 0, direction irrelevant
+            bloch = np.array([0.0, 0.0, 1.0])  # payoff 0, direction irrelevant
         strategies.append(CheatStrategy(bloch, pattern))
         payoffs.append(norm)
         answered.append(sum(1 for a in pattern if a != 0))

@@ -1,7 +1,8 @@
 """Dense linear algebra that only the tests use.
 
 Operators tagged by kind, tensor products, partial traces, expectation
-values, the trace distance and a normalizing `StateVector` constructor.
+values, the trace distance, a normalizing `StateVector` constructor and
+`unit`, which scales a real 3-vector to a unit Bloch direction.
 The package itself needs none of them: states are built and read out
 through `encoding.Receiver` and `steering.born_table`.
 """
@@ -58,6 +59,11 @@ def normalized(amplitudes) -> StateVector:
     if norm == 0:
         raise ValueError("cannot normalize the zero vector")
     return StateVector(amps / norm)
+
+
+def unit(vector) -> np.ndarray:
+    v = np.asarray(vector, dtype=float)
+    return v / np.linalg.norm(v)
 
 
 def tensor(a, b):

@@ -1,11 +1,13 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from vortexsteer import cli
+from vortexsteer import cli, encoding, experiment, tomography
+from vortexsteer.qmath import DensityMatrix
 
 
 def run(argv):
@@ -354,6 +356,83 @@ class TestTomoCommand:
         out.unlink()
         assert run(["--config", str(tmp_path / "tomo.json.config.json")]) == 0
         assert out.read_bytes() == original
+
+    def test_uncertified_fit_warns_and_writes_the_same_files(self, tmp_path, capsys,
+                                                             monkeypatch):
+        out = tmp_path / "tomo.json"
+        argv = ["tomo", "--encoding", "vortex", "--visibility", "0.9",
+                "--counts-per-setting", "10000", "--seed", "4", "--output", str(out)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""   # a certified fit says nothing
+        monkeypatch.setattr(tomography, "MAX_ITERATIONS", 0)
+        assert run(argv) == 0
+        warning = re.fullmatch(r"warning: tomography fit not certified \(gap (\S+) > "
+                               r"(\S+) after 0 iterations\)\n", capsys.readouterr().err)
+        assert warning and float(warning[1]) > float(warning[2]) > 0
+        # the result is the uncertified fit's, as without the warning
+        rho = experiment.prepare_state(experiment.NoiseModel(werner_v=0.9), "vortex")
+        detected = encoding.receiver("vortex").detected_state(rho, 0.0)
+        spec = tomography.standard_settings(10_000)
+        counts = tomography.simulate_counts(
+            DensityMatrix(detected / np.trace(detected).real), spec, 4)
+        report = tomography.reconstruct(counts, spec, target=encoding.singlet_pol())
+        assert not report.converged
+        payload = json.loads(out.read_text())
+        assert (payload["log_likelihood"], payload["fidelity"]) == (
+            report.log_likelihood, report.fidelity_to_target)
+        result, sidecar = out.read_bytes(), (tmp_path / "tomo.json.config.json").read_bytes()
+        assert run(["--config", str(tmp_path / "tomo.json.config.json")]) == 0
+        assert capsys.readouterr().err.startswith("warning: tomography fit not certified")
+        assert out.read_bytes() == result
+        assert (tmp_path / "tomo.json.config.json").read_bytes() == sidecar
+
+
+# Seeded rows as printed when the tallies were still drawn one setting at a
+# time: a change to the draw order or to the Born table shows here.
+GOLDEN_ROWS = {
+    ("steer", "3", "vortex"):
+        "25,vortex,3,0.970566978979,0.00113464224687,0.45054,0.847609367131,true",
+    ("steer", "3", "polarization"):
+        "25,polarization,3,0.738073394128,0.00308138717296,0.45077,0.847388232106,false",
+    ("steer", "6", "vortex"):
+        "25,vortex,6,0.968853554483,0.00116554416195,0.45118,0.806772656282,true",
+    ("steer", "6", "polarization"):
+        "25,polarization,6,0.736612999594,0.0031410043204,0.45148,0.806690186944,false",
+    ("dynamic", "3", "vortex"):
+        "dynamic,vortex,3,0.96808073374,0.00118084368176,0.45053,0.847618986819,true",
+    ("dynamic", "3", "polarization"):
+        "dynamic,polarization,3,-0.23443813596,0.00220156014105,0.45136,0.846822003253,false",
+    ("dynamic", "6", "vortex"):
+        "dynamic,vortex,6,0.968719857183,0.00116798567848,0.45121,0.806764404414,true",
+    ("dynamic", "6", "polarization"):
+        "dynamic,polarization,6,0.216332301342,0.00372532179911,0.45066,0.806915863235,false",
+}
+GOLDEN_SWEEP = [
+    "0,vortex,4,0.883358960649,0.00247771956841,0.448195969893,0.837706536583,true",
+    "45,vortex,4,0.885831512149,0.00245454789324,0.446989504235,0.838259076753,true",
+    "90,vortex,4,0.877309129371,0.00253502916054,0.447197684284,0.838163521096,true",
+]
+
+
+class TestSeededGoldenRows:
+    @pytest.mark.parametrize("command, n, encoding_kind", list(GOLDEN_ROWS))
+    def test_run_row(self, tmp_path, command, n, encoding_kind):
+        out = tmp_path / "run.csv"
+        extra = ["--theta", "25"] if command == "steer" else ["--block"]
+        assert run([command, "--n", n, "--encoding", encoding_kind,
+                    "--fidelity", "0.977", "--efficiency", "0.45",
+                    "--trials", "100000", "--seed", "7", "--output", str(out)]
+                   + extra) == 0
+        assert read_lines(out) == [",".join(cli.SWEEP_COLUMNS),
+                                   GOLDEN_ROWS[command, n, encoding_kind]]
+
+    def test_sweep_rows(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--n", "4", "--encoding", "vortex", "--fidelity", "0.96",
+                    "--efficiency", "0.45", "--alice-efficiency", "0.8",
+                    "--dephasing", "0.1", "--thetas", "0,45,90", "--trials", "100000",
+                    "--seed", "7", "--output", str(out)]) == 0
+        assert read_lines(out) == [",".join(cli.SWEEP_COLUMNS)] + GOLDEN_SWEEP
 
 
 def test_no_arguments_prints_usage_and_exits_2(capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import vortex_oracle as vo
+from qmath_helpers import unit
 from vortexsteer import encoding as enc
-from vortexsteer.qmath import BlochVector, DensityMatrix, StateVector, fidelity_pure
+from vortexsteer.qmath import DensityMatrix, StateVector, fidelity_pure
 
 SPACE = enc.DEFAULT_SPACE
 VORTEX = enc.receiver("vortex")
@@ -76,10 +77,10 @@ class TestRotation:
     def test_pol_rotation_spins_linear_axis_by_twice_theta(self):
         theta = 0.37
         r = enc.receiver("polarization").rotation(theta)
-        rotated = r @ enc.pol_observable(BlochVector(1, 0, 0)) @ r.conj().T
+        rotated = r @ enc.pol_observable([1, 0, 0]) @ r.conj().T
         expected = (np.cos(2 * theta) * enc.POL_X + np.sin(2 * theta) * enc.POL_Y)
         assert np.allclose(rotated, expected, atol=1e-12)
-        circ = r @ enc.pol_observable(BlochVector(0, 0, 1)) @ r.conj().T
+        circ = r @ enc.pol_observable([0, 0, 1]) @ r.conj().T
         assert np.allclose(circ, enc.POL_Z, atol=1e-12)
 
 
@@ -115,7 +116,7 @@ class TestEncode:
             pytest.approx(1.0, abs=1e-12)
 
 
-def rotated_analyzer(direction: BlochVector, theta: float, outcome) -> np.ndarray:
+def rotated_analyzer(direction, theta: float, outcome) -> np.ndarray:
     """Test q-plate analyzer element for one outcome (None: either one)."""
     pol_op = np.eye(2) if outcome is None else enc.pol_projector(direction, outcome)
     r = VORTEX.rotation(theta)
@@ -124,17 +125,17 @@ def rotated_analyzer(direction: BlochVector, theta: float, outcome) -> np.ndarra
 
 class TestBobAnalyzer:
     def test_is_projector(self):
-        e = rotated_analyzer(BlochVector(0, 1, 0), 0.4, +1)
+        e = rotated_analyzer([0, 1, 0], 0.4, +1)
         assert np.max(np.abs(e - e.conj().T)) < 1e-12
         assert np.max(np.abs(e @ e - e)) < 1e-10
 
     def test_passes_logical_one_on_circular_axis(self):
-        e_plus = rotated_analyzer(BlochVector(0, 0, 1), 0.0, +1)
+        e_plus = rotated_analyzer([0, 0, 1], 0.0, +1)
         assert np.allclose(e_plus @ LOGICAL_ONE, LOGICAL_ONE, atol=1e-12)
         assert np.max(np.abs(e_plus @ LOGICAL_ZERO)) < 1e-12
 
     def test_completeness_with_out_of_subspace_projector(self):
-        u = BlochVector.unit([1.0, 2.0, -0.5])
+        u = unit([1.0, 2.0, -0.5])
         theta = 1.1
         total = rotated_analyzer(u, theta, +1) + rotated_analyzer(u, theta, -1)
         assert np.allclose(total, rotated_analyzer(u, theta, None), atol=1e-12)
@@ -147,7 +148,7 @@ class TestBobAnalyzer:
         psi = enc.singlet_pol()
         w = np.kron(np.eye(2), VORTEX.encoder)
         rho = StateVector(w @ psi.amplitudes).density()
-        u = BlochVector.unit([0.3, -1.2, 0.4])
+        u = unit([0.3, -1.2, 0.4])
         values = []
         for theta in np.linspace(0, 2 * np.pi, 25):
             op = np.kron(np.eye(2), rotated_analyzer(u, theta, +1))

@@ -10,9 +10,11 @@ from qmath_helpers import (
     tensor,
     trace_distance,
 )
+from vortexsteer import bounds as bd
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
-from vortexsteer.qmath import BlochVector, DensityMatrix, StateVector, fidelity_pure, purity
+from vortexsteer import steering as st
+from vortexsteer.qmath import DensityMatrix, StateVector, fidelity_pure, purity
 
 SIGMA = {
     "x": enc.POL_X,
@@ -66,9 +68,31 @@ class TestConstructors:
         ModeOperator(np.diag([1.0, 0.0]), OperatorKind.PROJECTOR)
 
     def test_bloch_vector_unit_check(self):
+        x_axis, z_axis = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+        for bad in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.5]):
+            with pytest.raises(ValueError):
+                enc.pol_observable(bad)
+            with pytest.raises(ValueError):
+                st.MeasurementSet([bad, z_axis])
+            with pytest.raises(ValueError):
+                bd.CheatStrategy(bad, (1, 0))
+        enc.pol_observable(z_axis)
+        st.MeasurementSet([x_axis, z_axis])
+        bd.CheatStrategy(z_axis, (1, 0))
+
+    @pytest.mark.parametrize("build", [
+        lambda: StateVector([np.nan, 0, 0, 0]),
+        lambda: DensityMatrix(np.diag([np.nan, 1, 0, 0])),
+        lambda: st.MeasurementSet([[np.nan, 0, 0], [0, 0, 1]]),
+        lambda: bd.CheatStrategy([np.nan, 0, 0], (1,)),
+        lambda: enc.pol_projector([np.nan, 0, 0], +1),
+    ], ids=["state-vector", "density-matrix", "measurement-set", "cheat-strategy",
+            "pol-projector"])
+    def test_non_finite_input_rejected(self, build):
+        # NaN compares false against every tolerance, so each check must fail
+        # closed; a NaN set would get the bound (0.0, ()), which any S > 0 beats
         with pytest.raises(ValueError):
-            BlochVector(1.0, 1.0, 0.0).require_unit()
-        BlochVector(0.0, 0.0, 1.0).require_unit()
+            build()
 
 
 class TestTensor:

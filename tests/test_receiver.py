@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import vortex_oracle as vo
+from qmath_helpers import unit
 from vortexsteer import encoding as enc
 from vortexsteer import steering
-from vortexsteer.qmath import BlochVector, DensityMatrix
+from vortexsteer.qmath import DensityMatrix
 
 SPACE = enc.DEFAULT_SPACE
 WIDE_SPACE = enc.OamSpace(-5, 4)
@@ -26,6 +27,17 @@ WIDE_SPACE = enc.OamSpace(-5, 4)
 RECEIVERS = [("polarization", SPACE), ("vortex", SPACE), ("vortex", WIDE_SPACE)]
 SEEDS = hs.integers(0, 2 ** 32 - 1)
 N_SETTINGS = hs.sampled_from([2, 3, 4, 6])
+
+
+def random_set(n: int, seed: int) -> steering.MeasurementSet:
+    """n random unit directions; a (near-)parallel pair has probability ~0."""
+    vecs = np.random.default_rng(seed).normal(size=(n, 3))
+    return steering.MeasurementSet([unit(v) for v in vecs])
+
+
+# the Platonic sets, and n = 2..6 random unit directions
+MEASUREMENT_SETS = hs.one_of(N_SETTINGS.map(steering.platonic_set),
+                             hs.builds(random_set, hs.integers(2, 6), SEEDS))
 
 
 def random_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -37,8 +49,9 @@ def random_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
 
 
 @lru_cache(maxsize=None)
-def unrotated_bob_elements(u: BlochVector, kind: str, space: enc.OamSpace):
-    """Bob's (+1, -1, null) elements at zero orientation."""
+def unrotated_bob_elements(u: tuple, kind: str, space: enc.OamSpace):
+    """Bob's (+1, -1, null) elements at zero orientation; ``u`` is a tuple,
+    so that it can key the cache."""
     if kind == "polarization":
         plus, minus = (enc.pol_projector(u, b) for b in (+1, -1))
         passed = np.eye(2)
@@ -57,21 +70,21 @@ def oracle_table(rho: DensityMatrix, mset, kind: str, thetas,
         r = vo.explicit_rotation(kind, theta, space)
         for ia, a in enumerate((+1, -1)):
             pa = enc.pol_projector(u, a)
-            for ib, e in enumerate(unrotated_bob_elements(u, kind, space)):
+            for ib, e in enumerate(unrotated_bob_elements(tuple(u), kind, space)):
                 val = np.trace(rho.entries @ np.kron(pa, r @ e @ r.conj().T))
                 probs[k, ia, ib] = max(0.0, float(val.real))
     return probs
 
 
-@settings(max_examples=40, deadline=None)
-@given(receiver=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS,
+@settings(max_examples=60, deadline=None)
+@given(receiver=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
        per_setting=hs.booleans())
-def test_born_table_matches_trace_oracle(receiver, n, seed, per_setting):
+def test_born_table_matches_trace_oracle(receiver, mset, seed, per_setting):
     kind, space = receiver
     rx = enc.receiver(kind, space)
     rng = np.random.default_rng(seed)
     rho = random_state(rng, 2 * space.dim if kind == "vortex" else 4)
-    mset = steering.platonic_set(n)
+    n = mset.n
     theta = rng.uniform(0, 2 * np.pi, size=n if per_setting else None)
     table = steering.born_table(rho, mset, rx.detected_state(rho, theta))
     expected = oracle_table(rho, mset, kind, np.broadcast_to(theta, (n,)), space)
@@ -124,10 +137,10 @@ def test_rotation_operator_matches_phase_convention(space):
 def test_oracle_analyzer_matches_receiver_readout():
     # rotated oracle elements are the receiver's read-out qubit projected
     # through its encoder: R V Pi V^dag R^dag, and I - R V V^dag R^dag for null
-    u = BlochVector.unit([0.3, -1.2, 0.4])
+    u = unit([0.3, -1.2, 0.4])
     for space in (SPACE, WIDE_SPACE):
         rx = enc.receiver("vortex", space)
-        plus, _, null = unrotated_bob_elements(u, "vortex", space)
+        plus, _, null = unrotated_bob_elements(tuple(u), "vortex", space)
         for theta in (0.0, 0.7, 2.9):
             r = vo.explicit_rotation("vortex", theta, space)
             rv = rx.rotation(theta) @ rx.encoder

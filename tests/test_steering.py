@@ -3,7 +3,7 @@ import pytest
 
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
-from vortexsteer.qmath import BlochVector, DensityMatrix
+from vortexsteer.qmath import DensityMatrix
 
 
 class TestPlatonicSets:
@@ -13,8 +13,8 @@ class TestPlatonicSets:
             sorted([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
 
     def test_z_member_listed_first(self):
-        assert st.platonic_set(2).directions[0] == BlochVector(0, 0, 1)
-        assert st.platonic_set(3).directions[0] == BlochVector(0, 0, 1)
+        assert tuple(st.platonic_set(2).directions[0]) == (0, 0, 1)
+        assert tuple(st.platonic_set(3).directions[0]) == (0, 0, 1)
 
     def test_tetrahedron_gram(self):
         mat = st.platonic_set(4).as_matrix()
@@ -36,7 +36,23 @@ class TestPlatonicSets:
 
     def test_rejects_antipodal_directions(self):
         with pytest.raises(ValueError):
-            st.MeasurementSet((BlochVector(0, 0, 1), BlochVector(0, 0, -1)))
+            st.MeasurementSet([[0, 0, 1], [0, 0, -1]])
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 2), (4, 2)])
+    def test_rejects_a_wrong_shape(self, shape):
+        dirs = np.zeros(shape)
+        dirs[..., 0] = 1.0   # unit rows where a row has three entries
+        with pytest.raises(ValueError):
+            st.MeasurementSet(dirs)
+
+    def test_directions_are_a_read_only_copy(self):
+        dirs = np.eye(3)
+        mset = st.MeasurementSet(dirs)
+        dirs[0, 0] = 5.0
+        assert mset.directions.shape == (3, 3) and mset.directions[0, 0] == 1.0
+        assert mset.as_matrix() is mset.directions
+        with pytest.raises(ValueError):
+            mset.directions[0, 0] = 0.0
 
 
 class TestSteeringExact:
