@@ -163,6 +163,8 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
     """Simulate one steering run and judge it against C_n(observed xi)."""
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
+    if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
+        raise ValueError(f"trials must be below 2**63, got {trials}")
     rx = encoding.receiver_for(state.dim)
     rng = np.random.default_rng(seed)
 

@@ -81,15 +81,16 @@ def minimal_settings(counts_per_setting: int = 10_000) -> TomographySpec:
     return TomographySpec(labels, projectors, counts_per_setting)
 
 
-def _born(projectors: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Tr(P_s r) for every setting s; linear in r, so r may be a difference."""
-    return np.einsum("sij,ji->s", projectors, r).real
+def _born(design: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Tr(P_s r) = conj(vec P_s) . vec r for every row of design, the
+    conj-flattened projectors; linear in r, so r may be a difference."""
+    return (design @ r.reshape(16)).real
 
 
 def born_probabilities(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
     if rho.dim != 4:
         raise ValueError("tomography operates on two-qubit (4x4) states")
-    return np.maximum(_born(spec.projectors, rho.entries), 0.0)
+    return np.maximum(_born(spec.projectors.reshape(-1, 16).conj(), rho.entries), 0.0)
 
 
 def expected_counts(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
@@ -124,29 +125,30 @@ def reconstruct(counts, spec: TomographySpec,
     if counts.shape != (spec.n_settings,) or not np.all(
             np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be one finite non-negative number per setting")
-    projs, scale = spec.projectors, spec.counts_per_setting
-    seen = counts > 0
-    n_seen = counts[seen]
-    total = scale * projs.sum(axis=0)
+    scale, seen = spec.counts_per_setting, counts > 0
+    n_seen, rows = counts[seen], spec.projectors.reshape(-1, 16)
+    design, seen_rows = rows.conj(), rows[seen]
+    seen_design = design[seen]
+    total = scale * spec.projectors.sum(axis=0)
+    trace = scale * design.sum(axis=0)  # -N sum(p) runs over every setting
 
     def gain(p, d):
-        # log-likelihood at r + d minus that at r, where p = Tr(P_s r); from d
-        # itself, as two values of size sum(counts) would cancel
-        dp = _born(projs, d)
-        if np.any(p[seen] + dp[seen] <= 0):
+        # log-likelihood at r + d minus that at r, p = Tr(P_s r) on the seen
+        # settings; from d itself, as values of size sum(counts) would cancel
+        q = _born(seen_design, d) / p
+        if q.min(initial=np.inf) <= -1:
             return -np.inf
-        return float(np.sum(n_seen * np.log1p(dp[seen] / p[seen])) - scale * dp.sum())
+        return float(n_seen @ np.log1p(q) - (trace @ d.reshape(16)).real)
 
     def gradient(p):  # of f = -log-likelihood
-        return total - np.einsum("s,sij->ij", counts / np.where(seen, p, 1.0), projs)
+        return total - ((n_seen / p) @ seen_rows).reshape(4, 4)
 
     # least-squares linear inversion, p_s = conj(vec P_s) . vec rho
-    design = projs.reshape(len(projs), 16).conj()
     rho = _project_density((np.linalg.pinv(design) @ (counts / scale)).reshape(4, 4))
-    if np.any(_born(projs, rho)[seen] <= 0):
+    if _born(seen_design, rho).min(initial=np.inf) <= 0:
         rho = (rho + np.eye(4) / 4) / 2  # I/4 gives every seen setting p > 0
-    p = _born(projs, rho)
-    loglik = float(np.sum(n_seen * np.log(p[seen])) - scale * p.sum())
+    p = _born(seen_design, rho)
+    loglik = float(n_seen @ np.log(p) - (trace @ rho.reshape(16)).real)
     history = [loglik]
 
     tol = GAP_TOL * counts.sum()
@@ -160,8 +162,8 @@ def reconstruct(counts, spec: TomographySpec,
         # Nesterov extrapolation, restarted where it leaves the domain of f
         next_momentum = (1 + np.sqrt(1 + 4 * momentum ** 2)) / 2
         y = rho + (momentum - 1) / next_momentum * (rho - prev)
-        py = _born(projs, y)
-        restarted = momentum == 1.0 or np.any(py[seen] <= 0)
+        py = _born(seen_design, y)
+        restarted = momentum == 1.0 or py.min(initial=np.inf) <= 0
         if restarted:
             y, py, next_momentum = rho, p, (1 + np.sqrt(5)) / 2
         gy = g if restarted else gradient(py)
@@ -178,7 +180,7 @@ def reconstruct(counts, spec: TomographySpec,
                 break
             momentum = 1.0
             continue
-        prev, rho, p, momentum = rho, cand, _born(projs, cand), next_momentum
+        prev, rho, p, momentum = rho, cand, _born(seen_design, cand), next_momentum
         loglik += improvement
         history.append(loglik)
 

@@ -107,6 +107,18 @@ class TestSteerCommand:
             f"error: seed must be a non-negative integer, got {value}\n")
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("command", ["steer", "dynamic"])
+    def test_oversized_trials_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     command):
+        # numpy's samplers take 64-bit counts: 2**63 - 1 runs, 2**63 is refused
+        out = tmp_path / "s.csv"
+        argv = [command, "--fidelity", "0.977", "--seed", "1", "--output", str(out)]
+        assert run(argv + ["--trials", str(2**63)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trials must be below 2**63, got {2**63}\n")
+        assert not out.exists()
+        assert run(argv + ["--trials", str(2**63 - 1)]) == 0
+
     def test_missing_visibility_and_fidelity_exits_2(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["steer", "--n", "3", "--seed", "1",
@@ -288,6 +300,8 @@ class TestSidecarSchema:
         ("sweep", "thetas_deg", [], 2),
         ("steer", "seed", -1, 2),
         ("tomo", "seed", -3, 2),
+        ("steer", "trials", 10**20, 2),
+        ("dynamic", "trials", 2**63, 2),
     ])
     def test_sidecar_value_types(self, tmp_path, capsys, command, key, value,
                                  code):

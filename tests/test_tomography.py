@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,19 @@ class TestSimulateCounts:
         spec = tm.standard_settings(50_000)
         probs = tm.born_probabilities(enc.singlet_pol().density(), spec)
         assert probs[spec.labels.index("HV")] == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank=hs.integers(1, 4), minimal=hs.booleans(),
+           seed=hs.integers(0, 2**32 - 1))
+    def test_born_probabilities_match_trace_loop(self, rank, minimal, seed):
+        rng = np.random.default_rng(seed)
+        ginibre = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = ginibre @ ginibre.conj().T
+        rho = DensityMatrix(rho / np.trace(rho).real)
+        spec = tm.minimal_settings() if minimal else tm.standard_settings()
+        want = [np.trace(proj @ rho.entries).real for proj in spec.projectors]
+        np.testing.assert_allclose(tm.born_probabilities(rho, spec), want,
+                                   rtol=0, atol=1e-14)
 
     def test_counts_near_expectation_and_reproducible(self):
         spec = tm.standard_settings(50_000)
@@ -211,3 +226,27 @@ class TestCertifiedFit:
         assert rep.iterations == 3
         assert not rep.converged
         assert gap > tm.GAP_TOL * counts.sum()
+
+    @pytest.mark.parametrize("kind", ["standard", "minimal"])
+    @pytest.mark.parametrize("case", ["no counts", "one seen setting",
+                                      "rotated singlet"])
+    def test_fit_with_unseen_settings(self, kind, case):
+        spec = getattr(tm, f"{kind}_settings")(100_000)
+        counts = np.zeros(spec.n_settings)
+        if case == "one seen setting":
+            counts[spec.labels.index("HV")] = 700
+        elif case == "rotated singlet":  # 6 of 36 (3 of 16) settings see nothing
+            rot = DensityMatrix(enc.receiver("polarization").detected_state(
+                ex.werner_state(1.0), np.pi / 2))
+            counts = tm.simulate_counts(rot, spec, seed=77)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = tm.reconstruct(counts, spec)
+        loglik, gap = certificate(counts, spec, rep.rho_hat.entries)
+        # with no counts the tolerance is 0 and either gap is rounding of
+        # N sum(p) >= N, so that rounding bounds the comparison
+        slack = 1e-9 * max(counts.sum(), spec.counts_per_setting)
+        assert rep.converged
+        assert gap <= tm.GAP_TOL * counts.sum() + slack
+        assert rep.gap == pytest.approx(gap, rel=1e-6, abs=slack)
+        assert rep.log_likelihood == pytest.approx(loglik, rel=1e-12)
