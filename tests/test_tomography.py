@@ -243,8 +243,8 @@ class TestCertifiedFit:
             warnings.simplefilter("error", RuntimeWarning)
             rep = tm.reconstruct(counts, spec)
         loglik, gap = certificate(counts, spec, rep.rho_hat.entries)
-        # with no counts the tolerance is 0 and either gap is rounding of
-        # N sum(p) >= N, so that rounding bounds the comparison
+        # TestCertifiedFit's slack, 1e-9 * sum(counts), floored at N: with no
+        # counts both gaps are +-1e-10 rounding of N sum(p) against a tolerance of 0
         slack = 1e-9 * max(counts.sum(), spec.counts_per_setting)
         assert rep.converged
         assert gap <= tm.GAP_TOL * counts.sum() + slack
