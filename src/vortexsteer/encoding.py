@@ -120,6 +120,9 @@ class Receiver:
     encoder: np.ndarray
     frame: np.ndarray
     momenta: np.ndarray
+    gaps: np.ndarray      # m_i - m_j, on Alice (x) Bob
+    lift: np.ndarray      # I (x) frame
+    readout: np.ndarray   # I (x) frame^dag encoder
 
     def rotation(self, theta: float) -> np.ndarray:
         return (self.frame * np.exp(-1j * self.momenta * theta)) @ self.frame.conj().T
@@ -127,21 +130,18 @@ class Receiver:
     def detected_state(self, rho: DensityMatrix, theta, span: float = 0.0) -> np.ndarray:
         """Unnormalised 4x4 state, Alice (x) read-out qubit, behind the analyzer.
 
-        ``theta`` is one angle, or one per setting ((n,) gives (n, 4, 4)); a
-        positive ``span`` averages the orientation uniformly over
-        [theta, theta + span].  In the circular frame a rotation multiplies
-        entry (i, j) by exp(i (m_i - m_j) theta), so that average is exact.
+        ``theta`` is one angle or an array that leads the shape: (n,) gives a
+        state per setting, (T, 1) a stack of T for ``born_table``.  A positive
+        ``span`` averages uniformly over [theta, theta + span], exactly, as in
+        the circular frame a rotation scales entry (i, j) by e^{i(m_i - m_j)theta}.
         """
         d = self.encoder.shape[0]
         if rho.dim != 2 * d:
             raise ValueError(f"{self.kind} receiver expects a {2 * d}x{2 * d} state")
-        gap = np.subtract.outer(self.momenta, self.momenta)
         mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
-        kernel = np.exp(1j * gap * mid) * np.sinc(gap * span / (2 * np.pi))
-        w = np.kron(np.eye(2), self.frame)
-        v = np.kron(np.eye(2), self.frame.conj().T @ self.encoder)
-        circ = w.conj().T @ rho.entries @ w
-        return v.conj().T @ (circ * np.tile(kernel, (2, 2))) @ v
+        kernel = np.exp(1j * self.gaps * mid) * np.sinc(self.gaps * span / (2 * np.pi))
+        circ = self.lift.conj().T @ rho.entries @ self.lift
+        return self.readout.conj().T @ (circ * kernel) @ self.readout
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +158,9 @@ def receiver(kind: str, space: OamSpace = DEFAULT_SPACE) -> Receiver:
         parts = (encoder, frame, np.concatenate([1 + l_vals, -1 + l_vals]))
     else:
         raise ValueError(f"unknown encoding {kind!r}")
+    encoder, frame, momenta = parts
+    parts += (np.tile(np.subtract.outer(momenta, momenta), (2, 2)),
+              np.kron(np.eye(2), frame), np.kron(np.eye(2), frame.conj().T @ encoder))
     for a in parts:
         a.flags.writeable = False   # shared through the cache
     return Receiver(kind, *parts)

@@ -147,48 +147,56 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
     return DensityMatrix(w @ rho4 @ w.conj().T)
 
 
-def _fold_channel(probs: np.ndarray, channel: ChannelModel) -> np.ndarray:
-    """Add state-independent Bob loss: announced weight scaled by efficiency."""
-    out = probs.copy()
-    eps = channel.bob_efficiency
-    alice_marginal = probs.sum(axis=2)
-    out[:, :, :2] *= eps
-    out[:, :, 2] = alice_marginal - out[:, :, :2].sum(axis=2)
+# A run is table -> sample -> verdict.  Its rng draw order is fixed: alice
+# thinning, block thetas, setting split, outcome tallies (one call over rows).
+
+def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
+    """The run's generator after Alice's thinning, and the trials she kept."""
+    if trials < mset.n:
+        raise ValueError("need at least one trial per setting")
+    if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
+        raise ValueError(f"trials must be below 2**63, got {trials}")
+    rng = np.random.default_rng(seed)
+    if channel.alice_efficiency < 1.0:
+        return rng, int(rng.binomial(trials, channel.alice_efficiency))
+    return rng, trials
+
+
+def _table(rx, state, mset, channel, theta, span=0.0) -> np.ndarray:
+    """Born table(s), Bob's announced weight scaled by his efficiency; angles
+    of shape (T, 1) give T tables."""
+    probs = steering.born_table(state, mset, rx.detected_state(state, theta, span))
+    out = probs * (channel.bob_efficiency, channel.bob_efficiency, 1.0)
+    out[..., 2] = probs.sum(axis=-1) - out[..., :2].sum(axis=-1)
     return out
+
+
+def _sample(table: np.ndarray, rng, n_eff: int) -> np.ndarray:
+    """Tallies (n, 2, 3): a uniform split over settings, then their outcomes."""
+    p = table.reshape(-1, 6)
+    split = rng.multinomial(n_eff, np.full(len(p), 1.0 / len(p)))
+    return rng.multinomial(split, p / p.sum(axis=1, keepdims=True)).reshape(-1, 2, 3)
+
+
+def _judge(counts, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
+    """S_n and its verdict against C_n at the observed announce fraction."""
+    estimate = steering.steering_parameter_counts(counts)
+    bound, _ = bounds.loss_tolerant_bound(mset, estimate.announce_fraction)
+    return SteeringRunResult(
+        n=mset.n, encoding_kind=kind, theta_policy=theta_policy, trials=trials,
+        estimate=estimate, bound_at_observed_xi=bound, seed=seed,
+        violated=estimate.s_value - 2 * estimate.std_err > bound)
 
 
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    channel: ChannelModel, theta_policy: ThetaPolicy,
                    trials: int, seed: int) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
-    if trials < mset.n:
-        raise ValueError("need at least one trial per setting")
-    if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
-        raise ValueError(f"trials must be below 2**63, got {trials}")
+    rng, n_eff = _thinned(mset, channel, trials, seed)
     rx = encoding.receiver_for(state.dim)
-    rng = np.random.default_rng(seed)
-
-    # rng draw order is fixed: alice thinning, block thetas, setting split,
-    # outcome tallies setting by setting (one call over the rows)
-    n_eff = trials
-    if channel.alice_efficiency < 1.0:
-        n_eff = int(rng.binomial(trials, channel.alice_efficiency))
     theta, span = theta_policy.orientation(mset.n, rng)
-    detected = rx.detected_state(state, theta, span)
-    probs = _fold_channel(steering.born_table(state, mset, detected), channel)
-
-    setting_trials = rng.multinomial(n_eff, np.full(mset.n, 1.0 / mset.n))
-    p = probs.reshape(mset.n, 6)
-    counts = rng.multinomial(setting_trials, p / p.sum(axis=1, keepdims=True))
-
-    estimate = steering.steering_parameter_counts(counts.reshape(mset.n, 2, 3))
-    bound, _ = bounds.loss_tolerant_bound(mset, estimate.announce_fraction)
-    violated = estimate.s_value - 2 * estimate.std_err > bound
-    return SteeringRunResult(
-        n=mset.n, encoding_kind=rx.kind, theta_policy=theta_policy,
-        trials=trials, estimate=estimate, bound_at_observed_xi=bound,
-        violated=violated, seed=seed,
-    )
+    counts = _sample(_table(rx, state, mset, channel, theta, span), rng, n_eff)
+    return _judge(counts, mset, rx.kind, theta_policy, trials, seed)
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -204,11 +212,11 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
         raise ValueError("theta values must lie in [0, 2 pi)")
     child_seeds = derive_seeds(seed, len(thetas))
-    return [
-        run_experiment(state, mset, channel, ThetaPolicy.fixed(t),
-                       trials_per_point, s)
-        for t, s in zip(thetas, child_seeds)
-    ]
+    rx = encoding.receiver_for(state.dim)  # one stacked table for all thetas
+    tables = _table(rx, state, mset, channel, np.reshape(thetas, (-1, 1)))
+    return [_judge(_sample(table, *_thinned(mset, channel, trials_per_point, s)),
+                   mset, rx.kind, ThetaPolicy.fixed(t), trials_per_point, s)
+            for t, s, table in zip(thetas, child_seeds, tables)]
 
 
 def dynamic_rotation_run(state: DensityMatrix, mset: steering.MeasurementSet,

@@ -13,11 +13,11 @@ axis 1 indexes Alice's outcome (0 -> +1, 1 -> -1), axis 2 Bob's raw outcome
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoding
+from . import encoding, qmath
 from .qmath import DensityMatrix, unit_directions
 
 EQUALITY_TOL = 1e-12
@@ -32,6 +32,7 @@ class MeasurementSet:
     read-only (n, 3) array; any pairwise non-(anti)parallel set will do."""
 
     directions: np.ndarray
+    projectors: np.ndarray = field(init=False, repr=False)  # Alice's P[k, a]
 
     def __post_init__(self):
         dirs = unit_directions(self.directions, ndim=2)
@@ -41,6 +42,8 @@ class MeasurementSet:
         if np.any(np.abs(off) > 1 - 1e-9):
             raise ValueError("measurement directions must be pairwise non-(anti)parallel")
         object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "projectors", qmath._freeze(np.stack(
+            [encoding.pol_projector(dirs, a) for a in ALICE_OUTCOMES], axis=1)))
 
     @property
     def n(self) -> int:
@@ -84,32 +87,33 @@ class SteeringEstimate:
     per_setting_correlations: tuple
 
     def __post_init__(self):
-        corr = tuple(float(c) for c in self.per_setting_correlations)
-        if abs(self.s_value - float(np.mean(corr))) > EQUALITY_TOL:
+        corr = np.array([float(c) for c in self.per_setting_correlations])
+        if abs(self.s_value - float(corr.mean())) > EQUALITY_TOL:
             raise ValueError("s_value must equal the mean per-setting correlation")
         if np.any(np.abs(corr) > 1 + EQUALITY_TOL):
             raise ValueError("per-setting correlations must lie in [-1, 1]")
         if not 0.0 <= self.announce_fraction <= 1.0:
             raise ValueError("announce fraction must lie in [0, 1]")
-        object.__setattr__(self, "per_setting_correlations", corr)
+        object.__setattr__(self, "per_setting_correlations", tuple(corr.tolist()))
 
 
 def born_table(rho: DensityMatrix, mset: MeasurementSet,
                detected: np.ndarray) -> np.ndarray:
-    """Lossless outcome table p[k, alice, bob] with bob in (+1, -1, null).
+    """Lossless outcome table p[..., k, alice, bob] with bob in (+1, -1, null).
 
-    ``detected`` is the receiver's detected state (4x4, or one per setting);
-    the null entry is Alice's marginal minus the announced entries.
+    ``detected`` is the receiver's detected state: 4x4, one per setting
+    (n, 4, 4), or a stack (T, 1, 4, 4) that gives T tables (T, n, 2, 3).
+    The null entry is Alice's marginal minus the announced entries.
     """
-    proj = np.stack([encoding.pol_projector(mset.directions, a)
-                     for a in ALICE_OUTCOMES], axis=1)
-    sigma = np.broadcast_to(detected, (mset.n, 4, 4)).reshape(mset.n, 2, 2, 2, 2)
+    proj = mset.projectors
+    shape = np.broadcast_shapes(np.shape(detected), (mset.n, 4, 4))
+    sigma = np.broadcast_to(detected, shape).reshape(shape[:-2] + (2, 2, 2, 2))
     d = rho.dim // 2
     alice = np.einsum("ajbj->ab", rho.entries.reshape(2, d, 2, d))
-    probs = np.empty((mset.n, 2, 3))
-    probs[:, :, :2] = np.einsum("kxyzw,kazx,kbwy->kab", sigma, proj, proj).real
-    probs[:, :, 2] = (np.einsum("xz,kazx->ka", alice, proj).real
-                      - probs[:, :, :2].sum(axis=2))
+    probs = np.empty(shape[:-2] + (2, 3))
+    probs[..., :2] = np.einsum("...kxyzw,kazx,kbwy->...kab", sigma, proj, proj).real
+    probs[..., 2] = (np.einsum("xz,kazx->ka", alice, proj).real
+                     - probs[..., :2].sum(axis=-1))
     return np.maximum(probs, 0.0)
 
 
@@ -142,7 +146,6 @@ def steering_parameter_counts(counts: np.ndarray) -> SteeringEstimate:
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[1] != 2 or counts.shape[2] != 3:
         raise ValueError("counts must have shape (n, 2, 3)")
-    n = counts.shape[0]
     announced = counts[:, :, :2].sum(axis=(1, 2)).astype(float)
     if np.any(announced == 0):
         bad = int(np.argmin(announced))
@@ -151,10 +154,9 @@ def steering_parameter_counts(counts: np.ndarray) -> SteeringEstimate:
     corr = (2 * agree - announced) / announced
     p_hat = agree / announced
     var = 4 * p_hat * (1 - p_hat) / announced
-    total = counts.sum()
     return SteeringEstimate(
-        s_value=float(np.mean(corr)),
-        std_err=float(np.sqrt(var.sum()) / n),
-        announce_fraction=float(announced.sum() / total),
+        s_value=float(corr.mean()),
+        std_err=float(np.sqrt(var.sum()) / len(counts)),
+        announce_fraction=float(announced.sum() / counts.sum()),
         per_setting_correlations=tuple(corr),
     )

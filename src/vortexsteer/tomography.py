@@ -21,6 +21,7 @@ from .qmath import DensityMatrix, StateVector
 
 MAX_ITERATIONS = 10_000
 GAP_TOL = 1e-8  # certified likelihood gap, in nats per count
+ZERO_TOL = 1e-15  # Born probabilities this close to 0 are rounding: snapped to 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,8 @@ def _born(design: np.ndarray, r: np.ndarray) -> np.ndarray:
 def born_probabilities(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
     if rho.dim != 4:
         raise ValueError("tomography operates on two-qubit (4x4) states")
-    return np.maximum(_born(spec.projectors.reshape(-1, 16).conj(), rho.entries), 0.0)
+    p = _born(spec.projectors.reshape(-1, 16).conj(), rho.entries)
+    return np.where(p > ZERO_TOL, p, 0.0)  # a mean of exactly 0 draws no counts
 
 
 def expected_counts(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:

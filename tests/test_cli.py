@@ -426,6 +426,30 @@ GOLDEN_SWEEP = [
     "45,vortex,4,0.885831512149,0.00245454789324,0.446989504235,0.838259076753,true",
     "90,vortex,4,0.877309129371,0.00253502916054,0.447197684284,0.838163521096,true",
 ]
+# Lossless polarization sweeps: every null entry of their tables is a
+# rounding residue of about 1e-16, which the multinomial draws still consume.
+GOLDEN_LOSSLESS_SWEEPS = {
+    ("3", "--fidelity", "0.977"): [
+        "0,polarization,3,0.969140336605,0.000779532499971,1,0.57735026919,true",
+        "45,polarization,3,0.324004857928,0.00262079281599,1,0.57735026919,false",
+        "90,polarization,3,-0.323919135635,0.000760121218779,1,0.57735026919,false",
+    ],
+    ("3", "--visibility", "1"): [
+        "0,polarization,3,1,0,1,0.57735026919,true",
+        "45,polarization,3,0.32925807602,0.00258335985285,1,0.57735026919,false",
+        "90,polarization,3,-0.333333333333,0,1,0.57735026919,false",
+    ],
+    ("6", "--fidelity", "0.977"): [
+        "0,polarization,6,0.969203812386,0.00077870114196,1,0.539344662917,true",
+        "45,polarization,6,0.320785673292,0.0028510696792,1,0.539344662917,false",
+        "90,polarization,6,-0.321054014867,0.00236471918884,1,0.539344662917,false",
+    ],
+    ("6", "--visibility", "1"): [
+        "0,polarization,6,1,0,1,0.539344662917,true",
+        "45,polarization,6,0.331591678931,0.00282994425467,1,0.539344662917,false",
+        "90,polarization,6,-0.330386165555,0.0023056967403,1,0.539344662917,false",
+    ],
+}
 
 
 class TestSeededGoldenRows:
@@ -447,6 +471,15 @@ class TestSeededGoldenRows:
                     "--dephasing", "0.1", "--thetas", "0,45,90", "--trials", "100000",
                     "--seed", "7", "--output", str(out)]) == 0
         assert read_lines(out) == [",".join(cli.SWEEP_COLUMNS)] + GOLDEN_SWEEP
+
+    @pytest.mark.parametrize("n, noise, level", list(GOLDEN_LOSSLESS_SWEEPS))
+    def test_lossless_polarization_sweep_rows(self, tmp_path, n, noise, level):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--n", n, "--encoding", "polarization", noise, level,
+                    "--efficiency", "1", "--thetas", "0,45,90", "--trials", "100000",
+                    "--seed", "7", "--output", str(out)]) == 0
+        assert read_lines(out) == ([",".join(cli.SWEEP_COLUMNS)]
+                                   + GOLDEN_LOSSLESS_SWEEPS[n, noise, level])
 
 
 def test_no_arguments_prints_usage_and_exits_2(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,24 @@ class TestSweep:
             expected = V_PAPER * (1 + 2 * math.cos(2 * theta)) / 3
             assert abs(r.estimate.s_value - expected) < 3 * max(
                 r.estimate.std_err, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("efficiencies", [(1.0, 1.0), (0.45, 1.0), (0.45, 0.9)])
+    def test_sweep_equals_fixed_runs_on_child_seeds(self, kind, n, efficiencies):
+        # sweep_theta builds all its tables in one call, then samples each
+        # theta on its child seed as run_experiment would
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
+        mset = st.platonic_set(n)
+        channel = ex.ChannelModel(*efficiencies)
+        thetas = [0.0, 0.3, math.pi / 2, 4.0]
+        results = ex.sweep_theta(state, mset, channel, thetas, 50_000, seed=41)
+        expected = [ex.run_experiment(state, mset, channel, ex.ThetaPolicy.fixed(t),
+                                      50_000, s)
+                    for t, s in zip(thetas, ex.derive_seeds(41, len(thetas)))]
+        assert len(results) == len(expected)
+        for got, want in zip(results, expected):
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
     def test_empty_theta_list(self):
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")

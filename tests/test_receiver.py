@@ -91,6 +91,46 @@ def test_born_table_matches_trace_oracle(receiver, mset, seed, per_setting):
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(receiver=hs.sampled_from(RECEIVERS), mset=hs.builds(random_set, N_SETTINGS, SEEDS),
+       seed=SEEDS, encoded=hs.booleans(),
+       thetas=hs.lists(hs.floats(0, 2 * np.pi, exclude_max=True), min_size=1, max_size=8),
+       span=hs.sampled_from([0.0, 0.4]))
+def test_stacked_tables_equal_separate_calls(receiver, mset, seed, encoded, thetas, span):
+    # a (T, 1) stack of detected states gives T tables, bit for bit those of
+    # T separate calls; a generic state lies outside the encoded subspace
+    kind, space = receiver
+    rx = enc.receiver(kind, space)
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, 4)
+    if encoded or kind == "polarization":
+        w = np.kron(np.eye(2), rx.encoder)
+        rho = DensityMatrix(w @ rho.entries @ w.conj().T)
+    else:
+        rho = random_state(rng, 2 * space.dim)
+    stack = rx.detected_state(rho, np.reshape(thetas, (-1, 1)), span)
+    separate = [rx.detected_state(rho, t, span) for t in thetas]
+    assert stack.shape == (len(thetas), 1, 4, 4)
+    assert np.array_equal(stack[:, 0], separate)
+    tables = steering.born_table(rho, mset, stack)
+    assert tables.shape == (len(thetas), mset.n, 2, 3)
+    assert np.array_equal(tables, [steering.born_table(rho, mset, s) for s in separate])
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_receiver_constants_are_shared_read_only_arrays(receiver):
+    rx = enc.receiver(*receiver)
+    assert enc.receiver(*receiver) is rx
+    gaps = np.subtract.outer(rx.momenta, rx.momenta)
+    np.testing.assert_array_equal(rx.gaps, np.block([[gaps, gaps], [gaps, gaps]]))
+    np.testing.assert_array_equal(rx.lift, np.kron(np.eye(2), rx.frame))
+    np.testing.assert_array_equal(rx.readout,
+                                  np.kron(np.eye(2), rx.frame.conj().T @ rx.encoder))
+    for part in (rx.encoder, rx.frame, rx.momenta, rx.gaps, rx.lift, rx.readout):
+        with pytest.raises(ValueError):
+            part[0] = 0
+
+
 @settings(max_examples=8, deadline=None)
 @given(receiver=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS)
 def test_span_average_matches_quadrature(receiver, n, seed):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
 from vortexsteer.qmath import DensityMatrix
@@ -53,6 +54,18 @@ class TestPlatonicSets:
         assert mset.as_matrix() is mset.directions
         with pytest.raises(ValueError):
             mset.directions[0, 0] = 0.0
+
+
+    def test_alice_projectors_are_one_shared_read_only_stack(self):
+        mset = st.platonic_set(4)
+        assert st.platonic_set(4).projectors is mset.projectors
+        assert mset.projectors.shape == (4, 2, 2, 2)
+        with pytest.raises(ValueError):
+            mset.projectors[0, 0, 0, 0] = 0.0
+        for k, u in enumerate(mset.directions):
+            for i, a in enumerate(st.ALICE_OUTCOMES):
+                np.testing.assert_array_equal(mset.projectors[k, i],
+                                              enc.pol_projector(u, a))
 
 
 class TestSteeringExact:

@@ -70,6 +70,23 @@ class TestSimulateCounts:
         np.testing.assert_allclose(tm.born_probabilities(rho, spec), want,
                                    rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("deg", [0, 90, 180])
+    def test_counts_ignore_rounding_residues_of_zero(self, deg):
+        # the pure singlet behind the polarization receiver carries residues
+        # of ~1e-17, which make some of its six zero probabilities ~1e-35 or
+        # ~1e-18; Poisson draws nothing for a mean of exactly 0 only
+        det = enc.receiver("polarization").detected_state(
+            ex.werner_state(1.0), np.radians(deg))
+        rho = DensityMatrix(det / np.trace(det).real)
+        clean = DensityMatrix(np.round(rho.entries.real, 12)
+                              + 1j * np.round(rho.entries.imag, 12))
+        assert 0 < np.abs(rho.entries - clean.entries).max() < 1e-15
+        spec = tm.standard_settings(100_000)
+        assert np.count_nonzero(tm.born_probabilities(rho, spec) == 0) == 6
+        for seed in range(3):
+            np.testing.assert_array_equal(tm.simulate_counts(rho, spec, seed),
+                                          tm.simulate_counts(clean, spec, seed))
+
     def test_counts_near_expectation_and_reproducible(self):
         spec = tm.standard_settings(50_000)
         rho = ex.werner_state(0.9)
