@@ -11,15 +11,17 @@ For an answer pattern s (s_k in {+1, -1, 0}) the optimal Bloch vector is the
 normalized resultant sum_k s_k u_k, with payoff equal to the resultant's
 norm.  Among patterns answering a settings only the best payoff P*(a)
 matters, so a mixture is a distribution over a = 1..n with value
-E[P*(a)] / E[a], subject to E[a] >= n xi.  An optimal mixture has at most two
-points, and for two points the value is monotone in the mixing weight.  So
-C_n(xi) is the best of the single points a >= n xi and the pairs
-lo < n xi < hi mixed to mean exactly n xi: O(n^2) candidates from P*, which
-is enumerated once per measurement set.
+E[P*(a)] / E[a], subject to E[a] >= n xi.  The best total payoff at a mean
+of x answered settings is the upper concave hull of the points (a, P*(a)),
+a = 0..n, with P*(0) = 0, and the optimum spends the floor exactly, so
+C_n(xi) is that hull at n xi over n xi.  The hull vertices are cached next to
+P*; one bisect finds the vertex or the facet (lo, hi) at n xi, whose end
+points, mixed to mean exactly n xi, are the witness.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from itertools import product
@@ -89,23 +91,36 @@ def deterministic_bound(mset: MeasurementSet) -> float:
     return best_strategies(mset)[-1][0] / mset.n
 
 
+@functools.lru_cache(maxsize=32)
+def _facets(mset: MeasurementSet) -> tuple:
+    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, and
+    their (P*(a), strategy); a point on or below a chord is dropped."""
+    best = best_strategies(mset)
+    pstar = (0.0,) + tuple(p for p, _ in best)
+    hull = [0]
+    for a in range(1, mset.n + 1):
+        while len(hull) > 1:     # is the last vertex b above the chord c -> a?
+            c, b = hull[-2:]
+            if (pstar[b] - pstar[c]) * (a - c) > (pstar[a] - pstar[c]) * (b - c):
+                break
+            hull.pop()
+        hull.append(a)
+    return tuple(hull[1:]), tuple(best[a - 1] for a in hull[1:])
+
+
 def loss_tolerant_bound(mset: MeasurementSet, xi: float):
     """C_n(xi) and an optimizing mixture of at most two strategies."""
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    best = best_strategies(mset)
+    verts, points = _facets(mset)
     floor = mset.n * xi
-    value, mixture = 0.0, ()
-    for lo, (p_lo, s_lo) in enumerate(best, 1):
-        if lo >= floor and p_lo / lo > value:
-            value, mixture = p_lo / lo, ((1.0, s_lo),)
-        for hi, (p_hi, s_hi) in enumerate(best[lo:], lo + 1):
-            if lo < floor < hi:
-                w = (hi - floor) / (hi - lo)
-                mixed = (w * p_lo + (1 - w) * p_hi) / floor
-                if mixed > value:
-                    value, mixture = mixed, ((w, s_lo), (1 - w, s_hi))
-    return value, tuple((w, s) for w, s in mixture if w > SUPPORT_TOL)
+    i = bisect.bisect_left(verts, floor)
+    if i == 0 or verts[i] == floor:
+        return points[i][0] / verts[i], ((1.0, points[i][1]),)
+    (lo, hi), ((p_lo, s_lo), (p_hi, s_hi)) = verts[i - 1:i + 1], points[i - 1:i + 1]
+    w = (hi - floor) / (hi - lo)
+    value = (w * p_lo + (1 - w) * p_hi) / floor
+    return value, tuple(m for m in ((w, s_lo), (1 - w, s_hi)) if m[0] > SUPPORT_TOL)
 
 
 def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:

@@ -6,6 +6,8 @@
 - `bound_oracle`: a brute-force sphere-grid lower bound on C_n(xi).
 - `brute_force_pstar` and `envelope`: P*(a) by enumeration and the best
   mixture of at most two points (a, P*(a)).
+- `hull_facets`: the facets of the upper concave hull of (a, P*(a)) by gift
+  wrapping, each a linear steering inequality P(s) <= alpha + beta a(s).
 - `strategy_payoff`: the payoff of one strategy, summed setting by setting.
 """
 
@@ -112,6 +114,23 @@ def envelope(pstar, xi: float) -> float:
                 w = (hi - floor) / (hi - lo)
                 best = max(best, (w * pstar[lo] + (1 - w) * pstar[hi]) / floor)
     return best
+
+
+def hull_facets(pstar) -> list[tuple[float, float]]:
+    """(alpha_j, beta_j), intercept and slope, of each facet of the upper
+    concave hull of the points (a, pstar[a]), a = 0..n, from a = 0 upward.
+
+    Gift wrapping: from each vertex the next one is the point of steepest
+    slope, the farthest among equal slopes, so collinear points are skipped.
+    """
+    n = len(pstar) - 1
+    facets, v = [], 0
+    while v < n:
+        slopes = [((pstar[a] - pstar[v]) / (a - v), a) for a in range(v + 1, n + 1)]
+        beta, nxt = max(slopes)
+        facets.append((pstar[v] - beta * v, beta))
+        v = nxt
+    return facets
 
 
 def bound_oracle(mset: MeasurementSet, xi: float,

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -188,6 +190,48 @@ class TestClosedForm:
         assert witness_value(mset, witness) == pytest.approx(c, rel=0, abs=1e-9)
         answered = sum(w * bo.strategy_payoff(s, mset)[1] for w, s in witness)
         assert answered >= n * xi - 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=hs.integers(2, 7), seed=SEEDS, platonic=hs.booleans(), xi=XI,
+           k=hs.integers(0, 7), step=hs.sampled_from([-1.0, 0.0, 1.0]))
+    def test_matches_two_point_envelope(self, n, seed, platonic, xi, k, step):
+        # exact at the kinks n xi = k too, so no window around them; k = 0 or
+        # k > n keeps the drawn xi, else xi is k/n or one ulp to either side
+        mset = st.platonic_set(n) if platonic and n in (2, 3, 4, 6) else random_set(n, seed)
+        if 0 < k <= n:
+            xi = min(1.0, float(np.nextafter(k / n, k / n + step)))
+        c, witness = bd.loss_tolerant_bound(mset, xi)
+        assert c == pytest.approx(bo.envelope(bo.brute_force_pstar(mset), xi),
+                                  rel=1e-15, abs=0)
+        assert 1 <= len(witness) <= 2
+        assert witness_value(mset, witness) == pytest.approx(c, rel=0, abs=1e-9)
+        answered = sum(w * bo.strategy_payoff(s, mset)[1] for w, s in witness)
+        assert answered >= n * xi - n * bd.SUPPORT_TOL
+
+    @pytest.mark.parametrize("n, xis, answered", [(4, (0.6, 0.75, 0.9), (2, 4)),
+                                                  (6, (0.7, 5 / 6, 0.95), (4, 6))])
+    def test_witness_mixes_the_hull_facet_ends(self, n, xis, answered):
+        # the hull of (a, P*(a)) skips a = 3 at n = 4 and a = 5 at n = 6
+        mset = st.platonic_set(n)
+        for xi in xis:
+            _, witness = bd.loss_tolerant_bound(mset, xi)
+            assert tuple(bo.strategy_payoff(s, mset)[1] for _, s in witness) == answered
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_hull_facets_are_steering_inequalities(self, n):
+        # every deterministic pattern s obeys |sum_k s_k u_k| <= alpha + beta a(s)
+        # on every facet, and C_n(xi) = min_j alpha_j / (n xi) + beta_j
+        mset = st.platonic_set(n)
+        facets = bo.hull_facets(bo.brute_force_pstar(mset))
+        patterns = np.array(list(product((0, 1, -1), repeat=n)))
+        payoffs = np.linalg.norm(patterns @ mset.directions, axis=1)
+        answered = np.count_nonzero(patterns, axis=1)
+        for alpha, beta in facets:
+            assert np.all(payoffs <= alpha + beta * answered + 1e-12)
+        for xi in np.linspace(1e-3, 1.0, 2001):
+            c, _ = bd.loss_tolerant_bound(mset, float(xi))
+            assert c == pytest.approx(min(alpha / (n * xi) + beta for alpha, beta in facets),
+                                      rel=0, abs=1e-15)
 
     @settings(max_examples=10, deadline=None)
     @given(n=hs.integers(2, 4), seed=SEEDS, xi=XI)
