@@ -77,22 +77,24 @@ def oracle_table(rho: DensityMatrix, mset, kind: str, thetas,
 
 
 def quadrature_table(rho: DensityMatrix, mset, kind: str, lo: float, hi: float,
-                     space: enc.OamSpace, nodes: int = 256) -> np.ndarray:
-    """`oracle_table` averaged over one angle in [lo, hi] by Gauss-Legendre
-    quadrature.  Each entry's trace at every node is one einsum over the
-    stacked rotations, clipped at 0 node by node as in `oracle_table`."""
-    x, weights = np.polynomial.legendre.leggauss(nodes)
+                     space: enc.OamSpace) -> np.ndarray:
+    """`oracle_table` averaged over one angle in [lo, hi] by 256-node
+    Gauss-Legendre quadrature.  Each entry's trace at every node is one einsum
+    over the stacked rotations, clipped at 0 node by node as in `oracle_table`."""
+    x, weights = np.polynomial.legendre.leggauss(256)
     r = np.stack([vo.explicit_rotation(kind, t, space)
                   for t in (hi - lo) / 2 * x + (hi + lo) / 2])
     d = r.shape[-1]
     rho4 = rho.entries.reshape(2, d, 2, d)           # [alice i, bob x, alice j, bob y]
     probs = np.zeros((mset.n, 2, 3))
     for k, u in enumerate(mset.directions):
+        rotated = [r @ e @ r.conj().transpose(0, 2, 1)
+                   for e in unrotated_bob_elements(tuple(u), kind, space)]
         for ia, a in enumerate((+1, -1)):
-            # Tr[rho (P_a (x) R E R^dag)] = sum rho[i,x,j,y] P_a[j,i] (R E R^dag)[y,x]
-            bob_side = np.einsum("ixjy,ji->yx", rho4, enc.pol_projector(u, a))
-            for ib, e in enumerate(unrotated_bob_elements(tuple(u), kind, space)):
-                vals = np.einsum("yx,tyx->t", bob_side, r @ e @ r.conj().transpose(0, 2, 1))
+            # Tr[rho (P_a (x) B)] = sum rho[i,x,j,y] P_a[j,i] B[y,x]
+            alice = np.einsum("ixjy,ji->yx", rho4, enc.pol_projector(u, a))
+            for ib, b in enumerate(rotated):
+                vals = np.einsum("yx,tyx->t", alice, b)
                 probs[k, ia, ib] = weights / 2 @ np.maximum(0.0, vals.real)
     return probs
 
