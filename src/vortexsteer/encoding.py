@@ -120,9 +120,11 @@ class Receiver:
     encoder: np.ndarray
     frame: np.ndarray
     momenta: np.ndarray
-    gaps: np.ndarray      # m_i - m_j, on Alice (x) Bob
-    lift: np.ndarray      # I (x) frame
-    readout: np.ndarray   # I (x) frame^dag encoder
+    gaps: np.ndarray           # m_i - m_j, on Alice (x) Bob
+    distinct_gaps: np.ndarray  # the sorted distinct values of gaps ...
+    gap_index: np.ndarray      # ... and each entry's place among them
+    lift: np.ndarray           # I (x) frame
+    readout: np.ndarray        # I (x) frame^dag encoder
 
     def rotation(self, theta: float) -> np.ndarray:
         return (self.frame * np.exp(-1j * self.momenta * theta)) @ self.frame.conj().T
@@ -138,8 +140,10 @@ class Receiver:
         d = self.encoder.shape[0]
         if rho.dim != 2 * d:
             raise ValueError(f"{self.kind} receiver expects a {2 * d}x{2 * d} state")
-        mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
-        kernel = np.exp(1j * self.gaps * mid) * np.sinc(self.gaps * span / (2 * np.pi))
+        mid = np.asarray(theta, dtype=float)[..., None] + span / 2
+        gaps = self.distinct_gaps  # the kernel takes one value per distinct gap
+        kernel = (np.exp(1j * gaps * mid)
+                  * np.sinc(gaps * span / (2 * np.pi)))[..., self.gap_index]
         circ = self.lift.conj().T @ rho.entries @ self.lift
         return self.readout.conj().T @ (circ * kernel) @ self.readout
 
@@ -159,7 +163,9 @@ def receiver(kind: str, space: OamSpace = DEFAULT_SPACE) -> Receiver:
     else:
         raise ValueError(f"unknown encoding {kind!r}")
     encoder, frame, momenta = parts
-    parts += (np.tile(np.subtract.outer(momenta, momenta), (2, 2)),
+    gaps = np.tile(np.subtract.outer(momenta, momenta), (2, 2))
+    distinct = np.array(sorted(set(gaps.flat)))  # np.unique would page in numpy's sorts
+    parts += (gaps, distinct, np.searchsorted(distinct, gaps),
               np.kron(np.eye(2), frame), np.kron(np.eye(2), frame.conj().T @ encoder))
     for a in parts:
         a.flags.writeable = False   # shared through the cache

@@ -65,6 +65,9 @@ class ThetaPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "dynamic"):
             raise ValueError(f"unknown theta policy {self.kind!r}")
+        for name in ("theta", "theta_min", "theta_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.theta_min <= self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")
 
@@ -163,24 +166,25 @@ def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
 
 
 def _table(rx, state, mset, channel, theta, span=0.0) -> np.ndarray:
-    """Born table(s), Bob's announced weight scaled by his efficiency; angles
-    of shape (T, 1) give T tables."""
+    """Born table(s), Bob's announced weight scaled by his efficiency, each
+    setting's six entries normalised for the multinomial; angles of shape
+    (T, 1) give T tables."""
     probs = steering.born_table(state, mset, rx.detected_state(state, theta, span))
     out = probs * (channel.bob_efficiency, channel.bob_efficiency, 1.0)
     out[..., 2] = probs.sum(axis=-1) - out[..., :2].sum(axis=-1)
-    return out
+    rows = out.reshape(out.shape[:-2] + (6,))
+    return (rows / rows.sum(axis=-1, keepdims=True)).reshape(out.shape)
 
 
 def _sample(table: np.ndarray, rng, n_eff: int) -> np.ndarray:
     """Tallies (n, 2, 3): a uniform split over settings, then their outcomes."""
     p = table.reshape(-1, 6)
     split = rng.multinomial(n_eff, np.full(len(p), 1.0 / len(p)))
-    return rng.multinomial(split, p / p.sum(axis=1, keepdims=True)).reshape(-1, 2, 3)
+    return rng.multinomial(split, p).reshape(-1, 2, 3)
 
 
-def _judge(counts, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
-    """S_n and its verdict against C_n at the observed announce fraction."""
-    estimate = steering.steering_parameter_counts(counts)
+def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
+    """The verdict on S_n against C_n at the observed announce fraction."""
     bound, _ = bounds.loss_tolerant_bound(mset, estimate.announce_fraction)
     return SteeringRunResult(
         n=mset.n, encoding_kind=kind, theta_policy=theta_policy, trials=trials,
@@ -196,7 +200,8 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
     rx = encoding.receiver_for(state.dim)
     theta, span = theta_policy.orientation(mset.n, rng)
     counts = _sample(_table(rx, state, mset, channel, theta, span), rng, n_eff)
-    return _judge(counts, mset, rx.kind, theta_policy, trials, seed)
+    return _judge(steering.steering_parameter_counts(counts), mset, rx.kind,
+                  theta_policy, trials, seed)
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -212,11 +217,13 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
         raise ValueError("theta values must lie in [0, 2 pi)")
     child_seeds = derive_seeds(seed, len(thetas))
-    rx = encoding.receiver_for(state.dim)  # one stacked table for all thetas
+    rx = encoding.receiver_for(state.dim)  # one table stack, one tally stack
     tables = _table(rx, state, mset, channel, np.reshape(thetas, (-1, 1)))
-    return [_judge(_sample(table, *_thinned(mset, channel, trials_per_point, s)),
-                   mset, rx.kind, ThetaPolicy.fixed(t), trials_per_point, s)
-            for t, s, table in zip(thetas, child_seeds, tables)]
+    counts = np.empty(tables.shape, dtype=np.int64)
+    for table, s, out in zip(tables, child_seeds, counts):
+        out[...] = _sample(table, *_thinned(mset, channel, trials_per_point, s))
+    return [_judge(est, mset, rx.kind, ThetaPolicy.fixed(t), trials_per_point, s)
+            for t, s, est in zip(thetas, child_seeds, steering._estimates(counts))]
 
 
 def dynamic_rotation_run(state: DensityMatrix, mset: steering.MeasurementSet,

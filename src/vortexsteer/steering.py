@@ -87,14 +87,19 @@ class SteeringEstimate:
     per_setting_correlations: tuple
 
     def __post_init__(self):
-        corr = np.array([float(c) for c in self.per_setting_correlations])
-        if abs(self.s_value - float(corr.mean())) > EQUALITY_TOL:
-            raise ValueError("s_value must equal the mean per-setting correlation")
-        if np.any(np.abs(corr) > 1 + EQUALITY_TOL):
-            raise ValueError("per-setting correlations must lie in [-1, 1]")
+        # plain floats: the comparisons are written so that NaN fails them
+        corr = tuple(float(c) for c in self.per_setting_correlations)
+        if not corr:
+            raise ValueError("per_setting_correlations must not be empty")
+        if not all(abs(c) <= 1 + EQUALITY_TOL for c in corr):
+            raise ValueError("per_setting_correlations must lie in [-1, 1]")
+        if not abs(self.s_value - sum(corr) / len(corr)) <= EQUALITY_TOL:
+            raise ValueError("s_value must equal the mean of per_setting_correlations")
+        if not self.std_err >= 0.0:
+            raise ValueError("std_err must be non-negative")
         if not 0.0 <= self.announce_fraction <= 1.0:
-            raise ValueError("announce fraction must lie in [0, 1]")
-        object.__setattr__(self, "per_setting_correlations", tuple(corr.tolist()))
+            raise ValueError("announce_fraction must lie in [0, 1]")
+        object.__setattr__(self, "per_setting_correlations", corr)
 
 
 def born_table(rho: DensityMatrix, mset: MeasurementSet,
@@ -146,17 +151,30 @@ def steering_parameter_counts(counts: np.ndarray) -> SteeringEstimate:
     counts = np.asarray(counts)
     if counts.ndim != 3 or counts.shape[1] != 2 or counts.shape[2] != 3:
         raise ValueError("counts must have shape (n, 2, 3)")
-    announced = counts[:, :, :2].sum(axis=(1, 2)).astype(float)
-    if np.any(announced == 0):
-        bad = int(np.argmin(announced))
+    return _estimates(counts[None])[0]
+
+
+def _estimates(counts: np.ndarray) -> list[SteeringEstimate]:
+    """`steering_parameter_counts` of each table in a (T, n, 2, 3) stack, in
+    one pass: every reduction runs along the same last axes as for one table,
+    so each estimate is bit for bit the one of its table alone."""
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integer tallies, got dtype {counts.dtype}")
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be non-negative")
+    announced = counts[..., :2].sum(axis=(-2, -1)).astype(float)
+    if not announced.all():   # the first table's first such setting, as run by run
+        _, bad = np.argwhere(announced == 0)[0]
         raise ValueError(f"setting {bad} has zero announced events")
-    agree = counts[:, 0, 1] + counts[:, 1, 0]
+    agree = counts[..., 0, 1] + counts[..., 1, 0]
     corr = (2 * agree - announced) / announced
     p_hat = agree / announced
     var = 4 * p_hat * (1 - p_hat) / announced
-    return SteeringEstimate(
-        s_value=float(corr.mean()),
-        std_err=float(np.sqrt(var.sum()) / len(counts)),
-        announce_fraction=float(announced.sum() / counts.sum()),
-        per_setting_correlations=tuple(corr),
-    )
+    n = counts.shape[-3]
+    return [SteeringEstimate(s_value=s, std_err=e, announce_fraction=f,
+                             per_setting_correlations=tuple(c))
+            for s, e, f, c in zip(corr.mean(axis=-1).tolist(),
+                                  (np.sqrt(var.sum(axis=-1)) / n).tolist(),
+                                  (announced.sum(axis=-1)
+                                   / counts.sum(axis=(-3, -2, -1))).tolist(),
+                                  corr.tolist())]

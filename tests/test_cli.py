@@ -426,6 +426,19 @@ GOLDEN_SWEEP = [
     "45,vortex,4,0.885831512149,0.00245454789324,0.446989504235,0.838259076753,true",
     "90,vortex,4,0.877309129371,0.00253502916054,0.447197684284,0.838163521096,true",
 ]
+# The same sweep as JSON, where every float prints in full: a change in the
+# last digit of any estimate or bound shows here.
+GOLDEN_SWEEP_JSON = [
+    {"announce_fraction": 0.44819596989317334, "bound": 0.8377065365830425,
+     "encoding": "vortex", "n": 4, "s_value": 0.8833589606489334,
+     "std_err": 0.002477719568406629, "theta_deg": 0.0, "violated": True},
+    {"announce_fraction": 0.4469895042345847, "bound": 0.8382590767526055,
+     "encoding": "vortex", "n": 4, "s_value": 0.8858315121494538,
+     "std_err": 0.002454547893240562, "theta_deg": 45.0, "violated": True},
+    {"announce_fraction": 0.44719768428407447, "bound": 0.8381635210960724,
+     "encoding": "vortex", "n": 4, "s_value": 0.8773091293714756,
+     "std_err": 0.0025350291605404996, "theta_deg": 90.0, "violated": True},
+]
 # Lossless polarization sweeps: every null entry of their tables is a
 # rounding residue of about 1e-16, which the multinomial draws still consume.
 GOLDEN_LOSSLESS_SWEEPS = {
@@ -471,6 +484,15 @@ class TestSeededGoldenRows:
                     "--dephasing", "0.1", "--thetas", "0,45,90", "--trials", "100000",
                     "--seed", "7", "--output", str(out)]) == 0
         assert read_lines(out) == [",".join(cli.SWEEP_COLUMNS)] + GOLDEN_SWEEP
+
+    def test_sweep_json_records(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--n", "4", "--encoding", "vortex", "--fidelity", "0.96",
+                    "--efficiency", "0.45", "--alice-efficiency", "0.8",
+                    "--dephasing", "0.1", "--thetas", "0,45,90", "--trials", "100000",
+                    "--seed", "7", "--format", "json", "--output", str(out)]) == 0
+        assert out.read_text() == json.dumps(GOLDEN_SWEEP_JSON, sort_keys=True,
+                                             indent=2) + "\n"
 
     @pytest.mark.parametrize("n, noise, level", list(GOLDEN_LOSSLESS_SWEEPS))
     def test_lossless_polarization_sweep_rows(self, tmp_path, n, noise, level):

@@ -60,6 +60,15 @@ class TestThetaPolicy:
         with pytest.raises(ValueError):
             ex.ThetaPolicy.dynamic(1.0, 0.5)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("fixed", "theta", math.nan), ("fixed", "theta", math.inf),
+        ("dynamic", "theta_max", math.inf), ("dynamic", "theta_min", -math.inf),
+        ("dynamic", "theta_min", math.nan),
+    ])
+    def test_non_finite_angle_rejected(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ex.ThetaPolicy(kind=kind, **{field: value})
+
 
 class TestRunExperiment:
     def test_seed_reproducibility(self):

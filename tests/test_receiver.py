@@ -146,12 +146,46 @@ def test_receiver_constants_are_shared_read_only_arrays(receiver):
     assert enc.receiver(*receiver) is rx
     gaps = np.subtract.outer(rx.momenta, rx.momenta)
     np.testing.assert_array_equal(rx.gaps, np.block([[gaps, gaps], [gaps, gaps]]))
+    np.testing.assert_array_equal(rx.distinct_gaps, sorted(set(gaps.ravel())))
+    np.testing.assert_array_equal(rx.distinct_gaps[rx.gap_index], rx.gaps)
     np.testing.assert_array_equal(rx.lift, np.kron(np.eye(2), rx.frame))
     np.testing.assert_array_equal(rx.readout,
                                   np.kron(np.eye(2), rx.frame.conj().T @ rx.encoder))
-    for part in (rx.encoder, rx.frame, rx.momenta, rx.gaps, rx.lift, rx.readout):
+    for part in (rx.encoder, rx.frame, rx.momenta, rx.gaps, rx.distinct_gaps,
+                 rx.gap_index, rx.lift, rx.readout):
         with pytest.raises(ValueError):
             part[0] = 0
+
+
+def test_distinct_gap_counts():
+    # gaps run over -2..2 (step 2) for polarization and -6..6 for l = -2..2
+    assert len(enc.receiver("polarization").distinct_gaps) == 3
+    assert len(enc.receiver("vortex").distinct_gaps) == 13
+
+
+def detected_state_full_kernel(rx, rho: DensityMatrix, theta, span: float = 0.0):
+    """`Receiver.detected_state` with the kernel evaluated entry by entry
+    over all of ``rx.gaps``, as before it was taken per distinct gap."""
+    mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
+    kernel = np.exp(1j * rx.gaps * mid) * np.sinc(rx.gaps * span / (2 * np.pi))
+    circ = rx.lift.conj().T @ rho.entries @ rx.lift
+    return rx.readout.conj().T @ (circ * kernel) @ rx.readout
+
+
+@settings(max_examples=30, deadline=None)
+@given(receiver=hs.sampled_from(RECEIVERS[:2] + [("vortex", enc.OamSpace(-3, 3))]),
+       n=N_SETTINGS, seed=SEEDS,
+       span=hs.sampled_from([0.0, np.pi / 2]) | hs.floats(0, 2 * np.pi))
+def test_per_gap_kernel_equals_full_kernel(receiver, n, seed, span):
+    kind, space = receiver
+    rx = enc.receiver(kind, space)
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, 2 * space.dim if kind == "vortex" else 4)
+    angles = rng.uniform(0, 2 * np.pi, size=n)
+    for theta in (angles[0], angles, angles.reshape(-1, 1)):  # scalar, (n,), (T, 1)
+        got = rx.detected_state(rho, theta, span)
+        assert got.shape == np.shape(theta) + (4, 4)
+        assert np.array_equal(got, detected_state_full_kernel(rx, rho, theta, span))
 
 
 @settings(max_examples=8, deadline=None)

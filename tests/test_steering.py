@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
@@ -180,6 +184,60 @@ class TestSteeringCounts:
         with pytest.raises(ValueError):
             st.steering_parameter_counts(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("value", [-2, 1.5])
+    def test_negative_or_fractional_tallies_rejected(self, value):
+        counts = np.full((3, 2, 3), 10, dtype=type(value))
+        counts[1, 0, 2] = value
+        with pytest.raises(ValueError, match="counts must be"):
+            st.steering_parameter_counts(counts)
+
+
+def estimate_as_parent(counts):
+    """The single-table estimator, reduction for reduction, as it stood
+    before tables were judged in stacks: (s, std_err, xi, correlations)."""
+    announced = counts[:, :, :2].sum(axis=(1, 2)).astype(float)
+    agree = counts[:, 0, 1] + counts[:, 1, 0]
+    corr = (2 * agree - announced) / announced
+    p_hat = agree / announced
+    var = 4 * p_hat * (1 - p_hat) / announced
+    return (float(corr.mean()), float(np.sqrt(var.sum()) / len(counts)),
+            float(announced.sum() / counts.sum()), tuple(float(c) for c in corr))
+
+
+def bits(values):
+    """Floats as hex strings, so that equality means bit for bit."""
+    if isinstance(values, (tuple, list)):
+        return tuple(bits(v) for v in values)
+    return float.hex(values)
+
+
+class TestStackedEstimates:
+    @settings(max_examples=60, deadline=None)
+    @given(t=hs.integers(1, 8), n=hs.integers(2, 8), magnitude=hs.integers(1, 40),
+           seed=hs.integers(0, 2 ** 32 - 1))
+    def test_stack_equals_each_table_alone(self, t, n, magnitude, seed):
+        counts = np.random.default_rng(seed).integers(0, 2 ** magnitude, size=(t, n, 2, 3))
+        counts[..., 0, 0] += counts[..., :2].sum(axis=(-2, -1)) == 0  # announce once
+        stacked = st._estimates(counts)
+        assert len(stacked) == t
+        for table, est in zip(counts, stacked):
+            alone = st.steering_parameter_counts(table)
+            expected = bits(estimate_as_parent(table))
+            for e in (est, alone):
+                assert bits((e.s_value, e.std_err, e.announce_fraction,
+                             e.per_setting_correlations)) == expected
+
+    def test_zero_announced_setting_in_a_middle_table(self):
+        counts = np.full((5, 3, 2, 3), 10)
+        counts[2, 1, :, :2] = 0      # table 2, setting 1 never announces
+        counts[3, 0, :, :2] = 0      # a later table does not mask it
+        with pytest.raises(ValueError) as alone:
+            st.steering_parameter_counts(counts[2])
+        with pytest.raises(ValueError) as stacked:
+            st._estimates(counts)
+        assert str(stacked.value) == str(alone.value) == \
+            "setting 1 has zero announced events"
+
 
 class TestSteeringEstimateInvariants:
     def test_mean_consistency_enforced(self):
@@ -189,3 +247,15 @@ class TestSteeringEstimateInvariants:
     def test_correlation_range_enforced(self):
         with pytest.raises(ValueError):
             st.SteeringEstimate(1.2, 0.0, 1.0, (1.2, 1.2, 1.2))
+
+    @pytest.mark.parametrize("args, field", [
+        ((0.5, 0.0, 0.5, ()), "per_setting_correlations"),
+        ((math.nan, 0.0, 0.5, (0.5, 0.5)), "s_value"),
+        ((0.5, 0.0, 0.5, (0.5, math.nan)), "per_setting_correlations"),
+        ((0.5, -1.0, 0.5, (0.5, 0.5)), "std_err"),
+        ((0.5, math.nan, 0.5, (0.5, 0.5)), "std_err"),
+        ((0.5, 0.0, math.nan, (0.5, 0.5)), "announce_fraction"),
+    ])
+    def test_empty_or_nan_fields_rejected(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            st.SteeringEstimate(*args)
