@@ -192,7 +192,7 @@ class TestSteeringCounts:
             st.steering_parameter_counts(counts)
 
 
-def estimate_as_parent(counts):
+def estimate_one_table(counts):
     """The single-table estimator, reduction for reduction, as it stood
     before tables were judged in stacks: (s, std_err, xi, correlations)."""
     announced = counts[:, :, :2].sum(axis=(1, 2)).astype(float)
@@ -222,7 +222,7 @@ class TestStackedEstimates:
         assert len(stacked) == t
         for table, est in zip(counts, stacked):
             alone = st.steering_parameter_counts(table)
-            expected = bits(estimate_as_parent(table))
+            expected = bits(estimate_one_table(table))
             for e in (est, alone):
                 assert bits((e.s_value, e.std_err, e.announce_fraction,
                              e.per_setting_correlations)) == expected
