@@ -270,6 +270,9 @@ def _validate(config) -> None:
         if not (value is None and key.default is None or _has_kind(value, key.kind)):
             kind = _KIND_TEXT.get(key.kind) or "one of " + ", ".join(key.kind)
             raise ValueError(f"{key.name} must be {kind}, got {value!r}")
+    if config["command"] in _SAMPLING and None not in (config["visibility"],
+                                                      config["fidelity"]):
+        raise ValueError("visibility and fidelity exclude each other; give one")
 
 
 def main(argv=None) -> int:

@@ -92,9 +92,6 @@ class OamSpace:
             raise ValueError(f"l={l} outside [{self.l_min}, {self.l_max}]")
         return l - self.l_min
 
-    def l_values(self) -> np.ndarray:
-        return np.arange(self.l_min, self.l_max + 1)
-
 
 DEFAULT_SPACE = OamSpace(-2, 2)
 
@@ -112,22 +109,17 @@ class Receiver:
     ``encoder`` (d x 2) carries a polarization qubit into Bob's modes.  The
     analyzer reads out the l=0 polarization behind a reverse q-plate; for
     q = 1/2 that read-out qubit, pulled back through the plate, is the same
-    isometry.  ``frame`` holds the circular basis as columns, with total
-    angular momenta ``momenta`` (m = s + l).
+    isometry.  It spans two read modes of the circular frame, the images of
+    the read-out |L> and |R>.  On Alice (x) Bob, ``lift`` is I (x) their kets,
+    ``gaps`` holds m_i - m_j of their total angular momenta m = s + l, and
+    ``readout`` (I (x) kets^dag encoder) pulls them back to the read-out qubit.
     """
 
     kind: str
     encoder: np.ndarray
-    frame: np.ndarray
-    momenta: np.ndarray
-    gaps: np.ndarray           # m_i - m_j, on Alice (x) Bob
-    distinct_gaps: np.ndarray  # the sorted distinct values of gaps ...
-    gap_index: np.ndarray      # ... and each entry's place among them
-    lift: np.ndarray           # I (x) frame
-    readout: np.ndarray        # I (x) frame^dag encoder
-
-    def rotation(self, theta: float) -> np.ndarray:
-        return (self.frame * np.exp(-1j * self.momenta * theta)) @ self.frame.conj().T
+    lift: np.ndarray     # 2d x 4
+    gaps: np.ndarray     # 4 x 4
+    readout: np.ndarray  # 4 x 4, I (x) CIRC_TO_HV^dag up to rounding
 
     def detected_state(self, rho: DensityMatrix, theta, span: float = 0.0) -> np.ndarray:
         """Unnormalised 4x4 state, Alice (x) read-out qubit, behind the analyzer.
@@ -136,37 +128,37 @@ class Receiver:
         state per setting, (T, 1) a stack of T for ``born_table``.  A positive
         ``span`` averages uniformly over [theta, theta + span], exactly, as in
         the circular frame a rotation scales entry (i, j) by e^{i(m_i - m_j)theta}.
+        Both vortex read modes have m = 0, so their kernel is exactly 1.
         """
-        d = self.encoder.shape[0]
-        if rho.dim != 2 * d:
-            raise ValueError(f"{self.kind} receiver expects a {2 * d}x{2 * d} state")
-        mid = np.asarray(theta, dtype=float)[..., None] + span / 2
-        gaps = self.distinct_gaps  # the kernel takes one value per distinct gap
-        kernel = (np.exp(1j * gaps * mid)
-                  * np.sinc(gaps * span / (2 * np.pi)))[..., self.gap_index]
-        circ = self.lift.conj().T @ rho.entries @ self.lift
-        return self.readout.conj().T @ (circ * kernel) @ self.readout
+        if rho.dim != self.lift.shape[0]:
+            raise ValueError(f"{self.kind} receiver expects a "
+                             f"{self.lift.shape[0]}x{self.lift.shape[0]} state")
+        mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
+        kernel = np.exp(1j * self.gaps * mid) * np.sinc(self.gaps * span / (2 * np.pi))
+        modes = self.lift.conj().T @ rho.entries @ self.lift
+        return self.readout.conj().T @ (modes * kernel) @ self.readout
 
 
 @lru_cache(maxsize=None)
 def receiver(kind: str, space: OamSpace = DEFAULT_SPACE) -> Receiver:
     """The receiver of encoding ``kind``: "polarization" or "vortex"."""
-    if kind == "polarization":
-        parts = (np.eye(2, dtype=complex), CIRC_TO_HV.copy(), np.array([1, -1]))
+    # the read modes as (s, l): circular polarization s = +1 for |L>, then l
+    if kind == "polarization":  # a bare polarization photon has only l = 0
+        space, modes = OamSpace(0, 0), ((+1, 0), (-1, 0))
     elif kind == "vortex":
-        n, l_vals = space.n_levels, space.l_values()
-        frame = np.kron(CIRC_TO_HV, np.eye(n))   # columns |L, l>, then |R, l>
         # a q = 1/2 plate sends |L, 0> -> |R, +1> and |R, 0> -> |L, -1>
-        encoder = (frame[:, [n + space.l_index(+1), space.l_index(-1)]]
-                   @ CIRC_TO_HV.conj().T)
-        parts = (encoder, frame, np.concatenate([1 + l_vals, -1 + l_vals]))
+        modes = ((-1, +1), (+1, -1))
     else:
         raise ValueError(f"unknown encoding {kind!r}")
-    encoder, frame, momenta = parts
-    gaps = np.tile(np.subtract.outer(momenta, momenta), (2, 2))
-    distinct = np.array(sorted(set(gaps.flat)))  # np.unique would page in numpy's sorts
-    parts += (gaps, distinct, np.searchsorted(distinct, gaps),
-              np.kron(np.eye(2), frame), np.kron(np.eye(2), frame.conj().T @ encoder))
+    levels = np.eye(space.n_levels)
+    kets = np.column_stack([np.kron(KET_L if s > 0 else KET_R, levels[space.l_index(l)])
+                            for s, l in modes])
+    encoder = (np.eye(2, dtype=complex) if kind == "polarization"
+               else kets @ CIRC_TO_HV.conj().T)
+    momenta = np.array([s + l for s, l in modes])
+    parts = (encoder, np.kron(np.eye(2), kets),
+             np.tile(np.subtract.outer(momenta, momenta), (2, 2)),
+             np.kron(np.eye(2), kets.conj().T @ encoder))
     for a in parts:
         a.flags.writeable = False   # shared through the cache
     return Receiver(kind, *parts)

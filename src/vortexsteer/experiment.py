@@ -54,18 +54,15 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class ThetaPolicy:
-    """Receiver orientation: fixed angle or uniform over a range (radians)."""
+    """Receiver orientation, uniform over [theta_min, theta_max] (radians);
+    a fixed angle is a range of width zero."""
 
-    kind: str
-    theta: float = 0.0
     theta_min: float = 0.0
     theta_max: float = math.pi / 2
     per_setting_block: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "dynamic"):
-            raise ValueError(f"unknown theta policy {self.kind!r}")
-        for name in ("theta", "theta_min", "theta_max"):
+        for name in ("theta_min", "theta_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.theta_min <= self.theta_max:
@@ -73,14 +70,12 @@ class ThetaPolicy:
 
     @classmethod
     def fixed(cls, theta: float) -> "ThetaPolicy":
-        return cls(kind="fixed", theta=float(theta))
+        return cls(float(theta), float(theta))
 
     @classmethod
     def dynamic(cls, theta_min: float = 0.0, theta_max: float = math.pi / 2,
                 per_setting_block: bool = False) -> "ThetaPolicy":
-        return cls(kind="dynamic", theta_min=float(theta_min),
-                   theta_max=float(theta_max),
-                   per_setting_block=per_setting_block)
+        return cls(float(theta_min), float(theta_max), per_setting_block)
 
     def orientation(self, n: int, rng: np.random.Generator) -> tuple:
         """(theta, span) for `Receiver.detected_state`.
@@ -88,8 +83,6 @@ class ThetaPolicy:
         Block mode draws one angle per setting.  Per-trial mode returns the
         whole range: the aggregate tallies follow the exact average over it.
         """
-        if self.kind == "fixed":
-            return self.theta, 0.0
         if self.per_setting_block:
             return rng.uniform(self.theta_min, self.theta_max, size=n), 0.0
         return self.theta_min, self.theta_max - self.theta_min

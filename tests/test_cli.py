@@ -221,8 +221,7 @@ class TestSidecarRerun:
 # one small run per command, and the keys its sidecar holds
 COMMAND_ARGV = {
     "bound": ["bound", "--n", "3", "--xi", "0.5,1.0"],
-    "steer": ["steer", "--visibility", "0.95", "--fidelity", "0.977",
-              "--trials", "1000", "--seed", "1"],
+    "steer": ["steer", "--visibility", "0.95", "--trials", "1000", "--seed", "1"],
     "sweep": ["sweep", "--visibility", "0.95", "--thetas", "0,30",
               "--trials", "1000", "--seed", "1"],
     "dynamic": ["dynamic", "--visibility", "0.95", "--trials", "1000",
@@ -264,6 +263,22 @@ class TestSidecarSchema:
                        if a.dest != "help"]
             assert all(len(a.option_strings) == 1 for a in actions)
             assert sorted(a.dest for a in actions) == sorted(keys - {"command"})
+
+    @pytest.mark.parametrize("command", ["steer", "sweep", "dynamic", "tomo"])
+    def test_visibility_with_fidelity_exits_2_naming_both(self, tmp_path, capsys,
+                                                          command):
+        out = tmp_path / "s.csv"
+        assert run(COMMAND_ARGV[command] + ["--fidelity", "0.3",
+                                            "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "visibility" in err and "fidelity" in err
+        assert not out.exists()
+        sidecar = write_sidecar(tmp_path, command)
+        config = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(config | {"fidelity": 0.3}))
+        assert run(["--config", str(sidecar)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "visibility" in err and "fidelity" in err
 
     @pytest.mark.parametrize("flag", ["--efficiency", "--alice-efficiency"])
     def test_tomo_efficiency_flags_are_gone(self, tmp_path, flag):
@@ -308,6 +323,8 @@ class TestSidecarSchema:
         sidecar = write_sidecar(tmp_path, command)
         config = json.loads(sidecar.read_text())
         config[key] = value
+        if (key, value) == ("visibility", None):
+            config["fidelity"] = 0.977  # exactly one of the two is given
         sidecar.write_text(json.dumps(config))
         before = sidecar.read_bytes()
         capsys.readouterr()
@@ -464,6 +481,20 @@ GOLDEN_LOSSLESS_SWEEPS = {
     ],
 }
 
+# Vortex runs at n = 6 whose tables hold rounding residues: a pure state behind
+# loss, and a lossless dephased sweep, as the two-read-mode receiver draws them.
+GOLDEN_VORTEX_RESIDUE_RUNS = {
+    "pure-lossy-steer": (
+        ["steer", "--visibility", "1", "--efficiency", "0.45", "--theta", "25"],
+        ["25,vortex,6,1,0,0.45032,0.80700967737,true"]),
+    "lossless-dephased-sweep": (
+        ["sweep", "--visibility", "1", "--dephasing", "0.3", "--efficiency", "1",
+         "--thetas", "0,45,90"],
+        ["0,vortex,6,0.800076339106,0.00187602673148,1,0.539344662917,true",
+         "45,vortex,6,0.801799034788,0.00186891318338,1,0.539344662917,true",
+         "90,vortex,6,0.802511216647,0.00186835693409,1,0.539344662917,true"]),
+}
+
 
 class TestSeededGoldenRows:
     @pytest.mark.parametrize("command, n, encoding_kind", list(GOLDEN_ROWS))
@@ -502,6 +533,14 @@ class TestSeededGoldenRows:
                     "--seed", "7", "--output", str(out)]) == 0
         assert read_lines(out) == ([",".join(cli.SWEEP_COLUMNS)]
                                    + GOLDEN_LOSSLESS_SWEEPS[n, noise, level])
+
+    @pytest.mark.parametrize("case", list(GOLDEN_VORTEX_RESIDUE_RUNS))
+    def test_vortex_residue_rows(self, tmp_path, case):
+        argv, rows = GOLDEN_VORTEX_RESIDUE_RUNS[case]
+        out = tmp_path / "run.csv"
+        assert run(argv + ["--n", "6", "--encoding", "vortex", "--trials", "100000",
+                           "--seed", "7", "--output", str(out)]) == 0
+        assert read_lines(out) == [",".join(cli.SWEEP_COLUMNS)] + rows
 
 
 def test_no_arguments_prints_usage_and_exits_2(capsys):

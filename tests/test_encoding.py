@@ -59,24 +59,27 @@ class TestQPlate:
 
 
 class TestRotation:
+    """The beam rotation of the phase conventions, written out in `vortex_oracle`."""
+
     @pytest.mark.parametrize("theta", np.linspace(0, 2 * np.pi, 17))
     def test_logical_states_are_fixed_points(self, theta):
-        r = VORTEX.rotation(theta)
+        r = vo.explicit_rotation("vortex", theta, SPACE)
         for k in (LOGICAL_ZERO, LOGICAL_ONE):
             assert np.max(np.abs(r @ k - k)) < 1e-12
 
     def test_quarter_turn_maps_h_to_v(self):
         h0 = vo.composite_ket(enc.KET_H, 0, SPACE)
         v0 = vo.composite_ket(enc.KET_V, 0, SPACE)
-        out = VORTEX.rotation(np.pi / 2) @ h0
+        out = vo.explicit_rotation("vortex", np.pi / 2, SPACE) @ h0
         assert abs(np.vdot(v0, out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_angle_is_identity(self):
-        assert np.allclose(VORTEX.rotation(0.0), np.eye(SPACE.dim), atol=1e-14)
+        assert np.allclose(vo.explicit_rotation("vortex", 0.0, SPACE), np.eye(SPACE.dim),
+                           atol=1e-14)
 
     def test_pol_rotation_spins_linear_axis_by_twice_theta(self):
         theta = 0.37
-        r = enc.receiver("polarization").rotation(theta)
+        r = vo.explicit_rotation("polarization", theta, SPACE)
         rotated = r @ enc.pol_observable([1, 0, 0]) @ r.conj().T
         expected = (np.cos(2 * theta) * enc.POL_X + np.sin(2 * theta) * enc.POL_Y)
         assert np.allclose(rotated, expected, atol=1e-12)
@@ -119,7 +122,7 @@ class TestEncode:
 def rotated_analyzer(direction, theta: float, outcome) -> np.ndarray:
     """Test q-plate analyzer element for one outcome (None: either one)."""
     pol_op = np.eye(2) if outcome is None else enc.pol_projector(direction, outcome)
-    r = VORTEX.rotation(theta)
+    r = vo.explicit_rotation("vortex", theta, SPACE)
     return r @ vo.analyzer_element(pol_op, SPACE) @ r.conj().T
 
 

@@ -52,10 +52,6 @@ class TestPrepareState:
 
 
 class TestThetaPolicy:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ex.ThetaPolicy(kind="bogus")
-
     def test_reversed_dynamic_range_rejected(self):
         with pytest.raises(ValueError):
             ex.ThetaPolicy.dynamic(1.0, 0.5)
@@ -63,11 +59,29 @@ class TestThetaPolicy:
     @pytest.mark.parametrize("kind, field, value", [
         ("fixed", "theta", math.nan), ("fixed", "theta", math.inf),
         ("dynamic", "theta_max", math.inf), ("dynamic", "theta_min", -math.inf),
-        ("dynamic", "theta_min", math.nan),
+        ("dynamic", "theta_min", math.nan), ("dynamic", "theta_max", math.nan),
     ])
     def test_non_finite_angle_rejected(self, kind, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
-            ex.ThetaPolicy(kind=kind, **{field: value})
+        # fixed(t) is the range (t, t), so its first end is the one named
+        name = "theta_min" if field == "theta" else field
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            getattr(ex.ThetaPolicy, kind)(**{field: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ex.ThetaPolicy(**{name: value})
+
+    def test_fixed_is_a_range_of_width_zero(self):
+        assert ex.ThetaPolicy.fixed(0.7) == ex.ThetaPolicy(0.7, 0.7, False)
+        assert ex.ThetaPolicy.fixed(0.7).orientation(3, None) == (0.7, 0.0)
+
+    @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 2.5])
+    def test_fixed_and_dynamic_of_one_angle_give_identical_runs(self, kind, theta):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
+        channel = ex.ChannelModel(0.45, 0.9)
+        fixed, dynamic = (ex.run_experiment(state, M3, channel, policy, 50_000, 5)
+                          for policy in (ex.ThetaPolicy.fixed(theta),
+                                         ex.ThetaPolicy.dynamic(theta, theta)))
+        assert repr(dataclasses.astuple(fixed)) == repr(dataclasses.astuple(dynamic))
 
 
 class TestRunExperiment:

@@ -142,41 +142,53 @@ def test_stacked_tables_equal_separate_calls(receiver, mset, seed, encoded, thet
 
 @pytest.mark.parametrize("receiver", RECEIVERS)
 def test_receiver_constants_are_shared_read_only_arrays(receiver):
-    rx = enc.receiver(*receiver)
-    assert enc.receiver(*receiver) is rx
-    gaps = np.subtract.outer(rx.momenta, rx.momenta)
+    kind, space = receiver
+    rx = enc.receiver(kind, space)
+    assert enc.receiver(kind, space) is rx
+    if kind == "polarization":
+        kets, momenta = enc.CIRC_TO_HV, [1, -1]
+        np.testing.assert_array_equal(rx.encoder, np.eye(2))
+    else:  # the read-out |L> and |R> come back through the plate as |R, +1>, |L, -1>
+        kets = np.column_stack([vo.composite_ket(enc.KET_R, +1, space),
+                                vo.composite_ket(enc.KET_L, -1, space)])
+        momenta = [-1 + 1, 1 - 1]
+        np.testing.assert_array_equal(rx.encoder, kets @ enc.CIRC_TO_HV.conj().T)
+    gaps = np.subtract.outer(momenta, momenta)
     np.testing.assert_array_equal(rx.gaps, np.block([[gaps, gaps], [gaps, gaps]]))
-    np.testing.assert_array_equal(rx.distinct_gaps, sorted(set(gaps.ravel())))
-    np.testing.assert_array_equal(rx.distinct_gaps[rx.gap_index], rx.gaps)
-    np.testing.assert_array_equal(rx.lift, np.kron(np.eye(2), rx.frame))
-    np.testing.assert_array_equal(rx.readout,
-                                  np.kron(np.eye(2), rx.frame.conj().T @ rx.encoder))
-    for part in (rx.encoder, rx.frame, rx.momenta, rx.gaps, rx.distinct_gaps,
-                 rx.gap_index, rx.lift, rx.readout):
+    np.testing.assert_array_equal(rx.lift, np.kron(np.eye(2), kets))
+    np.testing.assert_array_equal(rx.readout, np.kron(np.eye(2), kets.conj().T @ rx.encoder))
+    np.testing.assert_allclose(rx.readout, np.kron(np.eye(2), enc.CIRC_TO_HV.conj().T),
+                               rtol=0, atol=1e-15)
+    for part in (rx.encoder, rx.lift, rx.gaps, rx.readout):
         with pytest.raises(ValueError):
             part[0] = 0
 
 
-def test_distinct_gap_counts():
-    # gaps run over -2..2 (step 2) for polarization and -6..6 for l = -2..2
-    assert len(enc.receiver("polarization").distinct_gaps) == 3
-    assert len(enc.receiver("vortex").distinct_gaps) == 13
-
-
-def detected_state_full_kernel(rx, rho: DensityMatrix, theta, span: float = 0.0):
-    """`Receiver.detected_state` with the kernel evaluated entry by entry
-    over all of ``rx.gaps``, as before it was taken per distinct gap."""
-    mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
-    kernel = np.exp(1j * rx.gaps * mid) * np.sinc(rx.gaps * span / (2 * np.pi))
-    circ = rx.lift.conj().T @ rho.entries @ rx.lift
-    return rx.readout.conj().T @ (circ * kernel) @ rx.readout
+@settings(max_examples=60, deadline=None)
+@given(space=hs.sampled_from([SPACE, enc.OamSpace(-3, 3), WIDE_SPACE]), seed=SEEDS,
+       theta=hs.floats(-50, 50), span=hs.sampled_from([0.0, np.pi]) | hs.floats(0, 10))
+def test_vortex_detected_state_ignores_rotation(space, seed, theta, span):
+    # both read modes have m = 0: any state, encoded or not, is read out the
+    # same at every angle and span, bit for bit
+    rx = enc.receiver("vortex", space)
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, 2 * space.dim)
+    still = rx.detected_state(rho, 0.0)
+    assert np.array_equal(rx.detected_state(rho, theta, span), still)
+    angles = rng.uniform(-50, 50, size=3)
+    for thetas in (angles, angles.reshape(-1, 1)):  # (n,) and (T, 1)
+        got = rx.detected_state(rho, thetas, span)
+        assert np.array_equal(got, np.broadcast_to(still, got.shape))
 
 
 @settings(max_examples=30, deadline=None)
-@given(receiver=hs.sampled_from(RECEIVERS[:2] + [("vortex", enc.OamSpace(-3, 3))]),
+@given(receiver=hs.sampled_from(RECEIVERS + [("vortex", enc.OamSpace(-3, 3))]),
        n=N_SETTINGS, seed=SEEDS,
        span=hs.sampled_from([0.0, np.pi / 2]) | hs.floats(0, 2 * np.pi))
-def test_per_gap_kernel_equals_full_kernel(receiver, n, seed, span):
+def test_detected_state_matches_full_frame_formula(receiver, n, seed, span):
+    # the two read modes give the state the whole circular frame gives:
+    # bit for bit for polarization, to rounding for vortex, whose full-frame
+    # read-out carries residues of about 1e-17 on the other modes
     kind, space = receiver
     rx = enc.receiver(kind, space)
     rng = np.random.default_rng(seed)
@@ -184,8 +196,12 @@ def test_per_gap_kernel_equals_full_kernel(receiver, n, seed, span):
     angles = rng.uniform(0, 2 * np.pi, size=n)
     for theta in (angles[0], angles, angles.reshape(-1, 1)):  # scalar, (n,), (T, 1)
         got = rx.detected_state(rho, theta, span)
-        assert got.shape == np.shape(theta) + (4, 4)
-        assert np.array_equal(got, detected_state_full_kernel(rx, rho, theta, span))
+        want = vo.full_frame_detected_state(rx, rho, theta, span, space)
+        assert got.shape == want.shape == np.shape(theta) + (4, 4)
+        if kind == "polarization":
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=8, deadline=None)
@@ -224,9 +240,16 @@ def test_vortex_receiver_needs_levels_minus_one_to_plus_one(space):
 
 @pytest.mark.parametrize("space", [SPACE, WIDE_SPACE])
 def test_rotation_operator_matches_phase_convention(space):
+    # a beam rotation is exp(-i theta (S + L)): S = POL_Z on polarization,
+    # L = diag(l) on the OAM ladder
     for theta in np.linspace(-3, 7, 11):
-        assert np.allclose(enc.receiver("vortex", space).rotation(theta),
-                           vo.explicit_rotation("vortex", theta, space), atol=1e-13)
+        spin = vo.explicit_rotation("polarization", theta, space)
+        orbit = np.diag(np.exp(-1j * vo.l_values(space) * theta))
+        assert np.allclose(vo.explicit_rotation("vortex", theta, space),
+                           np.kron(spin, orbit), atol=1e-13)
+        # |L> -> e^{-i theta}|L>, |R> -> e^{+i theta}|R>
+        assert np.allclose(enc.CIRC_TO_HV.conj().T @ spin @ enc.CIRC_TO_HV,
+                           np.diag(np.exp([-1j * theta, 1j * theta])), atol=1e-13)
 
 
 def test_oracle_analyzer_matches_receiver_readout():
@@ -238,12 +261,15 @@ def test_oracle_analyzer_matches_receiver_readout():
         plus, _, null = unrotated_bob_elements(tuple(u), "vortex", space)
         for theta in (0.0, 0.7, 2.9):
             r = vo.explicit_rotation("vortex", theta, space)
-            rv = rx.rotation(theta) @ rx.encoder
+            rv = r @ rx.encoder
             assert np.allclose(r @ plus @ r.conj().T,
                                rv @ enc.pol_projector(u, +1) @ rv.conj().T,
                                atol=1e-13)
             assert np.allclose(r @ null @ r.conj().T,
                                np.eye(space.dim) - rv @ rv.conj().T, atol=1e-13)
+        # the analyzer passes exactly the receiver's two read modes
+        kets = rx.lift[:space.dim, :2]
+        assert np.allclose(null, np.eye(space.dim) - kets @ kets.conj().T, atol=1e-13)
 
 
 def test_unknown_encoding_rejected():

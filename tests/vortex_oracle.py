@@ -1,14 +1,19 @@
 """Operator-level model of Bob's side, written independently of `Receiver`.
 
 An explicit q = 1/2 q-plate matrix, the beam rotation written out from the
-phase conventions in `encoding`, and the unrotated analyzer elements
-QP^dag (Pi (x) |l=0><l=0|) QP.  The tests check `encoding.receiver` against
-these; nothing here reads a `Receiver`.
+phase conventions in `encoding`, the unrotated analyzer elements
+QP^dag (Pi (x) |l=0><l=0|) QP, and the detected state computed in the full
+circular frame.  The tests check `encoding.receiver` against these; only
+`full_frame_detected_state` reads a `Receiver`, for its encoder.
 """
 
 import numpy as np
 
 from vortexsteer import encoding as enc
+
+
+def l_values(space: enc.OamSpace) -> np.ndarray:
+    return np.arange(space.l_min, space.l_max + 1)
 
 
 def composite_ket(pol, l: int, space: enc.OamSpace) -> np.ndarray:
@@ -43,7 +48,7 @@ def qplate_encoder(space: enc.OamSpace) -> np.ndarray:
 def explicit_rotation(kind: str, theta: float, space: enc.OamSpace) -> np.ndarray:
     if kind == "polarization":
         return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * enc.POL_Z
-    l_vals = space.l_values()
+    l_vals = l_values(space)
     phases = np.concatenate([np.exp(-1j * (1 + l_vals) * theta),
                              np.exp(-1j * (-1 + l_vals) * theta)])
     basis = np.kron(enc.CIRC_TO_HV, np.eye(space.n_levels))
@@ -56,3 +61,27 @@ def analyzer_element(pol_op: np.ndarray, space: enc.OamSpace) -> np.ndarray:
     l0[space.l_index(0), space.l_index(0)] = 1.0
     u = qplate(space)
     return u.conj().T @ np.kron(pol_op, l0) @ u
+
+
+def circular_frame(kind: str, space: enc.OamSpace) -> tuple:
+    """All of Bob's circular modes as columns (|L, l>, then |R, l>) and their
+    total angular momenta m = s + l."""
+    if kind == "polarization":
+        return enc.CIRC_TO_HV.copy(), np.array([1, -1])
+    l_vals = l_values(space)
+    return (np.kron(enc.CIRC_TO_HV, np.eye(space.n_levels)),
+            np.concatenate([1 + l_vals, -1 + l_vals]))
+
+
+def full_frame_detected_state(rx, rho, theta, span: float, space: enc.OamSpace):
+    """`Receiver.detected_state` taken through the whole circular frame: lift
+    rho into it, scale entry (i, j) by the span-averaged e^{i(m_i - m_j)theta},
+    read out through frame^dag encoder."""
+    frame, momenta = circular_frame(rx.kind, space)
+    gaps = np.tile(np.subtract.outer(momenta, momenta), (2, 2))
+    mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
+    kernel = np.exp(1j * gaps * mid) * np.sinc(gaps * span / (2 * np.pi))
+    lift = np.kron(np.eye(2), frame)
+    readout = np.kron(np.eye(2), frame.conj().T @ rx.encoder)
+    circ = lift.conj().T @ rho.entries @ lift
+    return readout.conj().T @ (circ * kernel) @ readout
