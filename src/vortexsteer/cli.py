@@ -110,10 +110,8 @@ def cmd_bound(config: dict) -> None:
 def _prepared_state(config: dict):
     if config["visibility"] is not None:
         visibility = float(config["visibility"])
-    elif config["fidelity"] is not None:
-        visibility = experiment.visibility_for_fidelity(float(config["fidelity"]))
     else:
-        raise ValueError("one of --visibility / --fidelity is required")
+        visibility = experiment.visibility_for_fidelity(float(config["fidelity"]))
     noise = experiment.NoiseModel(werner_v=visibility,
                                   dephasing=config["dephasing"])
     return experiment.prepare_state(noise, config["encoding"])
@@ -270,9 +268,9 @@ def _validate(config) -> None:
         if not (value is None and key.default is None or _has_kind(value, key.kind)):
             kind = _KIND_TEXT.get(key.kind) or "one of " + ", ".join(key.kind)
             raise ValueError(f"{key.name} must be {kind}, got {value!r}")
-    if config["command"] in _SAMPLING and None not in (config["visibility"],
-                                                      config["fidelity"]):
-        raise ValueError("visibility and fidelity exclude each other; give one")
+    if config["command"] in _SAMPLING and (
+            (config["visibility"] is None) == (config["fidelity"] is None)):
+        raise ValueError("exactly one of visibility and fidelity must be given")
 
 
 def main(argv=None) -> int:

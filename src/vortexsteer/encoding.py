@@ -130,9 +130,9 @@ class Receiver:
         the circular frame a rotation scales entry (i, j) by e^{i(m_i - m_j)theta}.
         Both vortex read modes have m = 0, so their kernel is exactly 1.
         """
-        if rho.dim != self.lift.shape[0]:
-            raise ValueError(f"{self.kind} receiver expects a "
-                             f"{self.lift.shape[0]}x{self.lift.shape[0]} state")
+        dim = self.lift.shape[0]
+        if rho.dim != dim:
+            raise ValueError(f"{self.kind} receiver expects a {dim}x{dim} state")
         mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
         kernel = np.exp(1j * self.gaps * mid) * np.sinc(self.gaps * span / (2 * np.pi))
         modes = self.lift.conj().T @ rho.entries @ self.lift

@@ -45,24 +45,6 @@ def qplate_encoder(space: enc.OamSpace) -> np.ndarray:
         [composite_ket(pol, 0, space) for pol in (enc.KET_H, enc.KET_V)])
 
 
-def explicit_rotation(kind: str, theta: float, space: enc.OamSpace) -> np.ndarray:
-    if kind == "polarization":
-        return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * enc.POL_Z
-    l_vals = l_values(space)
-    phases = np.concatenate([np.exp(-1j * (1 + l_vals) * theta),
-                             np.exp(-1j * (-1 + l_vals) * theta)])
-    basis = np.kron(enc.CIRC_TO_HV, np.eye(space.n_levels))
-    return basis @ np.diag(phases) @ basis.conj().T
-
-
-def analyzer_element(pol_op: np.ndarray, space: enc.OamSpace) -> np.ndarray:
-    """QP^dag (pol_op (x) |l=0><l=0|) QP: read out l=0 behind the plate."""
-    l0 = np.zeros((space.n_levels, space.n_levels))
-    l0[space.l_index(0), space.l_index(0)] = 1.0
-    u = qplate(space)
-    return u.conj().T @ np.kron(pol_op, l0) @ u
-
-
 def circular_frame(kind: str, space: enc.OamSpace) -> tuple:
     """All of Bob's circular modes as columns (|L, l>, then |R, l>) and their
     total angular momenta m = s + l."""
@@ -71,6 +53,21 @@ def circular_frame(kind: str, space: enc.OamSpace) -> tuple:
     l_vals = l_values(space)
     return (np.kron(enc.CIRC_TO_HV, np.eye(space.n_levels)),
             np.concatenate([1 + l_vals, -1 + l_vals]))
+
+
+def explicit_rotation(kind: str, theta: float, space: enc.OamSpace) -> np.ndarray:
+    if kind == "polarization":
+        return np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * enc.POL_Z
+    frame, momenta = circular_frame(kind, space)
+    return frame @ np.diag(np.exp(-1j * momenta * theta)) @ frame.conj().T
+
+
+def analyzer_element(pol_op: np.ndarray, space: enc.OamSpace) -> np.ndarray:
+    """QP^dag (pol_op (x) |l=0><l=0|) QP: read out l=0 behind the plate."""
+    l0 = np.zeros((space.n_levels, space.n_levels))
+    l0[space.l_index(0), space.l_index(0)] = 1.0
+    u = qplate(space)
+    return u.conj().T @ np.kron(pol_op, l0) @ u
 
 
 def full_frame_detected_state(rx, rho, theta, span: float, space: enc.OamSpace):
