@@ -6,12 +6,7 @@ from .qmath import (
     fidelity_pure,
     purity,
 )
-from .encoding import (
-    DEFAULT_SPACE,
-    OamSpace,
-    receiver,
-    singlet_pol,
-)
+from .encoding import receiver, singlet_pol
 from .steering import (
     MeasurementSet,
     SteeringEstimate,

@@ -255,12 +255,16 @@ def _has_kind(value, kind) -> bool:
 
 
 def _validate(config) -> None:
-    """Check that every key of the command is present and well typed."""
+    """Check that the config holds exactly the keys of its command, well typed."""
     if not isinstance(config, dict):
         raise ValueError("sidecar must hold a JSON object")
     if config.get("command") not in tuple(COMMANDS):  # a list is unhashable
         raise ValueError(f"sidecar has unknown command "
                          f"{config.get('command')!r}")
+    unread = sorted(set(config) - {"command"}
+                    - {key.name for key in COMMAND_KEYS[config["command"]]})
+    if unread:
+        raise ValueError(f"{unread[0]} is not a key of {config['command']}")
     for key in COMMAND_KEYS[config["command"]]:
         if key.name not in config:
             raise ValueError(f"sidecar lacks {key.name}")

@@ -38,6 +38,10 @@ KET_R = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
 KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 KET_A = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
+# Bob's truncated OAM ladder, integer l (l*hbar per photon); the vortex qubit
+# lives on l = -1 and +1, so joint vortex states are 20 x 20
+OAM_LEVELS = (-2, -1, 0, 1, 2)
+
 # change of basis: circular coordinates -> (H, V) coordinates
 CIRC_TO_HV = np.column_stack([KET_L, KET_R])
 
@@ -65,35 +69,6 @@ def pol_projector(direction, outcome: int) -> np.ndarray:
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     return (np.eye(2) + outcome * pol_observable(direction)) / 2
-
-
-@dataclass(frozen=True)
-class OamSpace:
-    """Truncated OAM ladder l_min..l_max (integer l, l*hbar per photon)."""
-
-    l_min: int = -2
-    l_max: int = 2
-
-    def __post_init__(self):
-        if self.l_min > self.l_max:
-            raise ValueError("l_min must not exceed l_max")
-
-    @property
-    def n_levels(self) -> int:
-        return self.l_max - self.l_min + 1
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the composite polarization (x) OAM space."""
-        return 2 * self.n_levels
-
-    def l_index(self, l: int) -> int:
-        if not self.l_min <= l <= self.l_max:
-            raise ValueError(f"l={l} outside [{self.l_min}, {self.l_max}]")
-        return l - self.l_min
-
-
-DEFAULT_SPACE = OamSpace(-2, 2)
 
 
 def singlet_pol() -> StateVector:
@@ -140,18 +115,18 @@ class Receiver:
 
 
 @lru_cache(maxsize=None)
-def receiver(kind: str, space: OamSpace = DEFAULT_SPACE) -> Receiver:
+def receiver(kind: str) -> Receiver:
     """The receiver of encoding ``kind``: "polarization" or "vortex"."""
     # the read modes as (s, l): circular polarization s = +1 for |L>, then l
     if kind == "polarization":  # a bare polarization photon has only l = 0
-        space, modes = OamSpace(0, 0), ((+1, 0), (-1, 0))
+        ladder, modes = (0,), ((+1, 0), (-1, 0))
     elif kind == "vortex":
         # a q = 1/2 plate sends |L, 0> -> |R, +1> and |R, 0> -> |L, -1>
-        modes = ((-1, +1), (+1, -1))
+        ladder, modes = OAM_LEVELS, ((-1, +1), (+1, -1))
     else:
         raise ValueError(f"unknown encoding {kind!r}")
-    levels = np.eye(space.n_levels)
-    kets = np.column_stack([np.kron(KET_L if s > 0 else KET_R, levels[space.l_index(l)])
+    levels = np.eye(len(ladder))
+    kets = np.column_stack([np.kron(KET_L if s > 0 else KET_R, levels[ladder.index(l)])
                             for s, l in modes])
     encoder = (np.eye(2, dtype=complex) if kind == "polarization"
                else kets @ CIRC_TO_HV.conj().T)

@@ -72,11 +72,6 @@ class ThetaPolicy:
     def fixed(cls, theta: float) -> "ThetaPolicy":
         return cls(float(theta), float(theta))
 
-    @classmethod
-    def dynamic(cls, theta_min: float = 0.0, theta_max: float = math.pi / 2,
-                per_setting_block: bool = False) -> "ThetaPolicy":
-        return cls(float(theta_min), float(theta_max), per_setting_block)
-
     def orientation(self, n: int, rng: np.random.Generator) -> tuple:
         """(theta, span) for `Receiver.detected_state`.
 
@@ -223,6 +218,5 @@ def dynamic_rotation_run(state: DensityMatrix, mset: steering.MeasurementSet,
                          channel: ChannelModel, trials: int, seed: int,
                          per_setting_block: bool = False) -> SteeringRunResult:
     """Dynamically rotating receiver: theta uniform on [0, pi/2] per trial."""
-    policy = ThetaPolicy.dynamic(0.0, math.pi / 2,
-                                 per_setting_block=per_setting_block)
+    policy = ThetaPolicy(0.0, math.pi / 2, per_setting_block)
     return run_experiment(state, mset, channel, policy, trials, seed)

@@ -122,18 +122,23 @@ def born_table(rho: DensityMatrix, mset: MeasurementSet,
     return np.maximum(probs, 0.0)
 
 
+def _per_setting(table: np.ndarray) -> tuple:
+    """Announced weight, agreement and correlation of each setting of a
+    (..., n, 2, 3) table of probabilities or tallies."""
+    announced = table[..., :2].sum(axis=(-2, -1)).astype(float)
+    if not announced.all():   # the first table's first such setting, as run by run
+        bad = np.argwhere(announced == 0)[0][-1]
+        raise ValueError(f"setting {bad} has zero announced events")
+    # B_k is the negated raw outcome: agreement = (alice, bob raw) opposite
+    agree = table[..., 0, 1] + table[..., 1, 0]
+    return announced, agree, (2 * agree - announced) / announced
+
+
 def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              theta: float = 0.0) -> SteeringEstimate:
     """S_n computed directly from the state by the Born rule."""
     detected = encoding.receiver_for(rho.dim).detected_state(rho, theta)
-    probs = born_table(rho, mset, detected)
-    announced = probs[:, :, :2].sum(axis=(1, 2))
-    if np.any(announced <= 0):
-        bad = int(np.argmin(announced))
-        raise ValueError(f"setting {bad} never produces an announced outcome")
-    # B_k is the negated raw outcome: agreement = (alice, bob raw) opposite
-    agree = probs[:, 0, 1] + probs[:, 1, 0]
-    corr = np.clip((2 * agree - announced) / announced, -1.0, 1.0)
+    announced, _, corr = _per_setting(born_table(rho, mset, detected))
     return SteeringEstimate(
         s_value=float(np.mean(corr)),
         std_err=0.0,
@@ -162,12 +167,7 @@ def _estimates(counts: np.ndarray) -> list[SteeringEstimate]:
         raise ValueError(f"counts must be integer tallies, got dtype {counts.dtype}")
     if counts.size and counts.min() < 0:
         raise ValueError("counts must be non-negative")
-    announced = counts[..., :2].sum(axis=(-2, -1)).astype(float)
-    if not announced.all():   # the first table's first such setting, as run by run
-        _, bad = np.argwhere(announced == 0)[0]
-        raise ValueError(f"setting {bad} has zero announced events")
-    agree = counts[..., 0, 1] + counts[..., 1, 0]
-    corr = (2 * agree - announced) / announced
+    announced, agree, corr = _per_setting(counts)
     p_hat = agree / announced
     var = 4 * p_hat * (1 - p_hat) / announced
     n = counts.shape[-3]

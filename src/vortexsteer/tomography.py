@@ -55,7 +55,7 @@ class ReconstructionReport:
     iterations: int
     converged: bool
     gap: float                 # bounds max log-likelihood - log_likelihood
-    history: tuple | None = None
+    history: tuple             # log-likelihood at the start and after each step taken
 
 
 def gram_rank(projectors) -> int:
@@ -116,8 +116,7 @@ def _project_density(h: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(counts, spec: TomographySpec,
-                target: StateVector | None = None,
-                keep_history: bool = False) -> ReconstructionReport:
+                target: StateVector | None = None) -> ReconstructionReport:
     """Maximum-likelihood density-matrix reconstruction from count data.
 
     `counts` may be floats (e.g. exact expected counts) for noiseless studies.
@@ -196,5 +195,5 @@ def reconstruct(counts, spec: TomographySpec,
         iterations=iterations,
         converged=gap <= tol,
         gap=gap,
-        history=tuple(history) if keep_history else None,
+        history=tuple(history),
     )

@@ -141,14 +141,15 @@ class TestSidecarRerun:
         assert run(["--config", str(sidecar)]) == 0
         assert out.read_bytes() == original
 
-    def test_sidecar_with_retired_per_setting_key_reruns(self, tmp_path):
-        # sidecar and result as written before the strict per-setting floor
-        # was retired; on every supported set it equals the average floor
+    def test_old_bound_sidecar_reruns_without_its_retired_key(self, tmp_path):
+        # result as written before the strict per-setting floor was retired,
+        # from its sidecar less the retired "per_setting": false; on every
+        # supported set the strict floor equals the average floor
         out = tmp_path / "old.csv"
         sidecar = tmp_path / "old.csv.config.json"
         sidecar.write_text(json.dumps({
             "command": "bound", "format": "csv", "n": 4, "output": str(out),
-            "per_setting": False, "xi_grid": [0.2, 0.3, 0.45, 0.6, 1.0]}))
+            "xi_grid": [0.2, 0.3, 0.45, 0.6, 1.0]}))
         assert run(["--config", str(sidecar)]) == 0
         assert out.read_text() == (
             "xi,c_n,witness_pattern\n"
@@ -157,19 +158,6 @@ class TestSidecarRerun:
             "0.45,0.836885849714,...+:0.200000;..+-:0.800000\n"
             "0.6,0.736781143682,..+-:0.800000;++--:0.200000\n"
             "1,0.57735026919,++--:1.000000\n")
-
-    def test_sidecar_asking_for_per_setting_floor_keeps_its_values(self, tmp_path):
-        # the strict floor's values, as written before it was retired; the
-        # witness column now holds the average floor's two-point mixture
-        out = tmp_path / "old.csv"
-        sidecar = tmp_path / "old.csv.config.json"
-        sidecar.write_text(json.dumps({
-            "command": "bound", "format": "csv", "n": 3, "output": str(out),
-            "per_setting": True, "xi_grid": [0.35, 0.45, 0.7, 1.0]}))
-        assert run(["--config", str(sidecar)]) == 0
-        values = [line.split(",")[1] for line in read_lines(out)[1:]]
-        assert values == ["0.972105407732", "0.848129442097",
-                          "0.688570136616", "0.57735026919"]
 
     def test_per_setting_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -281,6 +269,25 @@ class TestSidecarSchema:
         assert run(["--config", str(sidecar)]) == 2
         assert capsys.readouterr().err == (
             "error: exactly one of visibility and fidelity must be given\n")
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("steer", {"trails": 5, "bogus": [1]}, "bogus"),  # the first, sorted
+        ("steer", {"block": False}, "block"),             # another command's key
+        ("tomo", {"efficiency": 0.45}, "efficiency"),     # retired keys
+        ("bound", {"per_setting": False}, "per_setting"),
+    ], ids=["misspelt", "other-command", "retired-tomo", "retired-bound"])
+    def test_sidecar_key_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                           command, extra, named):
+        sidecar = write_sidecar(tmp_path, command)
+        out = tmp_path / f"{command}.out"
+        out.unlink()
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | extra))
+        before = sidecar.read_bytes()
+        capsys.readouterr()
+        assert run(["--config", str(sidecar)]) == 2
+        assert capsys.readouterr().err == f"error: {named} is not a key of {command}\n"
+        assert not out.exists()
+        assert sidecar.read_bytes() == before
 
     @pytest.mark.parametrize("flag", ["--efficiency", "--alice-efficiency"])
     def test_tomo_efficiency_flags_are_gone(self, tmp_path, flag):

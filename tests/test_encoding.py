@@ -6,7 +6,8 @@ from qmath_helpers import unit
 from vortexsteer import encoding as enc
 from vortexsteer.qmath import DensityMatrix, StateVector, fidelity_pure
 
-SPACE = enc.DEFAULT_SPACE
+SPACE = enc.OAM_LEVELS
+DIM = 2 * len(SPACE)  # Bob's polarization (x) OAM modes
 VORTEX = enc.receiver("vortex")
 QP = vo.qplate(SPACE)
 # logical vortex qubit |0> = |L, -1>, |1> = |R, +1>
@@ -22,12 +23,17 @@ class TestQPlate:
     """The receiver's closed-form encoder against the explicit test q-plate."""
 
     def test_operator_is_unitary(self):
-        assert np.allclose(QP.conj().T @ QP, np.eye(SPACE.dim), atol=1e-12)
+        assert np.allclose(QP.conj().T @ QP, np.eye(DIM), atol=1e-12)
 
-    @pytest.mark.parametrize("space", [SPACE, enc.OamSpace(-1, 1), enc.OamSpace(-5, 4)])
+    @pytest.mark.parametrize("space", [SPACE, (-1, 0, 1), tuple(range(-5, 5))])
     def test_encoder_is_qplate_image_of_l0(self, space):
-        np.testing.assert_allclose(enc.receiver("vortex", space).encoder,
-                                   vo.qplate_encoder(space), rtol=0, atol=1e-15)
+        # on any oracle ladder around l = -1..1, each way round, so that
+        # neither side has amplitude outside the levels the two share
+        pad = vo.ladder_map(SPACE, space)
+        np.testing.assert_allclose(pad @ VORTEX.encoder, vo.qplate_encoder(space),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(VORTEX.encoder, pad.T @ vo.qplate_encoder(space),
+                                   rtol=0, atol=1e-15)
 
     def test_left_circular_input_gains_oam(self):
         out = VORTEX.encoder @ enc.KET_L
@@ -74,7 +80,7 @@ class TestRotation:
         assert abs(np.vdot(v0, out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_angle_is_identity(self):
-        assert np.allclose(vo.explicit_rotation("vortex", 0.0, SPACE), np.eye(SPACE.dim),
+        assert np.allclose(vo.explicit_rotation("vortex", 0.0, SPACE), np.eye(DIM),
                            atol=1e-14)
 
     def test_pol_rotation_spins_linear_axis_by_twice_theta(self):
@@ -142,7 +148,7 @@ class TestBobAnalyzer:
         theta = 1.1
         total = rotated_analyzer(u, theta, +1) + rotated_analyzer(u, theta, -1)
         assert np.allclose(total, rotated_analyzer(u, theta, None), atol=1e-12)
-        null = np.eye(SPACE.dim) - total
+        null = np.eye(DIM) - total
         assert np.allclose(null @ null, null, atol=1e-12)
 
     def test_analyzer_expectation_is_orientation_independent(self):

@@ -38,7 +38,7 @@ class TestPrepareState:
         if kind == "polarization":
             target = enc.singlet_pol()
         else:
-            w = np.kron(np.eye(2), vo.qplate_encoder(enc.DEFAULT_SPACE))
+            w = np.kron(np.eye(2), vo.qplate_encoder(enc.OAM_LEVELS))
             target = StateVector(w @ enc.singlet_pol().amplitudes)
         assert fidelity_pure(target, rho) == pytest.approx(v + (1 - v) / 4,
                                                            abs=1e-12)
@@ -54,7 +54,7 @@ class TestPrepareState:
 class TestThetaPolicy:
     def test_reversed_dynamic_range_rejected(self):
         with pytest.raises(ValueError):
-            ex.ThetaPolicy.dynamic(1.0, 0.5)
+            ex.ThetaPolicy(1.0, 0.5)
 
     @pytest.mark.parametrize("kind, field, value", [
         ("fixed", "theta", math.nan), ("fixed", "theta", math.inf),
@@ -65,9 +65,10 @@ class TestThetaPolicy:
         # fixed(t) is the range (t, t), so its first end is the one named
         name = "theta_min" if field == "theta" else field
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            getattr(ex.ThetaPolicy, kind)(**{field: value})
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             ex.ThetaPolicy(**{name: value})
+        if kind == "fixed":
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                ex.ThetaPolicy.fixed(value)
 
     def test_fixed_is_a_range_of_width_zero(self):
         assert ex.ThetaPolicy.fixed(0.7) == ex.ThetaPolicy(0.7, 0.7, False)
@@ -80,7 +81,7 @@ class TestThetaPolicy:
         channel = ex.ChannelModel(0.45, 0.9)
         fixed, dynamic = (ex.run_experiment(state, M3, channel, policy, 50_000, 5)
                           for policy in (ex.ThetaPolicy.fixed(theta),
-                                         ex.ThetaPolicy.dynamic(theta, theta)))
+                                         ex.ThetaPolicy(theta, theta)))
         assert repr(dataclasses.astuple(fixed)) == repr(dataclasses.astuple(dynamic))
 
 

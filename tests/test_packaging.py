@@ -1,13 +1,16 @@
 """The package needs numpy only: importing it loads no scipy, and numpy is
-the only declared runtime dependency."""
+the only declared runtime dependency.  Its public names are pinned."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import vortexsteer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +31,21 @@ def test_numpy_is_the_only_runtime_dependency():
         project = tomllib.load(fh)["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_public_names():
+    # the package's exports: every attribute of vortexsteer that is not a
+    # submodule and not private
+    names = sorted(name for name, value in vars(vortexsteer).items()
+                   if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert names == [
+        "BoundCurve", "ChannelModel", "CheatStrategy", "DensityMatrix",
+        "MeasurementSet", "NoiseModel", "ReconstructionReport", "StateVector",
+        "SteeringEstimate", "SteeringRunResult", "ThetaPolicy", "TomographySpec",
+        "bound_curve", "deterministic_bound", "dynamic_rotation_run",
+        "fidelity_pure", "loss_tolerant_bound", "platonic_set", "prepare_state",
+        "purity", "receiver", "reconstruct", "run_experiment", "simulate_counts",
+        "singlet_pol", "standard_settings", "steering_parameter_counts",
+        "steering_parameter_exact", "sweep_theta", "visibility_for_fidelity",
+        "werner_state",
+    ]

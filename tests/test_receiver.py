@@ -21,10 +21,10 @@ from vortexsteer import encoding as enc
 from vortexsteer import steering
 from vortexsteer.qmath import DensityMatrix
 
-SPACE = enc.DEFAULT_SPACE
-WIDE_SPACE = enc.OamSpace(-5, 4)
-# joint dimensions 4, 20 and 40
-RECEIVERS = [("polarization", SPACE), ("vortex", SPACE), ("vortex", WIDE_SPACE)]
+SPACE = enc.OAM_LEVELS
+WIDE_SPACE = tuple(range(-5, 5))  # a wider oracle ladder
+# joint dimensions 4 and 20
+RECEIVERS = [enc.receiver("polarization"), enc.receiver("vortex")]
 SEEDS = hs.integers(0, 2 ** 32 - 1)
 N_SETTINGS = hs.sampled_from([2, 3, 4, 6])
 
@@ -49,7 +49,7 @@ def random_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
 
 
 @lru_cache(maxsize=None)
-def unrotated_bob_elements(u: tuple, kind: str, space: enc.OamSpace):
+def unrotated_bob_elements(u: tuple, kind: str, space: tuple = SPACE):
     """Bob's (+1, -1, null) elements at zero orientation; ``u`` is a tuple,
     so that it can key the cache."""
     if kind == "polarization":
@@ -62,34 +62,33 @@ def unrotated_bob_elements(u: tuple, kind: str, space: enc.OamSpace):
     return plus, minus, np.eye(len(passed)) - passed
 
 
-def oracle_table(rho: DensityMatrix, mset, kind: str, thetas,
-                 space: enc.OamSpace) -> np.ndarray:
+def oracle_table(rho: DensityMatrix, mset, kind: str, thetas) -> np.ndarray:
     """p[k, alice, bob] from 6n separate traces; one angle per setting."""
     probs = np.zeros((mset.n, 2, 3))
     for k, (u, theta) in enumerate(zip(mset.directions, thetas)):
-        r = vo.explicit_rotation(kind, theta, space)
+        r = vo.explicit_rotation(kind, theta, SPACE)
         for ia, a in enumerate((+1, -1)):
             pa = enc.pol_projector(u, a)
-            for ib, e in enumerate(unrotated_bob_elements(tuple(u), kind, space)):
+            for ib, e in enumerate(unrotated_bob_elements(tuple(u), kind)):
                 val = np.trace(rho.entries @ np.kron(pa, r @ e @ r.conj().T))
                 probs[k, ia, ib] = max(0.0, float(val.real))
     return probs
 
 
-def quadrature_table(rho: DensityMatrix, mset, kind: str, lo: float, hi: float,
-                     space: enc.OamSpace) -> np.ndarray:
+def quadrature_table(rho: DensityMatrix, mset, kind: str, lo: float,
+                     hi: float) -> np.ndarray:
     """`oracle_table` averaged over one angle in [lo, hi] by 256-node
     Gauss-Legendre quadrature.  Each entry's trace at every node is one einsum
     over the stacked rotations, clipped at 0 node by node as in `oracle_table`."""
     x, weights = np.polynomial.legendre.leggauss(256)
-    r = np.stack([vo.explicit_rotation(kind, t, space)
+    r = np.stack([vo.explicit_rotation(kind, t, SPACE)
                   for t in (hi - lo) / 2 * x + (hi + lo) / 2])
     d = r.shape[-1]
     rho4 = rho.entries.reshape(2, d, 2, d)           # [alice i, bob x, alice j, bob y]
     probs = np.zeros((mset.n, 2, 3))
     for k, u in enumerate(mset.directions):
         rotated = [r @ e @ r.conj().transpose(0, 2, 1)
-                   for e in unrotated_bob_elements(tuple(u), kind, space)]
+                   for e in unrotated_bob_elements(tuple(u), kind)]
         for ia, a in enumerate((+1, -1)):
             # Tr[rho (P_a (x) B)] = sum rho[i,x,j,y] P_a[j,i] B[y,x]
             alice = np.einsum("ixjy,ji->yx", rho4, enc.pol_projector(u, a))
@@ -100,37 +99,33 @@ def quadrature_table(rho: DensityMatrix, mset, kind: str, lo: float, hi: float,
 
 
 @settings(max_examples=60, deadline=None)
-@given(receiver=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
+@given(rx=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
        per_setting=hs.booleans())
-def test_born_table_matches_trace_oracle(receiver, mset, seed, per_setting):
-    kind, space = receiver
-    rx = enc.receiver(kind, space)
+def test_born_table_matches_trace_oracle(rx, mset, seed, per_setting):
     rng = np.random.default_rng(seed)
-    rho = random_state(rng, 2 * space.dim if kind == "vortex" else 4)
+    rho = random_state(rng, len(rx.lift))
     n = mset.n
     theta = rng.uniform(0, 2 * np.pi, size=n if per_setting else None)
     table = steering.born_table(rho, mset, rx.detected_state(rho, theta))
-    expected = oracle_table(rho, mset, kind, np.broadcast_to(theta, (n,)), space)
+    expected = oracle_table(rho, mset, rx.kind, np.broadcast_to(theta, (n,)))
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(receiver=hs.sampled_from(RECEIVERS), mset=hs.builds(random_set, N_SETTINGS, SEEDS),
+@given(rx=hs.sampled_from(RECEIVERS), mset=hs.builds(random_set, N_SETTINGS, SEEDS),
        seed=SEEDS, encoded=hs.booleans(),
        thetas=hs.lists(hs.floats(0, 2 * np.pi, exclude_max=True), min_size=1, max_size=8),
        span=hs.sampled_from([0.0, 0.4]))
-def test_stacked_tables_equal_separate_calls(receiver, mset, seed, encoded, thetas, span):
+def test_stacked_tables_equal_separate_calls(rx, mset, seed, encoded, thetas, span):
     # a (T, 1) stack of detected states gives T tables, bit for bit those of
     # T separate calls; a generic state lies outside the encoded subspace
-    kind, space = receiver
-    rx = enc.receiver(kind, space)
     rng = np.random.default_rng(seed)
     rho = random_state(rng, 4)
-    if encoded or kind == "polarization":
+    if encoded or rx.kind == "polarization":
         w = np.kron(np.eye(2), rx.encoder)
         rho = DensityMatrix(w @ rho.entries @ w.conj().T)
     else:
-        rho = random_state(rng, 2 * space.dim)
+        rho = random_state(rng, len(rx.lift))
     stack = rx.detected_state(rho, np.reshape(thetas, (-1, 1)), span)
     separate = [rx.detected_state(rho, t, span) for t in thetas]
     assert stack.shape == (len(thetas), 1, 4, 4)
@@ -142,15 +137,14 @@ def test_stacked_tables_equal_separate_calls(receiver, mset, seed, encoded, thet
 
 @pytest.mark.parametrize("receiver", RECEIVERS)
 def test_receiver_constants_are_shared_read_only_arrays(receiver):
-    kind, space = receiver
-    rx = enc.receiver(kind, space)
-    assert enc.receiver(kind, space) is rx
-    if kind == "polarization":
+    rx = receiver
+    assert enc.receiver(rx.kind) is rx
+    if rx.kind == "polarization":
         kets, momenta = enc.CIRC_TO_HV, [1, -1]
         np.testing.assert_array_equal(rx.encoder, np.eye(2))
     else:  # the read-out |L> and |R> come back through the plate as |R, +1>, |L, -1>
-        kets = np.column_stack([vo.composite_ket(enc.KET_R, +1, space),
-                                vo.composite_ket(enc.KET_L, -1, space)])
+        kets = np.column_stack([vo.composite_ket(enc.KET_R, +1, SPACE),
+                                vo.composite_ket(enc.KET_L, -1, SPACE)])
         momenta = [-1 + 1, 1 - 1]
         np.testing.assert_array_equal(rx.encoder, kets @ enc.CIRC_TO_HV.conj().T)
     gaps = np.subtract.outer(momenta, momenta)
@@ -165,14 +159,14 @@ def test_receiver_constants_are_shared_read_only_arrays(receiver):
 
 
 @settings(max_examples=60, deadline=None)
-@given(space=hs.sampled_from([SPACE, enc.OamSpace(-3, 3), WIDE_SPACE]), seed=SEEDS,
-       theta=hs.floats(-50, 50), span=hs.sampled_from([0.0, np.pi]) | hs.floats(0, 10))
-def test_vortex_detected_state_ignores_rotation(space, seed, theta, span):
+@given(seed=SEEDS, theta=hs.floats(-50, 50),
+       span=hs.sampled_from([0.0, np.pi]) | hs.floats(0, 10))
+def test_vortex_detected_state_ignores_rotation(seed, theta, span):
     # both read modes have m = 0: any state, encoded or not, is read out the
     # same at every angle and span, bit for bit
-    rx = enc.receiver("vortex", space)
+    rx = enc.receiver("vortex")
     rng = np.random.default_rng(seed)
-    rho = random_state(rng, 2 * space.dim)
+    rho = random_state(rng, len(rx.lift))
     still = rx.detected_state(rho, 0.0)
     assert np.array_equal(rx.detected_state(rho, theta, span), still)
     angles = rng.uniform(-50, 50, size=3)
@@ -182,47 +176,42 @@ def test_vortex_detected_state_ignores_rotation(space, seed, theta, span):
 
 
 @settings(max_examples=30, deadline=None)
-@given(receiver=hs.sampled_from(RECEIVERS + [("vortex", enc.OamSpace(-3, 3))]),
-       n=N_SETTINGS, seed=SEEDS,
+@given(rx=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS,
        span=hs.sampled_from([0.0, np.pi / 2]) | hs.floats(0, 2 * np.pi))
-def test_detected_state_matches_full_frame_formula(receiver, n, seed, span):
+def test_detected_state_matches_full_frame_formula(rx, n, seed, span):
     # the two read modes give the state the whole circular frame gives:
     # bit for bit for polarization, to rounding for vortex, whose full-frame
     # read-out carries residues of about 1e-17 on the other modes
-    kind, space = receiver
-    rx = enc.receiver(kind, space)
     rng = np.random.default_rng(seed)
-    rho = random_state(rng, 2 * space.dim if kind == "vortex" else 4)
+    rho = random_state(rng, len(rx.lift))
     angles = rng.uniform(0, 2 * np.pi, size=n)
     for theta in (angles[0], angles, angles.reshape(-1, 1)):  # scalar, (n,), (T, 1)
         got = rx.detected_state(rho, theta, span)
-        want = vo.full_frame_detected_state(rx, rho, theta, span, space)
+        want = vo.full_frame_detected_state(rx.kind, rx.encoder, rho, theta, span,
+                                            SPACE)
         assert got.shape == want.shape == np.shape(theta) + (4, 4)
-        if kind == "polarization":
+        if rx.kind == "polarization":
             assert np.array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=8, deadline=None)
-@given(receiver=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS)
-def test_span_average_matches_quadrature(receiver, n, seed):
-    kind, space = receiver
-    rx = enc.receiver(kind, space)
+@given(rx=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS)
+def test_span_average_matches_quadrature(rx, n, seed):
     rng = np.random.default_rng(seed)
-    rho = random_state(rng, 2 * space.dim if kind == "vortex" else 4)
+    rho = random_state(rng, len(rx.lift))
     mset = steering.platonic_set(n)
     lo, hi = np.sort(rng.uniform(-2 * np.pi, 2 * np.pi, size=2))
-    expected = quadrature_table(rho, mset, kind, lo, hi, space)
+    expected = quadrature_table(rho, mset, rx.kind, lo, hi)
     table = steering.born_table(rho, mset, rx.detected_state(rho, lo, hi - lo))
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(space=hs.sampled_from([SPACE, WIDE_SPACE, enc.OamSpace(-8, 8)]),
-       seed=SEEDS, theta=hs.floats(-50, 50), span=hs.floats(0, 10))
-def test_encoded_two_qubit_state_is_rotation_invariant(space, seed, theta, span):
-    rx = enc.receiver("vortex", space)
+@given(seed=SEEDS, theta=hs.floats(-50, 50), span=hs.floats(0, 10))
+def test_encoded_two_qubit_state_is_rotation_invariant(seed, theta, span):
+    rx = enc.receiver("vortex")
     rho4 = random_state(np.random.default_rng(seed), 4)
     w = np.kron(np.eye(2), rx.encoder)
     encoded = DensityMatrix(w @ rho4.entries @ w.conj().T)
@@ -231,11 +220,27 @@ def test_encoded_two_qubit_state_is_rotation_invariant(space, seed, theta, span)
         np.testing.assert_allclose(got, rho4.entries, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("space", [enc.OamSpace(0, 2), enc.OamSpace(1, 3),
-                                   enc.OamSpace(-3, -1)])
-def test_vortex_receiver_needs_levels_minus_one_to_plus_one(space):
-    with pytest.raises(ValueError):
-        enc.receiver("vortex", space)
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, encoded=hs.booleans(), theta=hs.floats(-50, 50),
+       span=hs.sampled_from([0.0, np.pi]) | hs.floats(0, 10))
+def test_wider_oracle_ladder_gives_the_same_detected_state(seed, encoded, theta,
+                                                           span):
+    # the vortex qubit has m = 0, so where the ladder is cut off does not
+    # matter: a state zero-padded into the wider oracle ladder and read out
+    # through the oracle's own q-plate gives the receiver's detected state
+    rx = enc.receiver("vortex")
+    rng = np.random.default_rng(seed)
+    if encoded:
+        w = np.kron(np.eye(2), rx.encoder)
+        rho = w @ random_state(rng, 4).entries @ w.conj().T
+    else:
+        rho = random_state(rng, len(rx.lift)).entries
+    pad = np.kron(np.eye(2), vo.ladder_map(SPACE, WIDE_SPACE))
+    wide = vo.full_frame_detected_state(
+        "vortex", vo.qplate_encoder(WIDE_SPACE),
+        DensityMatrix(pad @ rho @ pad.conj().T), theta, span, WIDE_SPACE)
+    np.testing.assert_allclose(wide, rx.detected_state(DensityMatrix(rho), theta, span),
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("space", [SPACE, WIDE_SPACE])
@@ -244,7 +249,7 @@ def test_rotation_operator_matches_phase_convention(space):
     # L = diag(l) on the OAM ladder
     for theta in np.linspace(-3, 7, 11):
         spin = vo.explicit_rotation("polarization", theta, space)
-        orbit = np.diag(np.exp(-1j * vo.l_values(space) * theta))
+        orbit = np.diag(np.exp(-1j * np.array(space) * theta))
         assert np.allclose(vo.explicit_rotation("vortex", theta, space),
                            np.kron(spin, orbit), atol=1e-13)
         # |L> -> e^{-i theta}|L>, |R> -> e^{+i theta}|R>
@@ -254,22 +259,25 @@ def test_rotation_operator_matches_phase_convention(space):
 
 def test_oracle_analyzer_matches_receiver_readout():
     # rotated oracle elements are the receiver's read-out qubit projected
-    # through its encoder: R V Pi V^dag R^dag, and I - R V V^dag R^dag for null
+    # through its encoder: R V Pi V^dag R^dag, and I - R V V^dag R^dag for null;
+    # in the wider oracle ladder, with the receiver's modes zero-padded into it
     u = unit([0.3, -1.2, 0.4])
+    rx = enc.receiver("vortex")
     for space in (SPACE, WIDE_SPACE):
-        rx = enc.receiver("vortex", space)
+        pad = vo.ladder_map(SPACE, space)
+        dim = len(pad)
         plus, _, null = unrotated_bob_elements(tuple(u), "vortex", space)
         for theta in (0.0, 0.7, 2.9):
             r = vo.explicit_rotation("vortex", theta, space)
-            rv = r @ rx.encoder
+            rv = r @ pad @ rx.encoder
             assert np.allclose(r @ plus @ r.conj().T,
                                rv @ enc.pol_projector(u, +1) @ rv.conj().T,
                                atol=1e-13)
             assert np.allclose(r @ null @ r.conj().T,
-                               np.eye(space.dim) - rv @ rv.conj().T, atol=1e-13)
+                               np.eye(dim) - rv @ rv.conj().T, atol=1e-13)
         # the analyzer passes exactly the receiver's two read modes
-        kets = rx.lift[:space.dim, :2]
-        assert np.allclose(null, np.eye(space.dim) - kets @ kets.conj().T, atol=1e-13)
+        kets = pad @ rx.lift[:2 * len(SPACE), :2]
+        assert np.allclose(null, np.eye(dim) - kets @ kets.conj().T, atol=1e-13)
 
 
 def test_unknown_encoding_rejected():
@@ -279,7 +287,7 @@ def test_unknown_encoding_rejected():
 
 def test_receiver_for_maps_state_dimension_to_encoding():
     assert enc.receiver_for(4) is enc.receiver("polarization")
-    assert enc.receiver_for(2 * SPACE.dim) is enc.receiver("vortex")
-    for dim in (2, 8, 2 * WIDE_SPACE.dim):
+    assert enc.receiver_for(20) is enc.receiver("vortex")
+    for dim in (2, 8, 4 * len(WIDE_SPACE)):
         with pytest.raises(ValueError):
             enc.receiver_for(dim)

@@ -133,7 +133,7 @@ class TestReconstruct:
     def test_log_likelihood_monotone(self):
         spec = tm.standard_settings(20_000)
         counts = tm.simulate_counts(ex.werner_state(0.8), spec, seed=13)
-        rep = tm.reconstruct(counts, spec, keep_history=True)
+        rep = tm.reconstruct(counts, spec)
         diffs = np.diff(rep.history)
         assert np.all(diffs >= -1e-12)
 
@@ -226,7 +226,7 @@ class TestCertifiedFit:
         spec = (tm.minimal_settings if minimal else tm.standard_settings)(
             int(10 ** exponent))
         counts = tm.simulate_counts(rho, spec, seed)
-        rep = tm.reconstruct(counts, spec, keep_history=True)
+        rep = tm.reconstruct(counts, spec)
         loglik, gap = certificate(counts, spec, rep.rho_hat.entries)
         assert rep.converged == (gap <= tm.GAP_TOL * counts.sum())
         assert rep.gap == pytest.approx(gap, rel=1e-6, abs=1e-9 * counts.sum())
