@@ -162,9 +162,11 @@ def reconstruct(counts, spec: TomographySpec,
         iterations += 1
         # Nesterov extrapolation, restarted where it leaves the domain of f
         next_momentum = (1 + np.sqrt(1 + 4 * momentum ** 2)) / 2
-        y = rho + (momentum - 1) / next_momentum * (rho - prev)
-        py = _born(seen_design, y)
-        restarted = momentum == 1.0 or py.min(initial=np.inf) <= 0
+        restarted = momentum == 1.0
+        if not restarted:
+            y = rho + (momentum - 1) / next_momentum * (rho - prev)
+            py = _born(seen_design, y)
+            restarted = py.min(initial=np.inf) <= 0
         if restarted:
             y, py, next_momentum = rho, p, (1 + np.sqrt(5)) / 2
         gy = g if restarted else gradient(py)
@@ -172,10 +174,12 @@ def reconstruct(counts, spec: TomographySpec,
         while True:  # backtrack until the quadratic model bounds f from above
             cand = _project_density(y - step * gy)
             d = cand - y
-            if -gain(py, d) <= np.vdot(gy, d).real + np.vdot(d, d).real / (2 * step):
+            step_gain = gain(py, d)
+            if -step_gain <= np.vdot(gy, d).real + np.vdot(d, d).real / (2 * step):
                 break
             step /= 2
-        improvement = gain(p, cand - rho)
+        # from a restart y is rho, so the last trial's gain is the improvement
+        improvement = step_gain if restarted else gain(p, cand - rho)
         if improvement <= 0:
             if restarted:  # such a step descends unless zero: a fixed point
                 break

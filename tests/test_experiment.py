@@ -12,6 +12,16 @@ from vortexsteer.qmath import StateVector, fidelity_pure
 
 M3 = st.platonic_set(3)
 V_PAPER = ex.visibility_for_fidelity(0.977)
+SWEEP = tuple(math.radians(t) for t in range(0, 91, 15))
+
+
+def hexed(result):
+    """Every field of a run with floats as float.hex: equal means bit-equal."""
+    def walk(x):
+        if isinstance(x, tuple):
+            return tuple(walk(v) for v in x)
+        return x.hex() if isinstance(x, float) else x
+    return walk(dataclasses.astuple(result))
 
 
 class TestPrepareState:
@@ -75,14 +85,27 @@ class TestThetaPolicy:
         assert ex.ThetaPolicy.fixed(0.7).orientation(3, None) == (0.7, 0.0)
 
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("efficiencies", [(1.0, 1.0), (0.45, 0.9)])
     @pytest.mark.parametrize("theta", [0.0, 0.3, 2.5])
-    def test_fixed_and_dynamic_of_one_angle_give_identical_runs(self, kind, theta):
+    def test_block_mode_over_one_angle_samples_the_fixed_table(
+            self, kind, n, efficiencies, theta):
+        # block mode over (t, t) has the table of fixed(t), but its run draws
+        # the n block angles between Alice's thinning and the tallies
         state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
-        channel = ex.ChannelModel(0.45, 0.9)
-        fixed, dynamic = (ex.run_experiment(state, M3, channel, policy, 50_000, 5)
-                          for policy in (ex.ThetaPolicy.fixed(theta),
-                                         ex.ThetaPolicy(theta, theta)))
-        assert repr(dataclasses.astuple(fixed)) == repr(dataclasses.astuple(dynamic))
+        mset, channel = st.platonic_set(n), ex.ChannelModel(*efficiencies)
+        block = ex.ThetaPolicy(theta, theta, per_setting_block=True)
+        angles, span = block.orientation(n, np.random.default_rng(0))
+        table = ex._table(state, mset, efficiencies[0], theta)
+        assert ex._table(state, mset, efficiencies[0], angles, span).tobytes() \
+            == table.tobytes()
+        rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
+        rng.uniform(theta, theta, size=n)
+        counts = ex._sample(table, rng, n_eff)
+        want = ex._judge(st.steering_parameter_counts(counts), mset, kind, block,
+                         50_000, 5)
+        got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
+        assert hexed(got) == hexed(want)
 
 
 class TestRunExperiment:
@@ -224,6 +247,60 @@ class TestDynamic:
         with pytest.raises(ValueError):
             ex.dynamic_rotation_run(state, M3, ex.ChannelModel(),
                                     trials=0, seed=0)
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("efficiency", [1.0, 0.45])
+    @pytest.mark.parametrize("theta, span", [
+        (0.3, 0.0), (0.0, math.pi / 2), (SWEEP, 0.0)],
+        ids=["fixed", "per-trial", "sweep"])
+    def test_cached_table_is_the_fresh_table_read_only(
+            self, kind, n, efficiency, theta, span):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
+        mset = st.platonic_set(n)
+        angles = np.reshape(theta, (-1, 1)) if isinstance(theta, tuple) else theta
+        fresh = ex._table(state, mset, efficiency, angles, span)
+        cached = ex._cached_table(state, mset, efficiency, theta, span)
+        assert cached.shape == fresh.shape
+        assert cached.shape[-3:] == (n, 2, 3)
+        assert cached.tobytes() == fresh.tobytes()
+        assert ex._cached_table(state, mset, efficiency, theta, span) is cached
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[..., 0] = 0.0
+
+    def test_fixed_and_per_trial_runs_fill_the_cache_block_runs_do_not(self):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
+        channel = ex.ChannelModel(bob_efficiency=0.45)
+        cache = ex._cached_table
+        for seed in (1, 2):
+            ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3),
+                              10_000, seed)
+            ex.dynamic_rotation_run(state, M3, channel, 10_000, seed)
+        assert (cache.cache_info().currsize, cache.cache_info().hits) == (2, 2)
+        before = cache.cache_info()
+        ex.dynamic_rotation_run(state, M3, channel, 10_000, 3,
+                                per_setting_block=True)
+        assert cache.cache_info() == before
+
+    @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    def test_warm_and_cold_cache_give_identical_runs(self, kind):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
+        channel = ex.ChannelModel(0.45, 0.9)
+        mset = st.platonic_set(6)
+
+        def runs():
+            sweep = ex.sweep_theta(state, mset, channel, SWEEP, 50_000, 9)
+            dynamic = ex.dynamic_rotation_run(state, mset, channel, 50_000, 9)
+            return [hexed(r) for r in sweep + [dynamic]]
+
+        cold = runs()
+        assert ex._cached_table.cache_info().currsize == 2
+        warm = runs()
+        ex._cached_table.cache_clear()
+        assert runs() == warm == cold
 
 
 def test_verdict_invariant_enforced():
