@@ -155,11 +155,10 @@ def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     return rng, trials
 
 
-def _table(state, mset, bob_efficiency, theta, span=0.0) -> np.ndarray:
+def _table(rx, state, mset, bob_efficiency, theta, span=0.0) -> np.ndarray:
     """Born table(s), Bob's announced weight scaled by his efficiency, each
     setting's six entries normalised for the multinomial; angles of shape
     (T, 1) give T tables."""
-    rx = encoding.receiver_for(state.dim)
     probs = steering.born_table(state, mset, rx.detected_state(state, theta, span))
     out = probs * (bob_efficiency, bob_efficiency, 1.0)
     out[..., 2] = probs.sum(axis=-1) - out[..., :2].sum(axis=-1)
@@ -173,7 +172,8 @@ def _cached_table(state, mset, bob_efficiency, theta, span) -> np.ndarray:
     state and set are keyed by identity; ``theta`` is one angle, or a sweep's
     tuple of angles, which gives its (T, 1) stack of tables."""
     angles = np.reshape(theta, (-1, 1)) if isinstance(theta, tuple) else theta
-    table = _table(state, mset, bob_efficiency, angles, span)
+    table = _table(encoding.receiver_for(state.dim), state, mset, bob_efficiency,
+                   angles, span)
     table.flags.writeable = False
     return table
 
@@ -199,15 +199,16 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    trials: int, seed: int) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
     rng, n_eff = _thinned(mset, channel, trials, seed)
+    rx = encoding.receiver_for(state.dim)
     theta, span = theta_policy.orientation(mset.n, rng)
     if theta_policy.per_setting_block:  # fresh angles every run: nothing to reuse
-        table = _table(state, mset, channel.bob_efficiency, theta, span)
+        table = _table(rx, state, mset, channel.bob_efficiency, theta, span)
     else:
         table = _cached_table(state, mset, channel.bob_efficiency,
                               float(theta), float(span))
     counts = _sample(table, rng, n_eff)
-    return _judge(steering.steering_parameter_counts(counts), mset,
-                  encoding.receiver_for(state.dim).kind, theta_policy, trials, seed)
+    return _judge(steering.steering_parameter_counts(counts), mset, rx.kind,
+                  theta_policy, trials, seed)
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -223,13 +224,12 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
         raise ValueError("theta values must lie in [0, 2 pi)")
     child_seeds = derive_seeds(seed, len(thetas))
-    # one table stack, one tally stack
+    rx = encoding.receiver_for(state.dim)  # one table stack, one tally stack
     tables = _cached_table(state, mset, channel.bob_efficiency, tuple(thetas), 0.0)
     counts = np.empty(tables.shape, dtype=np.int64)
     for table, s, out in zip(tables, child_seeds, counts):
         out[...] = _sample(table, *_thinned(mset, channel, trials_per_point, s))
-    kind = encoding.receiver_for(state.dim).kind
-    return [_judge(est, mset, kind, ThetaPolicy.fixed(t), trials_per_point, s)
+    return [_judge(est, mset, rx.kind, ThetaPolicy.fixed(t), trials_per_point, s)
             for t, s, est in zip(thetas, child_seeds, steering._estimates(counts))]
 
 

@@ -95,9 +95,10 @@ class TestThetaPolicy:
         state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
         mset, channel = st.platonic_set(n), ex.ChannelModel(*efficiencies)
         block = ex.ThetaPolicy(theta, theta, per_setting_block=True)
+        rx = enc.receiver(kind)
         angles, span = block.orientation(n, np.random.default_rng(0))
-        table = ex._table(state, mset, efficiencies[0], theta)
-        assert ex._table(state, mset, efficiencies[0], angles, span).tobytes() \
+        table = ex._table(rx, state, mset, efficiencies[0], theta)
+        assert ex._table(rx, state, mset, efficiencies[0], angles, span).tobytes() \
             == table.tobytes()
         rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
         rng.uniform(theta, theta, size=n)
@@ -261,7 +262,7 @@ class TestTableCache:
         state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
         mset = st.platonic_set(n)
         angles = np.reshape(theta, (-1, 1)) if isinstance(theta, tuple) else theta
-        fresh = ex._table(state, mset, efficiency, angles, span)
+        fresh = ex._table(enc.receiver(kind), state, mset, efficiency, angles, span)
         cached = ex._cached_table(state, mset, efficiency, theta, span)
         assert cached.shape == fresh.shape
         assert cached.shape[-3:] == (n, 2, 3)
