@@ -74,16 +74,6 @@ class ThetaPolicy:
     def fixed(cls, theta: float) -> "ThetaPolicy":
         return cls(float(theta), float(theta))
 
-    def orientation(self, n: int, rng: np.random.Generator) -> tuple:
-        """(theta, span) for `Receiver.detected_state`.
-
-        Block mode draws one angle per setting.  Per-trial mode returns the
-        whole range: the aggregate tallies follow the exact average over it.
-        """
-        if self.per_setting_block:
-            return rng.uniform(self.theta_min, self.theta_max, size=n), 0.0
-        return self.theta_min, self.theta_max - self.theta_min
-
 
 @dataclass(frozen=True)
 class SteeringRunResult:
@@ -140,9 +130,6 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
     return DensityMatrix(w @ rho4 @ w.conj().T)
 
 
-# A run is table -> sample -> verdict.  Its rng draw order is fixed: alice
-# thinning, block thetas, setting split, outcome tallies (one call over rows).
-
 def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     """The run's generator after Alice's thinning, and the trials she kept."""
     if trials < mset.n:
@@ -167,15 +154,14 @@ def _table(rx, state, mset, bob_efficiency, theta, span=0.0) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _cached_table(state, mset, bob_efficiency, theta, span) -> np.ndarray:
-    """`_table` of one configuration, built once and shared read-only.  The
-    state and set are keyed by identity; ``theta`` is one angle, or a sweep's
-    tuple of angles, which gives its (T, 1) stack of tables."""
-    angles = np.reshape(theta, (-1, 1)) if isinstance(theta, tuple) else theta
-    table = _table(encoding.receiver_for(state.dim), state, mset, bob_efficiency,
-                   angles, span)
-    table.flags.writeable = False
-    return table
+def _cached_tables(state, mset, bob_efficiency, thetas: tuple, span) -> np.ndarray:
+    """The (T, n, 2, 3) `_table` stack of one configuration, one table per
+    angle in ``thetas``, built once and shared read-only.  The state and set
+    are keyed by identity."""
+    tables = _table(encoding.receiver_for(state.dim), state, mset, bob_efficiency,
+                    np.reshape(thetas, (-1, 1)), span)
+    tables.flags.writeable = False
+    return tables
 
 
 def _sample(table: np.ndarray, rng, n_eff: int) -> np.ndarray:
@@ -194,21 +180,37 @@ def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResul
         violated=estimate.s_value - 2 * estimate.std_err > bound)
 
 
+def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
+    """One run per policy on its own seed, with the receiver uniform over
+    [theta_min, theta_min + span]: one cached table stack, each table sampled
+    on its seed's generator, and one estimate pass over the tally stack."""
+    # thinning checks the trial count before any table is built
+    draws = [_thinned(mset, channel, trials, s) for s in seeds]
+    tables = _cached_tables(state, mset, channel.bob_efficiency,
+                            tuple(float(p.theta_min) for p in policies), float(span))
+    counts = np.empty(tables.shape, dtype=np.int64)
+    for table, draw, out in zip(tables, draws, counts):
+        out[...] = _sample(table, *draw)
+    kind = encoding.receiver_for(state.dim).kind
+    return [_judge(est, mset, kind, p, trials, s)
+            for p, s, est in zip(policies, seeds, steering._estimates(counts))]
+
+
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    channel: ChannelModel, theta_policy: ThetaPolicy,
                    trials: int, seed: int) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
+    lo, hi = theta_policy.theta_min, theta_policy.theta_max
+    if not theta_policy.per_setting_block:  # the exact average over the range
+        return _runs(state, mset, channel, [theta_policy], hi - lo, trials, [seed])[0]
+    # Block mode draws fresh angles every run, so it has no table to reuse.  Its
+    # rng draw order: Alice thinning, block angles, setting split, tallies.
     rng, n_eff = _thinned(mset, channel, trials, seed)
     rx = encoding.receiver_for(state.dim)
-    theta, span = theta_policy.orientation(mset.n, rng)
-    if theta_policy.per_setting_block:  # fresh angles every run: nothing to reuse
-        table = _table(rx, state, mset, channel.bob_efficiency, theta, span)
-    else:
-        table = _cached_table(state, mset, channel.bob_efficiency,
-                              float(theta), float(span))
-    counts = _sample(table, rng, n_eff)
-    return _judge(steering.steering_parameter_counts(counts), mset, rx.kind,
-                  theta_policy, trials, seed)
+    table = _table(rx, state, mset, channel.bob_efficiency,
+                   rng.uniform(lo, hi, size=mset.n))
+    return _judge(steering.steering_parameter_counts(_sample(table, rng, n_eff)),
+                  mset, rx.kind, theta_policy, trials, seed)
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -223,14 +225,8 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     thetas = [float(t) for t in thetas]
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
         raise ValueError("theta values must lie in [0, 2 pi)")
-    child_seeds = derive_seeds(seed, len(thetas))
-    rx = encoding.receiver_for(state.dim)  # one table stack, one tally stack
-    tables = _cached_table(state, mset, channel.bob_efficiency, tuple(thetas), 0.0)
-    counts = np.empty(tables.shape, dtype=np.int64)
-    for table, s, out in zip(tables, child_seeds, counts):
-        out[...] = _sample(table, *_thinned(mset, channel, trials_per_point, s))
-    return [_judge(est, mset, rx.kind, ThetaPolicy.fixed(t), trials_per_point, s)
-            for t, s, est in zip(thetas, child_seeds, steering._estimates(counts))]
+    return _runs(state, mset, channel, [ThetaPolicy.fixed(t) for t in thetas], 0.0,
+                 trials_per_point, derive_seeds(seed, len(thetas)))
 
 
 def dynamic_rotation_run(state: DensityMatrix, mset: steering.MeasurementSet,

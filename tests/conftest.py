@@ -15,7 +15,7 @@ acceptance_lines: list[str] = []
 
 @pytest.fixture(autouse=True)
 def cold_table_cache():
-    experiment._cached_table.cache_clear()
+    experiment._cached_tables.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -261,3 +261,53 @@ def test_quantum_separable_state_never_beats_bound():
                               trials=200_000, seed=seed)
         assert r.estimate.s_value <= r.bound_at_observed_xi + 3 * r.estimate.std_err
         assert not r.violated
+
+
+def lhs_table(mset, strategies) -> np.ndarray:
+    """Exact (n, 2, 3) run table of a local-hidden-state cheater.  With weight
+    w Alice holds the qubit of Bloch vector b and Bob answers setting k with
+    B_k = pattern[k] (0 declines).  Bob's raw outcome is -B_k, so B = +1 lands
+    in column 1 and B = -1 in column 0."""
+    table = np.zeros((mset.n, 2, 3))
+    for w, b, pattern in strategies:
+        for k, (u, bk) in enumerate(zip(mset.directions, pattern)):
+            column = 2 if bk == 0 else (1 + bk) // 2
+            table[k, :, column] += w * (1 + np.array([1, -1]) * (u @ b)) / 2
+    return table
+
+
+# weight 0.1 answers setting 1 with b = u_1; weight 0.9 answers settings 2 and
+# 3 with b on their bisector
+CHEATER = lhs_table(M3, [(0.1, M3.directions[0], (1, 0, 0)),
+                         (0.9, (M3.directions[1] + M3.directions[2]) / np.sqrt(2),
+                          (0, 1, 1))])
+
+
+def test_two_strategy_cheater_is_tight_on_the_pooled_ratio():
+    # announce rates (0.1, 0.9, 0.9): the mean of ratios S = 0.8047 is above
+    # C_3 = 0.7225 at xi = 0.633, which the pooled S' meets exactly
+    announced = CHEATER[..., :2].sum(axis=(-2, -1))
+    agree = CHEATER[..., 0, 1] + CHEATER[..., 1, 0]
+    c3, _ = bd.loss_tolerant_bound(M3, announced.mean())
+    assert np.allclose(CHEATER.sum(axis=(-2, -1)), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(announced, (0.1, 0.9, 0.9), rtol=0, atol=1e-15)
+    assert np.mean((2 * agree - announced) / announced) == pytest.approx(
+        (1 + np.sqrt(2)) / 3, abs=1e-12)
+    assert (2 * agree - announced).sum() / announced.sum() == pytest.approx(
+        c3, abs=1e-12)
+    assert c3 == pytest.approx(0.7225, abs=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the verdict judges the mean of per-setting ratios, which "
+    "a cheater with per-setting announce rates pushes above C_n"))
+def test_two_strategy_cheater_is_not_judged_violated():
+    # the nominal one-sided 2-sigma rate, 2.3%, plus 3 binomial standard
+    # errors over 100 seeds: 2.3 + 3 * 1.5 = 6.8, fixed before any run
+    trials, violated = 100_000, 0
+    for seed in range(100):
+        rng, n_eff = ex._thinned(M3, ex.ChannelModel(), trials, seed)
+        estimate = st.steering_parameter_counts(ex._sample(CHEATER, rng, n_eff))
+        violated += ex._judge(estimate, M3, "polarization",
+                              ex.ThetaPolicy.fixed(0.0), trials, seed).violated
+    assert violated <= 7

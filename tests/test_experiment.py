@@ -82,7 +82,6 @@ class TestThetaPolicy:
 
     def test_fixed_is_a_range_of_width_zero(self):
         assert ex.ThetaPolicy.fixed(0.7) == ex.ThetaPolicy(0.7, 0.7, False)
-        assert ex.ThetaPolicy.fixed(0.7).orientation(3, None) == (0.7, 0.0)
 
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
     @pytest.mark.parametrize("n", [3, 4, 6])
@@ -96,9 +95,9 @@ class TestThetaPolicy:
         mset, channel = st.platonic_set(n), ex.ChannelModel(*efficiencies)
         block = ex.ThetaPolicy(theta, theta, per_setting_block=True)
         rx = enc.receiver(kind)
-        angles, span = block.orientation(n, np.random.default_rng(0))
+        angles = np.random.default_rng(0).uniform(theta, theta, size=n)
         table = ex._table(rx, state, mset, efficiencies[0], theta)
-        assert ex._table(rx, state, mset, efficiencies[0], angles, span).tobytes() \
+        assert ex._table(rx, state, mset, efficiencies[0], angles).tobytes() \
             == table.tobytes()
         rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
         rng.uniform(theta, theta, size=n)
@@ -254,20 +253,23 @@ class TestTableCache:
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
     @pytest.mark.parametrize("n", [3, 4, 6])
     @pytest.mark.parametrize("efficiency", [1.0, 0.45])
-    @pytest.mark.parametrize("theta, span", [
-        (0.3, 0.0), (0.0, math.pi / 2), (SWEEP, 0.0)],
+    @pytest.mark.parametrize("thetas, span", [
+        ((0.3,), 0.0), ((0.0,), math.pi / 2), (SWEEP, 0.0)],
         ids=["fixed", "per-trial", "sweep"])
     def test_cached_table_is_the_fresh_table_read_only(
-            self, kind, n, efficiency, theta, span):
+            self, kind, n, efficiency, thetas, span):
+        # each table of the stack is also the table of its angle alone
         state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
-        mset = st.platonic_set(n)
-        angles = np.reshape(theta, (-1, 1)) if isinstance(theta, tuple) else theta
-        fresh = ex._table(enc.receiver(kind), state, mset, efficiency, angles, span)
-        cached = ex._cached_table(state, mset, efficiency, theta, span)
-        assert cached.shape == fresh.shape
-        assert cached.shape[-3:] == (n, 2, 3)
-        assert cached.tobytes() == fresh.tobytes()
-        assert ex._cached_table(state, mset, efficiency, theta, span) is cached
+        mset, rx = st.platonic_set(n), enc.receiver(kind)
+        cached = ex._cached_tables(state, mset, efficiency, thetas, span)
+        assert cached.shape == (len(thetas), n, 2, 3)
+        assert cached.tobytes() == ex._table(rx, state, mset, efficiency,
+                                             np.reshape(thetas, (-1, 1)),
+                                             span).tobytes()
+        for theta, table in zip(thetas, cached):
+            assert table.tobytes() == ex._table(rx, state, mset, efficiency, theta,
+                                                span).tobytes()
+        assert ex._cached_tables(state, mset, efficiency, thetas, span) is cached
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[..., 0] = 0.0
@@ -275,7 +277,7 @@ class TestTableCache:
     def test_fixed_and_per_trial_runs_fill_the_cache_block_runs_do_not(self):
         state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
         channel = ex.ChannelModel(bob_efficiency=0.45)
-        cache = ex._cached_table
+        cache = ex._cached_tables
         for seed in (1, 2):
             ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3),
                               10_000, seed)
@@ -285,6 +287,14 @@ class TestTableCache:
         ex.dynamic_rotation_run(state, M3, channel, 10_000, 3,
                                 per_setting_block=True)
         assert cache.cache_info() == before
+
+    def test_fixed_run_and_one_angle_sweep_share_one_table(self):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
+        channel = ex.ChannelModel(bob_efficiency=0.45)
+        ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3), 10_000, 1)
+        ex.sweep_theta(state, M3, channel, [0.3], 10_000, 2)
+        info = ex._cached_tables.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
     def test_warm_and_cold_cache_give_identical_runs(self, kind):
@@ -298,9 +308,9 @@ class TestTableCache:
             return [hexed(r) for r in sweep + [dynamic]]
 
         cold = runs()
-        assert ex._cached_table.cache_info().currsize == 2
+        assert ex._cached_tables.cache_info().currsize == 2
         warm = runs()
-        ex._cached_table.cache_clear()
+        ex._cached_tables.cache_clear()
         assert runs() == warm == cold
 
 
