@@ -6,12 +6,14 @@ projects the linear inversion onto the density matrices, then minimises the
 negative Poisson log-likelihood f by accelerated projected gradient (Shang,
 Zhang & Ng, PRA 95, 062336, 2017), which never lowers the likelihood.  As f is
 convex, gap = <grad f(rho), rho> - lambda_min(grad f(rho)) bounds f(rho) -
-min f; the fit has converged once gap <= GAP_TOL * sum(counts).
+min f; the fit has converged once gap <= GAP_TOL * sum(counts).  The spec
+holds the fit's fixed arrays; lambda_min is solved only where it can decide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -32,6 +34,10 @@ class TomographySpec:
     labels: tuple
     projectors: np.ndarray     # Alice (x) Bob
     counts_per_setting: int
+    design: np.ndarray = field(init=False, repr=False)  # rows conj(vec P_s)
+    pinv: np.ndarray = field(init=False, repr=False)    # of design
+    total: np.ndarray = field(init=False, repr=False)   # N sum_s P_s
+    trace: np.ndarray = field(init=False, repr=False)   # trace @ vec r = N sum_s p_s
 
     def __post_init__(self):
         if self.counts_per_setting < 1:
@@ -39,7 +45,11 @@ class TomographySpec:
         projectors = qmath._freeze(self.projectors)
         if projectors.shape[1:] != (4, 4) or gram_rank(projectors) < 16:
             raise ValueError("settings do not span the two-qubit operator space")
-        object.__setattr__(self, "projectors", projectors)
+        design, n = projectors.reshape(-1, 16).conj(), self.counts_per_setting
+        for name, value in dict(projectors=projectors, design=design,
+                                pinv=np.linalg.pinv(design), trace=n * design.sum(0),
+                                total=n * projectors.sum(0)).items():
+            object.__setattr__(self, name, qmath._freeze(value))  # fixed per spec
 
     @property
     def n_settings(self) -> int:
@@ -91,7 +101,7 @@ def _born(design: np.ndarray, r: np.ndarray) -> np.ndarray:
 def born_probabilities(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
     if rho.dim != 4:
         raise ValueError("tomography operates on two-qubit (4x4) states")
-    p = _born(spec.projectors.reshape(-1, 16).conj(), rho.entries)
+    p = _born(spec.design, rho.entries)
     return np.where(p > ZERO_TOL, p, 0.0)  # a mean of exactly 0 draws no counts
 
 
@@ -108,10 +118,12 @@ def simulate_counts(rho: DensityMatrix, spec: TomographySpec, seed: int) -> np.n
 def _project_density(h: np.ndarray) -> np.ndarray:
     """Frobenius-nearest density matrix: eigenvalues projected onto the simplex."""
     evals, evecs = np.linalg.eigh((h + h.conj().T) / 2)
-    desc = evals[::-1]
-    shift = (np.cumsum(desc) - 1) / np.arange(1, len(desc) + 1)
-    k = np.flatnonzero(desc > shift)[-1]
-    weights = np.maximum(evals - shift[k], 0.0)
+    partial = 0.0
+    for k, e in enumerate(evals[::-1].tolist(), 1):  # shift: the last (sum - 1)/k < e
+        partial += e
+        if e > (partial - 1) / k:
+            shift = (partial - 1) / k
+    weights = np.maximum(evals - shift, 0.0)
     return (evecs * weights) @ evecs.conj().T
 
 
@@ -126,12 +138,9 @@ def reconstruct(counts, spec: TomographySpec,
     if counts.shape != (spec.n_settings,) or not np.all(
             np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be one finite non-negative number per setting")
-    scale, seen = spec.counts_per_setting, counts > 0
-    n_seen, rows = counts[seen], spec.projectors.reshape(-1, 16)
-    design, seen_rows = rows.conj(), rows[seen]
-    seen_design = design[seen]
-    total = scale * spec.projectors.sum(axis=0)
-    trace = scale * design.sum(axis=0)  # -N sum(p) runs over every setting
+    seen = counts > 0
+    n_seen, seen_rows = counts[seen], spec.projectors.reshape(-1, 16)[seen]
+    seen_design, total, trace = spec.design[seen], spec.total, spec.trace
 
     def gain(p, d):
         # log-likelihood at r + d minus that at r, p = Tr(P_s r) on the seen
@@ -145,7 +154,7 @@ def reconstruct(counts, spec: TomographySpec,
         return total - ((n_seen / p) @ seen_rows).reshape(4, 4)
 
     # least-squares linear inversion, p_s = conj(vec P_s) . vec rho
-    rho = _project_density((np.linalg.pinv(design) @ (counts / scale)).reshape(4, 4))
+    rho = _project_density((spec.pinv @ (counts / spec.counts_per_setting)).reshape(4, 4))
     if _born(seen_design, rho).min(initial=np.inf) <= 0:
         rho = (rho + np.eye(4) / 4) / 2  # I/4 gives every seen setting p > 0
     p = _born(seen_design, rho)
@@ -156,19 +165,24 @@ def reconstruct(counts, spec: TomographySpec,
     step, momentum, prev, iterations = 1 / max(counts.sum(), 1.0), 1.0, rho, 0
     while True:
         g = gradient(p)
-        gap = float(np.vdot(g, rho).real - np.linalg.eigvalsh(g)[0])
+        inner = np.vdot(g, rho).real
+        # gap >= inner - min Re g_ii: solve only where gap may be <= tol, with a
+        # margin far above eigvalsh's rounding
+        solved = inner - min(g.diagonal().real.tolist()) <= (
+            tol + 1e-12 * math.sqrt(np.vdot(g, g).real))
+        gap = float(inner - np.linalg.eigvalsh(g)[0]) if solved else math.inf
         if gap <= tol or iterations == MAX_ITERATIONS:
             break
         iterations += 1
         # Nesterov extrapolation, restarted where it leaves the domain of f
-        next_momentum = (1 + np.sqrt(1 + 4 * momentum ** 2)) / 2
+        next_momentum = (1 + math.sqrt(1 + 4 * momentum ** 2)) / 2
         restarted = momentum == 1.0
         if not restarted:
             y = rho + (momentum - 1) / next_momentum * (rho - prev)
             py = _born(seen_design, y)
             restarted = py.min(initial=np.inf) <= 0
         if restarted:
-            y, py, next_momentum = rho, p, (1 + np.sqrt(5)) / 2
+            y, py, next_momentum = rho, p, (1 + math.sqrt(5)) / 2
         gy = g if restarted else gradient(py)
         step *= 2
         while True:  # backtrack until the quadratic model bounds f from above
@@ -197,7 +211,7 @@ def reconstruct(counts, spec: TomographySpec,
         purity=qmath.purity(rho_hat),
         log_likelihood=loglik,
         iterations=iterations,
-        converged=gap <= tol,
-        gap=gap,
+        converged=gap <= tol,  # an unsolved gap exceeds tol; report it exactly
+        gap=gap if solved else float(inner - np.linalg.eigvalsh(g)[0]),
         history=tuple(history),
     )
