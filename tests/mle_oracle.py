@@ -1,9 +1,8 @@
-"""Reference maximum-likelihood fit: the projected-gradient loop as it stood
-before the per-spec arrays, the scalar simplex threshold and the gated gap
-solve.  It rebuilds the design matrix and its pinv on every fit, projects
-with the array form of the simplex threshold and takes the exact gap,
-eigvalsh included, on every iteration.  `tomography.reconstruct` must return
-the same report bit for bit."""
+"""Reference maximum-likelihood fit: the projected-gradient loop written
+without shortcuts.  It rebuilds the design matrix and its pinv on every fit,
+projects with the array form of the simplex threshold and takes the exact
+gap, eigvalsh included, on every iteration.  `tomography.reconstruct` must
+return the same report bit for bit, for any iteration cap."""
 
 import numpy as np
 

@@ -328,8 +328,7 @@ def assert_same_fit(counts, spec, cap=tm.MAX_ITERATIONS):
 
 
 class TestOracleFit:
-    """The per-spec arrays, the scalar simplex threshold and the gap solve
-    that runs only when it can decide leave every iterate as it was."""
+    """reconstruct returns the reference loop's report bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(rank=hs.integers(1, 4), exponent=hs.floats(1, 5),
