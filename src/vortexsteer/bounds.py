@@ -15,8 +15,8 @@ E[P*(a)] / E[a], subject to E[a] >= n xi.  The best total payoff at a mean
 of x answered settings is the upper concave hull of the points (a, P*(a)),
 a = 0..n, with P*(0) = 0, and the optimum spends the floor exactly, so
 C_n(xi) is that hull at n xi over n xi.  The hull vertices are cached next to
-P*; one bisect finds the vertex or the facet (lo, hi) at n xi, whose end
-points, mixed to mean exactly n xi, are the witness.
+P*; one bisect, or one cursor along a rising grid, finds the vertex or the
+facet (lo, hi) at n xi, whose ends, mixed to mean n xi, are the witness.
 """
 
 from __future__ import annotations
@@ -108,19 +108,29 @@ def _facets(mset: MeasurementSet) -> tuple:
     return tuple(hull[1:]), tuple(best[a - 1] for a in hull[1:])
 
 
-def loss_tolerant_bound(mset: MeasurementSet, xi: float):
-    """C_n(xi) and an optimizing mixture of at most two strategies."""
-    if not 0.0 < xi <= 1.0:
-        raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    verts, points = _facets(mset)
-    floor = mset.n * xi
-    i = bisect.bisect_left(verts, floor)
+def _mix(verts, points, i, floor):
+    """C_n(xi) at floor = n xi, where verts[i] is the first hull vertex >=
+    floor, and its witness: the facet ends mixed to mean exactly floor."""
     if i == 0 or verts[i] == floor:
         return points[i][0] / verts[i], ((1.0, points[i][1]),)
     (lo, hi), ((p_lo, s_lo), (p_hi, s_hi)) = verts[i - 1:i + 1], points[i - 1:i + 1]
     w = (hi - floor) / (hi - lo)
     value = (w * p_lo + (1 - w) * p_hi) / floor
-    return value, tuple(m for m in ((w, s_lo), (1 - w, s_hi)) if m[0] > SUPPORT_TOL)
+    if w <= SUPPORT_TOL:
+        return value, ((1 - w, s_hi),)
+    if 1 - w <= SUPPORT_TOL:
+        return value, ((w, s_lo),)
+    return value, ((w, s_lo), (1 - w, s_hi))
+
+
+def loss_tolerant_bound(mset: MeasurementSet, xi: float):
+    """C_n(xi) and an optimizing mixture of at most two strategies."""
+    xi = float(xi)
+    if not 0.0 < xi <= 1.0:
+        raise ValueError(f"xi must lie in (0, 1], got {xi}")
+    verts, points = _facets(mset)
+    floor = mset.n * xi
+    return _mix(verts, points, bisect.bisect_left(verts, floor), floor)
 
 
 def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
@@ -130,10 +140,15 @@ def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
         raise ValueError("grid values must lie in (0, 1]")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("xi grid must be strictly increasing")
+    verts, points = _facets(mset)
+    n, i = mset.n, 0
     values = []
     witnesses = []
-    for xi in xi_grid:
-        c, w = loss_tolerant_bound(mset, xi)
+    for xi in xi_grid:     # one facet cursor; n xi <= n, the last vertex
+        floor = n * xi
+        while verts[i] < floor:
+            i += 1
+        c, w = _mix(verts, points, i, floor)
         values.append(c)
         witnesses.append(w)
     for a, b in zip(values, values[1:]):

@@ -83,6 +83,17 @@ class TestLossTolerantBound:
             assert 1 <= len(witness) <= 2
             assert sum(w for w, _ in witness) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("xi, value", [(np.float32(0.45), 0.848129453591574),
+                                           (np.float64(0.45), 0.8481294420967284)],
+                             ids=["float32", "float64"])
+    def test_numpy_scalar_xi_is_read_as_a_python_float(self, xi, value):
+        # float32 arithmetic gave float32(0.84812945) at n = 3
+        c, witness = bd.loss_tolerant_bound(M3, xi)
+        assert type(c) is float
+        assert all(type(w) is float for w, _ in witness)
+        assert c == bd.bound_curve(M3, [xi]).c_values[0] == value
+        assert c == bd.loss_tolerant_bound(M3, float(xi))[0]
+
     def test_per_setting_floor_is_no_easier_for_the_cheater(self):
         for xi in (0.45, 0.6, 0.8):
             avg, _ = bd.loss_tolerant_bound(M3, xi)
@@ -145,6 +156,39 @@ def random_set(n: int, seed: int) -> st.MeasurementSet:
         return st.MeasurementSet(vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
     except ValueError:   # a (near-)parallel pair
         assume(False)
+
+
+def grid_points(n: int):
+    """xi values for curve grids: drawn ones, the kinks k/n and one ulp to
+    either side, floors n xi within SUPPORT_TOL of an integer a (so of every
+    hull vertex, where the witness keeps one strategy), and xi = 1."""
+    kink = hs.tuples(hs.integers(1, n), hs.sampled_from([-1.0, 0.0, 1.0])).map(
+        lambda ks: float(np.nextafter(ks[0] / n, ks[0] / n + ks[1])))
+    near_vertex = hs.tuples(hs.integers(1, n),
+                            hs.floats(-bd.SUPPORT_TOL, bd.SUPPORT_TOL)).map(
+        lambda ad: (ad[0] + ad[1]) / n)
+    return hs.one_of(XI, kink, near_vertex, hs.just(1.0))
+
+
+class TestCurveWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(n=hs.integers(2, 7), seed=SEEDS, platonic=hs.booleans(),
+           one_point=hs.booleans(), data=hs.data())
+    def test_curve_is_the_pointwise_bound_bit_for_bit(self, n, seed, platonic,
+                                                      one_point, data):
+        mset = st.platonic_set(n) if platonic and n in (2, 3, 4, 6) else random_set(n, seed)
+        points = data.draw(hs.lists(grid_points(n), min_size=1, max_size=40))
+        grid = sorted({x for x in points if 0.0 < x <= 1.0})
+        assume(grid)
+        grid = grid[-1:] if one_point else grid
+        curve = bd.bound_curve(mset, grid)
+        for xi, c, witness in zip(curve.xi_grid, curve.c_values, curve.witnesses):
+            c_ref, witness_ref = bd.loss_tolerant_bound(mset, xi)
+            assert c.hex() == c_ref.hex()
+            assert len(witness) == len(witness_ref)
+            for (w, s), (w_ref, s_ref) in zip(witness, witness_ref):
+                assert w.hex() == w_ref.hex()
+                assert s is s_ref
 
 
 def witness_value(mset, witness) -> float:

@@ -67,6 +67,52 @@ class TestBoundCommand:
         assert read_lines(out)[-1].split(",")[0] == "1"
 
 
+# C_n as JSON prints it in full, with the witness text, on one grid: xi below
+# 1/n (n = 2, 3), the kink xi = 1/2, and floors n xi within SUPPORT_TOL above
+# and below a hull vertex, where the witness keeps one strategy.
+GOLDEN_BOUND_GRID = "0.3,0.5,0.5000000001,0.6666666667,0.9,0.9999999999,1"
+GOLDEN_BOUND_ROWS = {
+    2: [(0.3, 1.0, ".+:1.000000"),
+        (0.5, 1.0, ".+:1.000000"),
+        (0.5000000001, 0.9999999998828426, ".+:1.000000"),
+        (0.6666666667, 0.8535533905713069, ".+:0.666667;++:0.333333"),
+        (0.9, 0.7396504721658201, ".+:0.200000;++:0.800000"),
+        (0.9999999999, 0.7071067812158369, "++:1.000000"),
+        (1.0, 0.7071067811865476, "++:1.000000")],
+    3: [(0.3, 1.0, "..+:1.000000"),
+        (0.5, 0.8047378541243649, "..+:0.500000;.++:0.500000"),
+        (0.5000000001, 0.8047378540462602, "..+:0.500000;.++:0.500000"),
+        (0.6666666667, 0.707106781167084, ".++:1.000000"),
+        (0.9, 0.6061850496333862, ".++:0.300000;+++:0.700000"),
+        (0.9999999999, 0.5773502692155771, "+++:1.000000"),
+        (1.0, 0.5773502691896257, "+++:1.000000")],
+    4: [(0.3, 0.9388321936425753, "...+:0.800000;..+-:0.200000"),
+        (0.5, 0.8164965809277261, "..+-:1.000000"),
+        (0.5000000001, 0.8164965808320676, "..+-:1.000000"),
+        (0.6666666667, 0.69692342504074, "..+-:0.666667;++--:0.333333"),
+        (0.9, 0.6039220816049704, "..+-:0.200000;++--:0.800000"),
+        (0.9999999999, 0.5773502692135405, "++--:1.000000"),
+        (1.0, 0.5773502691896258, "++--:1.000000")],
+    6: [(0.3, 0.8672451629795911, ".....+:0.200000;....+-:0.800000"),
+        (0.5, 0.7946544722917662, "...+-+:1.000000"),
+        (0.5000000001, 0.7946544722065955, "...+-+:1.000000"),
+        (0.6666666667, 0.6881909602132599, "..+-+-:1.000000"),
+        (0.9, 0.5724216178763993, "..+-+-:0.300000;++++++:0.700000"),
+        (0.9999999999, 0.5393446629464009, "++++++:1.000000"),
+        (1.0, 0.5393446629166316, "++++++:1.000000")],
+}
+
+
+@pytest.mark.parametrize("n", list(GOLDEN_BOUND_ROWS))
+def test_bound_json_golden(tmp_path, n):
+    out = tmp_path / "curve.json"
+    assert run(["bound", "--n", str(n), "--xi", GOLDEN_BOUND_GRID, "--format", "json",
+                "--output", str(out)]) == 0
+    records = [{"c_n": c, "witness_pattern": w, "xi": xi}
+               for xi, c, w in GOLDEN_BOUND_ROWS[n]]
+    assert out.read_text() == json.dumps(records, sort_keys=True, indent=2) + "\n"
+
+
 class TestSteerCommand:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
