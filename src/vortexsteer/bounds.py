@@ -14,9 +14,10 @@ matters, so a mixture is a distribution over a = 1..n with value
 E[P*(a)] / E[a], subject to E[a] >= n xi.  The best total payoff at a mean
 of x answered settings is the upper concave hull of the points (a, P*(a)),
 a = 0..n, with P*(0) = 0, and the optimum spends the floor exactly, so
-C_n(xi) is that hull at n xi over n xi.  The hull vertices are cached next to
-P*; one bisect, or one cursor along a rising grid, finds the vertex or the
-facet (lo, hi) at n xi, whose ends, mixed to mean n xi, are the witness.
+C_n(xi) is that hull at n xi over n xi.  One cached table per set holds the
+hull vertices and their strategies; one bisect, or one cursor along a rising
+grid, finds the vertex or the facet (lo, hi) at n xi, whose ends, mixed to
+mean n xi, are the witness.
 """
 
 from __future__ import annotations
@@ -66,37 +67,22 @@ class BoundCurve:
 
 
 @functools.lru_cache(maxsize=32)
-def best_strategies(mset: MeasurementSet) -> tuple:
-    """(P*(a), strategy) for a = 1..n: the longest resultant over answer
-    patterns with a answered settings, with its optimal Bloch vector.
+def _facets(mset: MeasurementSet) -> tuple:
+    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, and
+    their (P*(a), strategy); a point on or below a chord is dropped.
 
-    Patterns are scanned in a fixed lexicographic order (null < +1 < -1 per
-    setting) and the first longest one is kept, so witnesses are
-    reproducible.
+    P*(a) is the longest resultant over answer patterns with a answered
+    settings, and its strategy takes the resultant's direction.  Patterns are
+    scanned in a fixed lexicographic order (null < +1 < -1 per setting) and
+    the first longest one is kept, so witnesses are reproducible.
     """
     patterns = np.array(list(product((0, 1, -1), repeat=mset.n)))
     resultants = patterns @ mset.directions
     norms = np.linalg.norm(resultants, axis=1)
     answered = np.count_nonzero(patterns, axis=1)
-    best = []
-    for a in range(1, mset.n + 1):
-        j = int(np.argmax(np.where(answered == a, norms, -1.0)))
-        strategy = CheatStrategy(resultants[j] / norms[j], tuple(patterns[j]))
-        best.append((float(norms[j]), strategy))
-    return tuple(best)
-
-
-def deterministic_bound(mset: MeasurementSet) -> float:
-    """C_n at xi = 1: every setting answered, optimal sign pattern and state."""
-    return best_strategies(mset)[-1][0] / mset.n
-
-
-@functools.lru_cache(maxsize=32)
-def _facets(mset: MeasurementSet) -> tuple:
-    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, and
-    their (P*(a), strategy); a point on or below a chord is dropped."""
-    best = best_strategies(mset)
-    pstar = (0.0,) + tuple(p for p, _ in best)
+    best = [int(np.argmax(np.where(answered == a, norms, -1.0)))
+            for a in range(mset.n + 1)]     # a = 0: the all-null pattern
+    pstar = norms[best].tolist()
     hull = [0]
     for a in range(1, mset.n + 1):
         while len(hull) > 1:     # is the last vertex b above the chord c -> a?
@@ -105,7 +91,9 @@ def _facets(mset: MeasurementSet) -> tuple:
                 break
             hull.pop()
         hull.append(a)
-    return tuple(hull[1:]), tuple(best[a - 1] for a in hull[1:])
+    return tuple(hull[1:]), tuple(
+        (pstar[a], CheatStrategy(resultants[best[a]] / norms[best[a]],
+                                 tuple(patterns[best[a]]))) for a in hull[1:])
 
 
 def _mix(verts, points, i, floor):
@@ -131,6 +119,11 @@ def loss_tolerant_bound(mset: MeasurementSet, xi: float):
     verts, points = _facets(mset)
     floor = mset.n * xi
     return _mix(verts, points, bisect.bisect_left(verts, floor), floor)
+
+
+def deterministic_bound(mset: MeasurementSet) -> float:
+    """C_n at xi = 1: every setting answered, optimal sign pattern and state."""
+    return loss_tolerant_bound(mset, 1.0)[0]
 
 
 def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:

@@ -42,10 +42,10 @@ class TomographySpec:
     def __post_init__(self):
         if self.counts_per_setting < 1:
             raise ValueError("counts_per_setting must be positive")
-        projectors = qmath._freeze(self.projectors)
-        if projectors.shape[1:] != (4, 4) or gram_rank(projectors) < 16:
+        projectors, n = qmath._freeze(self.projectors), self.counts_per_setting
+        if projectors.shape[1:] != (4, 4) or np.linalg.matrix_rank(
+                design := projectors.reshape(-1, 16).conj(), tol=1e-10) < 16:
             raise ValueError("settings do not span the two-qubit operator space")
-        design, n = projectors.reshape(-1, 16).conj(), self.counts_per_setting
         for name, value in dict(projectors=projectors, design=design,
                                 pinv=np.linalg.pinv(design), trace=n * design.sum(0),
                                 total=n * projectors.sum(0)).items():
@@ -66,11 +66,6 @@ class ReconstructionReport:
     converged: bool
     gap: float                 # bounds max log-likelihood - log_likelihood
     history: tuple             # log-likelihood at the start and after each step taken
-
-
-def gram_rank(projectors) -> int:
-    flat = np.array([np.asarray(p).ravel() for p in projectors])
-    return int(np.linalg.matrix_rank(flat, tol=1e-10))
 
 
 def _pair_projectors(side_labels):

@@ -212,14 +212,20 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_payoff_table_matches_enumeration(self, n):
+        # the cached table is the hull's vertices: its chords are the facets
         mset = st.platonic_set(n)
-        best = bd.best_strategies(mset)
-        assert best is bd.best_strategies(st.platonic_set(n))   # cached
+        verts, points = table = bd._facets(mset)
+        assert table is bd._facets(st.platonic_set(n))   # cached
+        assert verts[-1] == n
         pstar = bo.brute_force_pstar(mset)
-        for a, (payoff, strategy) in enumerate(best, 1):
+        for a, (payoff, strategy) in zip(verts, points):
             assert payoff == pytest.approx(pstar[a], rel=0, abs=1e-12)
             assert bo.strategy_payoff(strategy, mset) == pytest.approx((payoff, a),
                                                                        abs=1e-12)
+        ends = [(0, 0.0)] + [(a, p) for a, (p, _) in zip(verts, points)]
+        chords = [((p0 * a1 - p1 * a0) / (a1 - a0), (p1 - p0) / (a1 - a0))
+                  for (a0, p0), (a1, p1) in zip(ends, ends[1:])]
+        np.testing.assert_allclose(chords, bo.hull_facets(pstar), rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=hs.integers(2, 5), seed=SEEDS, xi=XI)

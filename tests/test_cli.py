@@ -1,13 +1,20 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vortexsteer import cli, encoding, experiment, tomography
 from vortexsteer.qmath import DensityMatrix
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -601,3 +608,47 @@ class TestSeededGoldenRows:
 def test_no_arguments_prints_usage_and_exits_2(capsys):
     assert run([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--n", "3", "--xi", "1:2"], "grid must be start:stop:step, got '1:2'"),
+    (["bound", "--n", "3", "--xi", "0:1:0"], "grid step must be positive"),
+    (["bound", "--n", "3", "--xi", ","], "empty grid ','"),
+    (["steer", "--seed", "1", "--visibility", "1.5"], "werner_v must lie in [0, 1]"),
+    (["steer", "--seed", "1", "--visibility", "1", "--dephasing", "2"],
+     "dephasing must lie in [0, 1]"),
+    (["steer", "--seed", "1", "--visibility", "1", "--efficiency", "0"],
+     "bob_efficiency must lie in (0, 1]"),
+    (["steer", "--seed", "1", "--visibility", "1", "--alice-efficiency", "1.5"],
+     "alice_efficiency must lie in (0, 1]"),
+    (["tomo", "--seed", "1", "--visibility", "1", "--counts-per-setting", "0"],
+     "counts_per_setting must be positive"),
+], ids=["grid-two-parts", "grid-zero-step", "grid-empty", "visibility", "dephasing",
+        "efficiency", "alice-efficiency", "counts-per-setting"])
+def test_out_of_range_input_exits_2_writing_nothing(tmp_path, capsys, argv, message):
+    assert run(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unexpected_exception_exits_1_writing_no_sidecar(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli.COMMANDS, "bound", broken)
+    assert run(["bound", "--n", "3", "--xi", "0.5,1",
+                "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "runtime error: broken command\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, code", [(3, 0), (5, 2)])
+def test_module_entry_point_exits_with_mains_code(tmp_path, n, code):
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    out = tmp_path / "curve.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "vortexsteer.cli", "bound", "--n", str(n), "--xi", "0.5,1",
+         "--output", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert done.returncode == code
+    assert out.exists() == (code == 0)
