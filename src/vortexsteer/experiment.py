@@ -132,6 +132,8 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
 
 def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     """The run's generator after Alice's thinning, and the trials she kept."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
     if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
@@ -181,18 +183,24 @@ def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResul
 
 
 def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
-    """One run per policy on its own seed, with the receiver uniform over
-    [theta_min, theta_min + span]: one cached table stack, each table sampled
-    on its seed's generator, and one estimate pass over the tally stack."""
+    """One run per policy on its own seed, the receiver uniform over
+    [theta_min, theta_min + span] or, in block mode, at n fresh uncached angles
+    per run.  Each run's generator draws Alice's thinning, the block angles,
+    the setting split and the tallies, in that order; one pass judges all."""
     # thinning checks the trial count before any table is built
     draws = [_thinned(mset, channel, trials, s) for s in seeds]
-    tables = _cached_tables(state, mset, channel.bob_efficiency,
-                            tuple(float(p.theta_min) for p in policies), float(span))
+    rx = encoding.receiver_for(state.dim)
+    if any(p.per_setting_block for p in policies):
+        angles = [rng.uniform(p.theta_min, p.theta_max, size=mset.n)
+                  for p, (rng, _) in zip(policies, draws)]
+        tables = _table(rx, state, mset, channel.bob_efficiency, np.array(angles))
+    else:
+        tables = _cached_tables(state, mset, channel.bob_efficiency,
+                                tuple(float(p.theta_min) for p in policies), float(span))
     counts = np.empty(tables.shape, dtype=np.int64)
     for table, draw, out in zip(tables, draws, counts):
         out[...] = _sample(table, *draw)
-    kind = encoding.receiver_for(state.dim).kind
-    return [_judge(est, mset, kind, p, trials, s)
+    return [_judge(est, mset, rx.kind, p, trials, s)
             for p, s, est in zip(policies, seeds, steering._estimates(counts))]
 
 
@@ -200,17 +208,8 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    channel: ChannelModel, theta_policy: ThetaPolicy,
                    trials: int, seed: int) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
-    lo, hi = theta_policy.theta_min, theta_policy.theta_max
-    if not theta_policy.per_setting_block:  # the exact average over the range
-        return _runs(state, mset, channel, [theta_policy], hi - lo, trials, [seed])[0]
-    # Block mode draws fresh angles every run, so it has no table to reuse.  Its
-    # rng draw order: Alice thinning, block angles, setting split, tallies.
-    rng, n_eff = _thinned(mset, channel, trials, seed)
-    rx = encoding.receiver_for(state.dim)
-    table = _table(rx, state, mset, channel.bob_efficiency,
-                   rng.uniform(lo, hi, size=mset.n))
-    return _judge(steering.steering_parameter_counts(_sample(table, rng, n_eff)),
-                  mset, rx.kind, theta_policy, trials, seed)
+    span = theta_policy.theta_max - theta_policy.theta_min
+    return _runs(state, mset, channel, [theta_policy], span, trials, [seed])[0]
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:

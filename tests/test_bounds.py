@@ -30,6 +30,8 @@ class TestStrategyPayoff:
     def test_all_null_rejected(self):
         with pytest.raises(ValueError):
             bd.CheatStrategy([0, 0, 1], (0, 0, 0))
+        with pytest.raises(ValueError, match=r"answers must be \+1, -1 or 0 \(null\)"):
+            bd.CheatStrategy(np.array([0, 0, 1.]), (2, 0, 0))
 
 
 class TestDeterministicBound:

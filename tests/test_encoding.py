@@ -151,6 +151,10 @@ class TestBobAnalyzer:
         null = np.eye(DIM) - total
         assert np.allclose(null @ null, null, atol=1e-12)
 
+    def test_projector_outcome_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match=r"outcome must be \+1 or -1"):
+            enc.pol_projector((0, 0, 1), 0)
+
     def test_analyzer_expectation_is_orientation_independent(self):
         # central invariance claim: statistics on the encoded singlet do not
         # depend on the receiver orientation

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ class TestPrepareState:
         assert ex.visibility_for_fidelity(1.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             ex.visibility_for_fidelity(0.1)
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\]"):
+            ex.werner_state(1.5)
 
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
     def test_fidelity_matches_werner_formula_in_both_encodings(self, kind):
@@ -107,6 +110,25 @@ class TestThetaPolicy:
         got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
         assert hexed(got) == hexed(want)
 
+    @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("efficiencies", [(1.0, 1.0), (0.45, 0.9)])
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.pi / 2), (1.0, 4.0)])
+    def test_block_mode_draw_order(self, kind, n, efficiencies, lo, hi):
+        # a block run's generator draws Alice's thinning, the n block angles,
+        # the setting split and the tallies, in that order
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
+        mset, channel = st.platonic_set(n), ex.ChannelModel(*efficiencies)
+        block = ex.ThetaPolicy(lo, hi, per_setting_block=True)
+        rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
+        angles = rng.uniform(lo, hi, size=n)
+        table = ex._table(enc.receiver(kind), state, mset, efficiencies[0], angles)
+        counts = ex._sample(table, rng, n_eff)
+        want = ex._judge(st.steering_parameter_counts(counts), mset, kind, block,
+                         50_000, 5)
+        got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
+        assert hexed(got) == hexed(want)
+
 
 class TestRunExperiment:
     def test_seed_reproducibility(self):
@@ -162,6 +184,34 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ex.run_experiment(state, M3, ex.ChannelModel(),
                               ex.ThetaPolicy.fixed(0.0), trials=0, seed=0)
+
+    @pytest.mark.parametrize("trials", [100_000.5, 1e5, np.float64(1e5), True, "100000"],
+                             ids=["fraction", "float", "numpy-float", "bool", "str"])
+    def test_non_integer_trials_rejected(self, trials):
+        # numpy would truncate 100000.5 to 100,000 trials; the bool is
+        # rejected by type before the trial count is range-checked
+        state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
+        channel = ex.ChannelModel()
+        runs = [
+            lambda: ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.0),
+                                      trials, 0),
+            lambda: ex.run_experiment(state, M3, channel,
+                                      ex.ThetaPolicy(0.0, 1.0, per_setting_block=True),
+                                      trials, 0),
+            lambda: ex.sweep_theta(state, M3, channel, [0.0, 0.5], trials, 0),
+            lambda: ex.dynamic_rotation_run(state, M3, channel, trials, 0),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"trials must be an integer, got {trials!r}")):
+                run()
+
+    def test_numpy_integer_trials_accepted(self):
+        state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
+        policy = ex.ThetaPolicy(0.0, 1.0, per_setting_block=True)
+        a = ex.run_experiment(state, M3, ex.ChannelModel(), policy, np.int64(10_000), 7)
+        b = ex.run_experiment(state, M3, ex.ChannelModel(), policy, 10_000, 7)
+        assert hexed(a) == hexed(b)
 
 
 class TestSweep:

@@ -38,6 +38,8 @@ class TestConstructors:
     def test_state_vector_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="empty state vector"):
+            StateVector([])
 
     def test_normalized_helper_gives_unit_vector(self):
         psi = normalized([1.0, 1.0])
@@ -47,6 +49,8 @@ class TestConstructors:
         m = np.array([[0.5, 0.2], [0.1, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             DensityMatrix(m)
+        with pytest.raises(ValueError, match="density matrix must be square"):
+            DensityMatrix(np.ones((2, 3)) / 2)
 
     def test_density_rejects_bad_trace(self):
         with pytest.raises(ValueError):

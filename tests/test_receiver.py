@@ -291,3 +291,5 @@ def test_receiver_for_maps_state_dimension_to_encoding():
     for dim in (2, 8, 4 * len(WIDE_SPACE)):
         with pytest.raises(ValueError):
             enc.receiver_for(dim)
+    with pytest.raises(ValueError, match="vortex receiver expects a 20x20 state"):
+        enc.receiver("vortex").detected_state(enc.singlet_pol().density(), 0.0)

@@ -64,6 +64,10 @@ class TestSettings:
         projs = np.einsum("si,sj->sij", kets, kets.conj())
         with pytest.raises(ValueError, match="two-qubit"):
             tm.TomographySpec(tuple(map(str, range(70))), projs, 100)
+        vortex = ex.prepare_state(ex.NoiseModel(1.0), "vortex")
+        with pytest.raises(ValueError,
+                           match=r"tomography operates on two-qubit \(4x4\) states"):
+            tm.born_probabilities(vortex, tm.standard_settings())
 
 
 def ginibre_state(rng, rank):
