@@ -197,9 +197,9 @@ _SAMPLING = ("steer", "sweep", "dynamic", "tomo")
 _RUNS = ("steer", "sweep", "dynamic")
 KEYS = (
     Key("output", "--output", str, REQUIRED, tuple(COMMANDS)),
-    Key("format", "--format", ("csv", "json"), "csv", tuple(COMMANDS)),
+    Key("format", "--format", ("csv", "json"), "csv", ("bound",) + _RUNS),
     Key("n", "--n", int, REQUIRED, ("bound",)),
-    Key("n", "--n", int, 3, _SAMPLING),
+    Key("n", "--n", int, 3, _RUNS),
     Key("xi_grid", "--xi", list, REQUIRED, ("bound",),
         "grid start:stop:step or list"),
     Key("encoding", "--encoding", ("vortex", "polarization"), "vortex", _SAMPLING),
@@ -220,6 +220,13 @@ KEYS = (
     Key("counts_per_setting", "--counts-per-setting", int, 100_000, ("tomo",)),
 )
 COMMAND_KEYS = {c: [key for key in KEYS if c in key.commands] for c in COMMANDS}
+# Keys that older sidecars may hold and that a rerun drops; their flags are
+# gone. Dropping them is sound because no value of any of them ever changed a
+# result: tomo never read its own, and on every supported set bound's strict
+# per-setting floor equals the average floor (see tests/test_cli.py,
+# test_old_bound_sidecar_reruns_without_its_retired_key).
+RETIRED = {("bound", "per_setting"), ("tomo", "efficiency"),
+           ("tomo", "alice_efficiency"), ("tomo", "format"), ("tomo", "n")}
 _KIND_TEXT = {int: "a non-negative integer", float: "a finite number",
               str: "a string", bool: "true or false",
               list: "a non-empty list of finite numbers"}
@@ -255,12 +262,15 @@ def _has_kind(value, kind) -> bool:
 
 
 def _validate(config) -> None:
-    """Check that the config holds exactly the keys of its command, well typed."""
+    """Check that the config holds exactly the keys of its command, well typed,
+    after dropping its retired keys in place."""
     if not isinstance(config, dict):
         raise ValueError("sidecar must hold a JSON object")
     if config.get("command") not in tuple(COMMANDS):  # a list is unhashable
         raise ValueError(f"sidecar has unknown command "
                          f"{config.get('command')!r}")
+    for name in [name for name in config if (config["command"], name) in RETIRED]:
+        del config[name]
     unread = sorted(set(config) - {"command"}
                     - {key.name for key in COMMAND_KEYS[config["command"]]})
     if unread:

@@ -130,10 +130,16 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
     return DensityMatrix(w @ rho4 @ w.conj().T)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     """The run's generator after Alice's thinning, and the trials she kept."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {trials!r}")
+    _check_seed(seed)
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
     if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
@@ -214,6 +220,7 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
 
 def derive_seeds(seed: int, count: int) -> list[int]:
     """Deterministic child seeds for indexed sub-runs."""
+    _check_seed(seed)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 

@@ -194,16 +194,21 @@ class TestSidecarRerun:
         assert run(["--config", str(sidecar)]) == 0
         assert out.read_bytes() == original
 
-    def test_old_bound_sidecar_reruns_without_its_retired_key(self, tmp_path):
+    @pytest.mark.parametrize("retired", [{}, {"per_setting": True},
+                                         {"per_setting": False}],
+                             ids=["without", "strict", "average"])
+    def test_old_bound_sidecar_reruns_without_its_retired_key(self, tmp_path,
+                                                             retired):
         # result as written before the strict per-setting floor was retired,
-        # from its sidecar less the retired "per_setting": false; on every
-        # supported set the strict floor equals the average floor
+        # from its sidecar with either value of "per_setting" or without it;
+        # on every supported set the strict floor equals the average floor
         out = tmp_path / "old.csv"
         sidecar = tmp_path / "old.csv.config.json"
         sidecar.write_text(json.dumps({
             "command": "bound", "format": "csv", "n": 4, "output": str(out),
-            "xi_grid": [0.2, 0.3, 0.45, 0.6, 1.0]}))
+            "xi_grid": [0.2, 0.3, 0.45, 0.6, 1.0]} | retired))
         assert run(["--config", str(sidecar)]) == 0
+        assert "per_setting" not in json.loads(sidecar.read_text())
         assert out.read_text() == (
             "xi,c_n,witness_pattern\n"
             "0.2,1,...+:1.000000\n"
@@ -280,9 +285,14 @@ SIDECAR_KEYS = {
     "steer": RUN_SIDECAR_KEYS | {"theta_deg"},
     "sweep": RUN_SIDECAR_KEYS | {"thetas_deg"},
     "dynamic": RUN_SIDECAR_KEYS | {"block"},
-    "tomo": {"command", "output", "format", "n", "encoding", "visibility",
-             "fidelity", "dephasing", "seed", "theta_deg", "counts_per_setting"},
+    "tomo": {"command", "output", "encoding", "visibility", "fidelity",
+             "dephasing", "seed", "theta_deg", "counts_per_setting"},
 }
+# the keys a tomo sidecar held beyond today's before tomo lost its unread
+# format and n, and a value for each of tomo's retired keys
+OLD_TOMO_KEYS = {"format": "csv", "n": 3}
+TOMO_RETIRED_VALUES = {"efficiency": 0.45, "alice_efficiency": 0.3,
+                       "format": "json", "n": 6}
 
 
 def write_sidecar(tmp_path, command):
@@ -326,9 +336,7 @@ class TestSidecarSchema:
     @pytest.mark.parametrize("command, extra, named", [
         ("steer", {"trails": 5, "bogus": [1]}, "bogus"),  # the first, sorted
         ("steer", {"block": False}, "block"),             # another command's key
-        ("tomo", {"efficiency": 0.45}, "efficiency"),     # retired keys
-        ("bound", {"per_setting": False}, "per_setting"),
-    ], ids=["misspelt", "other-command", "retired-tomo", "retired-bound"])
+    ], ids=["misspelt", "other-command"])
     def test_sidecar_key_the_command_does_not_read_exits_2(self, tmp_path, capsys,
                                                            command, extra, named):
         sidecar = write_sidecar(tmp_path, command)
@@ -342,8 +350,28 @@ class TestSidecarSchema:
         assert not out.exists()
         assert sidecar.read_bytes() == before
 
-    @pytest.mark.parametrize("flag", ["--efficiency", "--alice-efficiency"])
-    def test_tomo_efficiency_flags_are_gone(self, tmp_path, flag):
+    @pytest.mark.parametrize("key", sorted(key for command, key in cli.RETIRED
+                                           if command == "tomo"))
+    def test_old_tomo_sidecar_reruns_without_its_retired_key(self, tmp_path, key):
+        # a tomo sidecar as written before the key was retired reruns to the
+        # same result, and the rerun rewrites it with today's keys
+        sidecar = write_sidecar(tmp_path, "tomo")
+        out = tmp_path / "tomo.out"
+        result, current = out.read_bytes(), sidecar.read_bytes()
+        old = json.loads(current) | OLD_TOMO_KEYS | {key: TOMO_RETIRED_VALUES[key]}
+        sidecar.write_text(json.dumps(old))
+        out.unlink()
+        assert run(["--config", str(sidecar)]) == 0
+        assert out.read_bytes() == result
+        assert sidecar.read_bytes() == current
+
+    def test_no_retired_key_is_a_live_key(self):
+        for command, name in cli.RETIRED:
+            assert name not in {key.name for key in cli.COMMAND_KEYS[command]}
+
+    @pytest.mark.parametrize("flag", ["--efficiency", "--alice-efficiency",
+                                      "--format", "--n"])
+    def test_retired_tomo_flags_are_gone(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exc:
             run(COMMAND_ARGV["tomo"] + [flag, "0.3",
                                         "--output", str(tmp_path / "t.json")])

@@ -213,6 +213,35 @@ class TestRunExperiment:
         b = ex.run_experiment(state, M3, ex.ChannelModel(), policy, 10_000, 7)
         assert hexed(a) == hexed(b)
 
+    @pytest.mark.parametrize("seed", [True, 3.0, -1, "1"],
+                             ids=["bool", "float", "negative", "str"])
+    def test_invalid_seed_rejected(self, seed):
+        # numpy would run True as seed 1 and raise its own TypeError for 3.0;
+        # a sweep's parent seed is checked before its child seeds are derived
+        state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
+        channel = ex.ChannelModel()
+        runs = [
+            lambda: ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.0),
+                                      10_000, seed),
+            lambda: ex.sweep_theta(state, M3, channel, [0.0, 0.5], 10_000, seed),
+            lambda: ex.dynamic_rotation_run(state, M3, channel, 10_000, seed),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be a non-negative integer, got {seed!r}")):
+                run()
+
+    def test_numpy_integer_seed_accepted(self):
+        state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
+        channel = ex.ChannelModel()
+        for policy in (ex.ThetaPolicy.fixed(0.3), ex.ThetaPolicy(0.0, 1.0, True)):
+            assert hexed(ex.run_experiment(state, M3, channel, policy, 10_000,
+                                           np.uint32(7))) == \
+                hexed(ex.run_experiment(state, M3, channel, policy, 10_000, 7))
+        assert [hexed(r) for r in ex.sweep_theta(state, M3, channel, [0.0, 0.5],
+                                                 10_000, np.int64(7))] == \
+            [hexed(r) for r in ex.sweep_theta(state, M3, channel, [0.0, 0.5], 10_000, 7)]
+
 
 class TestSweep:
     def test_vortex_spread_within_sampling_noise(self):
