@@ -44,6 +44,8 @@ OAM_LEVELS = (-2, -1, 0, 1, 2)
 
 # change of basis: circular coordinates -> (H, V) coordinates
 CIRC_TO_HV = np.column_stack([KET_L, KET_R])
+# Alice (x) Bob's two read modes, circular frame -> Alice (x) the read-out qubit
+READOUT = np.kron(np.eye(2), CIRC_TO_HV.conj().T)
 
 # Bloch-axis observables in the optical convention above
 POL_X = np.outer(KET_H, KET_H.conj()) - np.outer(KET_V, KET_V.conj())
@@ -87,31 +89,26 @@ class Receiver:
     isometry.  It spans two read modes of the circular frame, the images of
     the read-out |L> and |R>.  On Alice (x) Bob, ``lift`` is I (x) their kets,
     ``gaps`` holds m_i - m_j of their total angular momenta m = s + l, and
-    ``readout`` (I (x) kets^dag encoder) pulls them back to the read-out qubit.
-    """
+    `READOUT` pulls them back to the read-out qubit."""
 
     kind: str
     encoder: np.ndarray
     lift: np.ndarray     # 2d x 4
     gaps: np.ndarray     # 4 x 4
-    readout: np.ndarray  # 4 x 4, I (x) CIRC_TO_HV^dag up to rounding
 
-    def detected_state(self, rho: DensityMatrix, theta, span: float = 0.0) -> np.ndarray:
-        """Unnormalised 4x4 state, Alice (x) read-out qubit, behind the analyzer.
+    def detected_state(self, rho: DensityMatrix, theta) -> np.ndarray:
+        """Unnormalised 4x4 state, Alice (x) read-out qubit, behind the analyzer
+        at theta (which leads the shape): e^{i(m_i - m_j)theta} weighs entry (i, j)."""
+        angle = np.asarray(theta, dtype=float)[..., None, None]
+        return self.read(rho, np.exp(1j * self.gaps * angle))
 
-        ``theta`` is one angle or an array that leads the shape: (n,) gives a
-        state per setting, (T, 1) a stack of T for ``born_table``.  A positive
-        ``span`` averages uniformly over [theta, theta + span], exactly, as in
-        the circular frame a rotation scales entry (i, j) by e^{i(m_i - m_j)theta}.
-        Both vortex read modes have m = 0, so their kernel is exactly 1.
-        """
+    def read(self, rho: DensityMatrix, weights) -> np.ndarray:
+        """rho read out, entry (i, j) on Alice (x) read modes times weights[..., i, j]."""
         dim = self.lift.shape[0]
         if rho.dim != dim:
             raise ValueError(f"{self.kind} receiver expects a {dim}x{dim} state")
-        mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
-        kernel = np.exp(1j * self.gaps * mid) * np.sinc(self.gaps * span / (2 * np.pi))
         modes = self.lift.conj().T @ rho.entries @ self.lift
-        return self.readout.conj().T @ (modes * kernel) @ self.readout
+        return READOUT.conj().T @ (modes * weights) @ READOUT
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +129,7 @@ def receiver(kind: str) -> Receiver:
                else kets @ CIRC_TO_HV.conj().T)
     momenta = np.array([s + l for s, l in modes])
     parts = (encoder, np.kron(np.eye(2), kets),
-             np.tile(np.subtract.outer(momenta, momenta), (2, 2)),
-             np.kron(np.eye(2), kets.conj().T @ encoder))
+             np.tile(np.subtract.outer(momenta, momenta), (2, 2)))
     for a in parts:
         a.flags.writeable = False   # shared through the cache
     return Receiver(kind, *parts)

@@ -5,10 +5,10 @@ Bob-side loss, sampling, estimation and the verdict against the
 loss-tolerant bound evaluated at the observed announce fraction.
 
 Sampling is aggregate: trials are grouped by setting and the per-setting
-outcome tallies are drawn from the exact multinomial implied by the
-per-trial procedure (uniform setting choice, orientation per policy, Born
-probabilities, state-independent loss).  This is distributionally identical
-to trial-by-trial simulation and bit-reproducible from the seed.
+outcome tallies are drawn from the multinomial implied by the per-trial
+procedure (uniform setting choice, orientation per policy, Born probabilities
+on `GRID`, state-independent loss).  This is distributionally identical to
+trial-by-trial simulation, up to the grid, and bit-reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, encoding, steering
-from .qmath import DensityMatrix
+from .qmath import GRID, DensityMatrix
 
 DEFAULT_TRIALS = 2_000_000  # ~100 s at the source's ~20,000 coincidences/s
-TABLE_CACHE_SIZE = 64  # configurations whose Born tables are kept; each is a few kB
+TABLE_CACHE_SIZE = 64  # configurations whose table coefficients are kept; a few kB each
 
 
 @dataclass(frozen=True)
@@ -150,26 +150,37 @@ def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     return rng, trials
 
 
-def _table(rx, state, mset, bob_efficiency, theta, span=0.0) -> np.ndarray:
-    """Born table(s), Bob's announced weight scaled by his efficiency, each
-    setting's six entries normalised for the multinomial; angles of shape
-    (T, 1) give T tables."""
-    probs = steering.born_table(state, mset, rx.detected_state(state, theta, span))
-    out = probs * (bob_efficiency, bob_efficiency, 1.0)
-    out[..., 2] = probs.sum(axis=-1) - out[..., :2].sum(axis=-1)
-    rows = out.reshape(out.shape[:-2] + (6,))
-    return (rows / rows.sum(axis=-1, keepdims=True)).reshape(out.shape)
-
-
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _cached_tables(state, mset, bob_efficiency, thetas: tuple, span) -> np.ndarray:
-    """The (T, n, 2, 3) `_table` stack of one configuration, one table per
-    angle in ``thetas``, built once and shared read-only.  The state and set
-    are keyed by identity."""
-    tables = _table(encoding.receiver_for(state.dim), state, mset, bob_efficiency,
-                    np.reshape(thetas, (-1, 1)), span)
-    tables.flags.writeable = False
+def _harmonics(state, mset, bob_efficiency) -> tuple:
+    """The gaps g > 0 and the read-only coefficients A, B_g, C_g (1 + 2G, n, 2, 3):
+    tables of the parts theta weighs by 1, cos g theta, sin g theta; keyed by identity."""
+    rx = encoding.receiver_for(state.dim)
+    gaps = sorted({int(g) for g in rx.gaps.flat if g > 0})
+    weights = [rx.gaps == 0] + [(abs(rx.gaps) == g) * w for g in gaps
+                                for w in (1, 1j * np.sign(rx.gaps))]
+    coef = steering.born_table(state, mset, rx.read(state, np.array(weights)),
+                               bob_efficiency)
+    coef.flags.writeable = False
+    return gaps, coef
+
+
+def _tables(state, mset, bob_efficiency, theta: np.ndarray, span) -> np.ndarray:
+    """Tables (T, n, 2, 3) over spans centred on theta, (T, 1) or one per
+    setting (T, n): A + sum_g sinc(g span/2pi)(B_g cos g theta + C_g sin g theta)."""
+    gaps, coef = _harmonics(state, mset, bob_efficiency)
+    tables = np.zeros(theta.shape[:1] + coef.shape[1:]) + coef[0]
+    for g, b, c in zip(gaps, coef[1::2], coef[2::2]):
+        angle, half = g * theta[..., None, None], g * span / 2
+        tables += (math.sin(half) / half if span else 1.0) * (
+            b * np.cos(angle) + c * np.sin(angle))
     return tables
+
+
+def _on_grid(tables: np.ndarray) -> np.ndarray:
+    """Each setting's six entries on `GRID`, the largest taking the remainder of 1."""
+    rows = np.rint(tables.reshape(-1, 6) / GRID) * GRID
+    rows[np.arange(len(rows)), rows.argmax(axis=-1)] += 1 - rows.sum(axis=-1)
+    return rows.reshape(tables.shape)
 
 
 def _sample(table: np.ndarray, rng, n_eff: int) -> np.ndarray:
@@ -190,23 +201,21 @@ def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResul
 
 def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     """One run per policy on its own seed, the receiver uniform over
-    [theta_min, theta_min + span] or, in block mode, at n fresh uncached angles
-    per run.  Each run's generator draws Alice's thinning, the block angles,
-    the setting split and the tallies, in that order; one pass judges all."""
+    [theta_min, theta_min + span] or, in block mode, at n angles per run.
+    Each run's generator draws Alice's thinning, the block angles, the
+    setting split and the tallies, in that order; one pass judges all."""
     # thinning checks the trial count before any table is built
     draws = [_thinned(mset, channel, trials, s) for s in seeds]
-    rx = encoding.receiver_for(state.dim)
+    kind = encoding.receiver_for(state.dim).kind
     if any(p.per_setting_block for p in policies):
-        angles = [rng.uniform(p.theta_min, p.theta_max, size=mset.n)
-                  for p, (rng, _) in zip(policies, draws)]
-        tables = _table(rx, state, mset, channel.bob_efficiency, np.array(angles))
+        mids, span = np.array([rng.uniform(p.theta_min, p.theta_max, size=mset.n)
+                               for p, (rng, _) in zip(policies, draws)]), 0.0
     else:
-        tables = _cached_tables(state, mset, channel.bob_efficiency,
-                                tuple(float(p.theta_min) for p in policies), float(span))
-    counts = np.empty(tables.shape, dtype=np.int64)
-    for table, draw, out in zip(tables, draws, counts):
-        out[...] = _sample(table, *draw)
-    return [_judge(est, mset, rx.kind, p, trials, s)
+        mids = np.array([p.theta_min + span / 2 for p in policies]).reshape(-1, 1)
+    tables = _on_grid(_tables(state, mset, channel.bob_efficiency, mids, span))
+    counts = np.array([_sample(t, *draw) for t, draw in zip(tables, draws)],
+                      dtype=np.int64).reshape(tables.shape)
+    return [_judge(est, mset, kind, p, trials, s)
             for p, s, est in zip(policies, seeds, steering._estimates(counts))]
 
 

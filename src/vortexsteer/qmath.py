@@ -17,6 +17,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 IMAG_TOL = 1e-10
+# Sampled probabilities are rounded to multiples of GRID, so rounding cannot
+# move a draw: by at most GRID/2 = 1.2e-10, or 2^-30 = 9.3e-10 for the largest
+# entry of a row; sampling sigma is 7e-4 at 2e6 trials, 3e-10 at 2^63 trials.
+GRID = 2.0 ** -32
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

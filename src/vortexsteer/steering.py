@@ -102,24 +102,19 @@ class SteeringEstimate:
         object.__setattr__(self, "per_setting_correlations", corr)
 
 
-def born_table(rho: DensityMatrix, mset: MeasurementSet,
-               detected: np.ndarray) -> np.ndarray:
-    """Lossless outcome table p[..., k, alice, bob] with bob in (+1, -1, null).
-
-    ``detected`` is the receiver's detected state: 4x4, one per setting
-    (n, 4, 4), or a stack (T, 1, 4, 4) that gives T tables (T, n, 2, 3).
-    The null entry is Alice's marginal minus the announced entries.
-    """
-    proj = mset.projectors
-    shape = np.broadcast_shapes(np.shape(detected), (mset.n, 4, 4))
-    sigma = np.broadcast_to(detected, shape).reshape(shape[:-2] + (2, 2, 2, 2))
-    d = rho.dim // 2
-    alice = np.einsum("ajbj->ab", rho.entries.reshape(2, d, 2, d))
-    probs = np.empty(shape[:-2] + (2, 3))
-    probs[..., :2] = np.einsum("...kxyzw,kazx,kbwy->...kab", sigma, proj, proj).real
-    probs[..., 2] = (np.einsum("xz,kazx->ka", alice, proj).real
-                     - probs[..., :2].sum(axis=-1))
-    return np.maximum(probs, 0.0)
+def born_table(rho: DensityMatrix, mset: MeasurementSet, parts,
+               efficiency: float = 1.0) -> np.ndarray:
+    """Tables p[i, k, alice, bob], bob in (+1, -1, null), linear in the parts
+    (P, 4, 4) of a detected state: Bob's announced entries scaled by his
+    ``efficiency``, and null, Alice's marginal in part 0 alone, minus them."""
+    proj, sigma = mset.projectors, np.reshape(parts, (-1, 2, 2, 2, 2))
+    alice = rho.entries.reshape(2, rho.dim // 2, 2, -1)
+    probs = np.zeros((len(sigma), mset.n, 2, 3))
+    probs[..., :2] = np.einsum("ixyzw,kazx,kbwy->ikab", sigma, proj,
+                               proj).real * efficiency
+    probs[0, ..., 2] = np.einsum("xjzj,kazx->ka", alice, proj).real
+    probs[..., 2] -= probs[..., :2].sum(axis=-1)
+    return probs
 
 
 def _per_setting(table: np.ndarray) -> tuple:
@@ -138,13 +133,10 @@ def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              theta: float = 0.0) -> SteeringEstimate:
     """S_n computed directly from the state by the Born rule."""
     detected = encoding.receiver_for(rho.dim).detected_state(rho, theta)
-    announced, _, corr = _per_setting(born_table(rho, mset, detected))
-    return SteeringEstimate(
-        s_value=float(np.mean(corr)),
-        std_err=0.0,
-        announce_fraction=float(np.mean(announced)),
-        per_setting_correlations=tuple(corr),
-    )
+    announced, _, corr = _per_setting(born_table(rho, mset, [detected])[0])
+    return SteeringEstimate(s_value=float(np.mean(corr)), std_err=0.0,
+                            announce_fraction=float(np.mean(announced)),
+                            per_setting_correlations=tuple(corr))
 
 
 def steering_parameter_counts(counts: np.ndarray) -> SteeringEstimate:

@@ -19,11 +19,10 @@ from itertools import product
 import numpy as np
 
 from . import encoding, qmath
-from .qmath import DensityMatrix, StateVector
+from .qmath import GRID, DensityMatrix, StateVector
 
 MAX_ITERATIONS = 10_000
 GAP_TOL = 1e-8  # certified likelihood gap, in nats per count
-ZERO_TOL = 1e-15  # Born probabilities this close to 0 are rounding: snapped to 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +95,13 @@ def _born(design: np.ndarray, r: np.ndarray) -> np.ndarray:
 def born_probabilities(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
     if rho.dim != 4:
         raise ValueError("tomography operates on two-qubit (4x4) states")
-    p = _born(spec.design, rho.entries)
-    return np.where(p > ZERO_TOL, p, 0.0)  # a mean of exactly 0 draws no counts
+    return np.maximum(_born(spec.design, rho.entries), 0.0)
 
 
 def expected_counts(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
-    """Noiseless (infinite-statistics) count table."""
-    return spec.counts_per_setting * born_probabilities(rho, spec)
+    """Mean count of every setting: its probability on `qmath.GRID`, times N."""
+    p = born_probabilities(rho, spec)
+    return spec.counts_per_setting * GRID * np.rint(p / GRID)
 
 
 def simulate_counts(rho: DensityMatrix, spec: TomographySpec, seed: int) -> np.ndarray:

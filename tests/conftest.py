@@ -15,7 +15,7 @@ acceptance_lines: list[str] = []
 
 @pytest.fixture(autouse=True)
 def cold_table_cache():
-    experiment._cached_tables.cache_clear()
+    experiment._harmonics.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -547,42 +547,45 @@ GOLDEN_SWEEP_JSON = [
      "std_err": 0.0025350291605404996, "theta_deg": 90.0, "violated": True},
 ]
 # Lossless polarization sweeps: every null entry of their tables is a
-# rounding residue of about 1e-16, which the multinomial draws still consume.
+# rounding residue of about 1e-16, which the probability grid draws as exactly
+# 0. Re-copied when the tables moved onto the grid: the residues had steered
+# the multinomial draws.
 GOLDEN_LOSSLESS_SWEEPS = {
     ("3", "--fidelity", "0.977"): [
-        "0,polarization,3,0.969140336605,0.000779532499971,1,0.57735026919,true",
-        "45,polarization,3,0.324004857928,0.00262079281599,1,0.57735026919,false",
-        "90,polarization,3,-0.323919135635,0.000760121218779,1,0.57735026919,false",
+        "0,polarization,3,0.969478192855,0.000775336611818,1,0.57735026919,true",
+        "45,polarization,3,0.32292441955,0.00262138887611,1,0.57735026919,false",
+        "90,polarization,3,-0.322786414579,0.000792357219749,1,0.57735026919,false",
     ],
     ("3", "--visibility", "1"): [
         "0,polarization,3,1,0,1,0.57735026919,true",
-        "45,polarization,3,0.32925807602,0.00258335985285,1,0.57735026919,false",
+        "45,polarization,3,0.336307016104,0.0025833887485,1,0.57735026919,false",
         "90,polarization,3,-0.333333333333,0,1,0.57735026919,false",
     ],
     ("6", "--fidelity", "0.977"): [
-        "0,polarization,6,0.969203812386,0.00077870114196,1,0.539344662917,true",
-        "45,polarization,6,0.320785673292,0.0028510696792,1,0.539344662917,false",
-        "90,polarization,6,-0.321054014867,0.00236471918884,1,0.539344662917,false",
+        "0,polarization,6,0.970117375093,0.000767304295734,1,0.539344662917,true",
+        "45,polarization,6,0.325113800998,0.00284930547825,1,0.539344662917,false",
+        "90,polarization,6,-0.319857566275,0.0023618742451,1,0.539344662917,false",
     ],
     ("6", "--visibility", "1"): [
         "0,polarization,6,1,0,1,0.539344662917,true",
-        "45,polarization,6,0.331591678931,0.00282994425467,1,0.539344662917,false",
-        "90,polarization,6,-0.330386165555,0.0023056967403,1,0.539344662917,false",
+        "45,polarization,6,0.335345454866,0.00282803061582,1,0.539344662917,false",
+        "90,polarization,6,-0.330826247101,0.00230017279642,1,0.539344662917,false",
     ],
 }
 
 # Vortex runs at n = 6 whose tables hold rounding residues: a pure state behind
-# loss, and a lossless dephased sweep, as the two-read-mode receiver draws them.
+# loss, and a lossless dephased sweep. Re-copied when the tables moved onto
+# the probability grid, which draws the residues as exactly 0.
 GOLDEN_VORTEX_RESIDUE_RUNS = {
     "pure-lossy-steer": (
         ["steer", "--visibility", "1", "--efficiency", "0.45", "--theta", "25"],
-        ["25,vortex,6,1,0,0.45032,0.80700967737,true"]),
+        ["25,vortex,6,1,0,0.45036,0.806998633061,true"]),
     "lossless-dephased-sweep": (
         ["sweep", "--visibility", "1", "--dephasing", "0.3", "--efficiency", "1",
          "--thetas", "0,45,90"],
-        ["0,vortex,6,0.800076339106,0.00187602673148,1,0.539344662917,true",
-         "45,vortex,6,0.801799034788,0.00186891318338,1,0.539344662917,true",
-         "90,vortex,6,0.802511216647,0.00186835693409,1,0.539344662917,true"]),
+        ["0,vortex,6,0.80237342333,0.00186616084888,1,0.539344662917,true",
+         "45,vortex,6,0.800433340809,0.00187481961104,1,0.539344662917,true",
+         "90,vortex,6,0.801899781808,0.00187141096357,1,0.539344662917,true"]),
 }
 
 

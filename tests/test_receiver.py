@@ -5,7 +5,8 @@ over the full joint space: Alice's polarization projector, Bob's analyzer
 element QP^dag (Pi (x) |l=0><l=0|) QP at zero orientation from the explicit
 q-plate matrix in `vortex_oracle`, and the receiver rotation written out
 there from the phase conventions in `encoding`.  None of it reads a
-`Receiver`.
+`Receiver`.  The harmonic tables that runs sample are checked against the
+oracle's two-stage table and against quadrature over the angle.
 """
 
 from functools import lru_cache
@@ -18,6 +19,7 @@ from hypothesis import strategies as hs
 import vortex_oracle as vo
 from qmath_helpers import unit
 from vortexsteer import encoding as enc
+from vortexsteer import experiment as ex
 from vortexsteer import steering
 from vortexsteer.qmath import DensityMatrix
 
@@ -102,13 +104,25 @@ def quadrature_table(rho: DensityMatrix, mset, kind: str, lo: float,
 @given(rx=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
        per_setting=hs.booleans())
 def test_born_table_matches_trace_oracle(rx, mset, seed, per_setting):
+    # a detected state per setting gives each setting its own table
     rng = np.random.default_rng(seed)
     rho = random_state(rng, len(rx.lift))
     n = mset.n
     theta = rng.uniform(0, 2 * np.pi, size=n if per_setting else None)
-    table = steering.born_table(rho, mset, rx.detected_state(rho, theta))
+    detected = np.broadcast_to(rx.detected_state(rho, theta), (n, 4, 4))
+    table = np.array([steering.born_table(rho, mset, [d])[0][k]
+                      for k, d in enumerate(detected)])
     expected = oracle_table(rho, mset, rx.kind, np.broadcast_to(theta, (n,)))
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+def encoded_or_generic(rx, rng, encoded: bool) -> DensityMatrix:
+    """A random state in the encoded subspace or, for vortex, a generic one,
+    which lies outside it."""
+    if encoded or rx.kind == "polarization":
+        w = np.kron(np.eye(2), rx.encoder)
+        return DensityMatrix(w @ random_state(rng, 4).entries @ w.conj().T)
+    return random_state(rng, len(rx.lift))
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,22 +131,55 @@ def test_born_table_matches_trace_oracle(rx, mset, seed, per_setting):
        thetas=hs.lists(hs.floats(0, 2 * np.pi, exclude_max=True), min_size=1, max_size=8),
        span=hs.sampled_from([0.0, 0.4]))
 def test_stacked_tables_equal_separate_calls(rx, mset, seed, encoded, thetas, span):
-    # a (T, 1) stack of detected states gives T tables, bit for bit those of
-    # T separate calls; a generic state lies outside the encoded subspace
-    rng = np.random.default_rng(seed)
-    rho = random_state(rng, 4)
-    if encoded or rx.kind == "polarization":
-        w = np.kron(np.eye(2), rx.encoder)
-        rho = DensityMatrix(w @ rho.entries @ w.conj().T)
-    else:
-        rho = random_state(rng, len(rx.lift))
-    stack = rx.detected_state(rho, np.reshape(thetas, (-1, 1)), span)
-    separate = [rx.detected_state(rho, t, span) for t in thetas]
+    # a (T, 1) stack of angles gives T tables, bit for bit those of T
+    # separate calls, as does a (T, 1) stack of detected states
+    rho = encoded_or_generic(rx, np.random.default_rng(seed), encoded)
+    stack = rx.detected_state(rho, np.reshape(thetas, (-1, 1)))
     assert stack.shape == (len(thetas), 1, 4, 4)
-    assert np.array_equal(stack[:, 0], separate)
-    tables = steering.born_table(rho, mset, stack)
+    assert np.array_equal(stack[:, 0], [rx.detected_state(rho, t) for t in thetas])
+    tables = ex._tables(rho, mset, 0.7, np.reshape(thetas, (-1, 1)), span)
     assert tables.shape == (len(thetas), mset.n, 2, 3)
-    assert np.array_equal(tables, [steering.born_table(rho, mset, s) for s in separate])
+    assert np.array_equal(tables, [ex._tables(rho, mset, 0.7, np.array([[t]]), span)[0]
+                                   for t in thetas])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rx=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
+       encoded=hs.booleans(), efficiency=hs.floats(0.01, 1),
+       per_setting=hs.booleans(), theta=hs.floats(-10, 10),
+       span=hs.sampled_from([0.0, np.pi / 2, 2 * np.pi]) | hs.floats(0, 10))
+def test_harmonic_table_matches_two_stage_table(rx, mset, seed, encoded, efficiency,
+                                                per_setting, theta, span):
+    # A + sum_g sinc(g s/2pi)(B_g cos g t + C_g sin g t) at the midpoint t of
+    # the span is the span-averaged table built in two stages, with its clip at
+    # 0 and its normalisation; block runs take one angle per setting, span 0
+    rng = np.random.default_rng(seed)
+    rho = encoded_or_generic(rx, rng, encoded)
+    if per_setting:
+        start, span = theta + rng.uniform(-3, 3, size=mset.n), 0.0
+    else:
+        start = theta
+    got = ex._tables(rho, mset, efficiency,
+                     np.reshape(start + span / 2, (1, -1)), span)[0]
+    want = vo.two_stage_table(rho, mset, efficiency, start, span)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rx=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
+       weights=hs.lists(hs.floats(-3, 3), min_size=1, max_size=5))
+def test_born_table_is_linear_in_the_parts(rx, mset, seed, weights):
+    # the table of a sum of parts is the sum of their tables, to rounding; only
+    # the first part carries Alice's marginal, into its null entries
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, len(rx.lift))
+    thetas = rng.uniform(0, 2 * np.pi, size=len(weights))
+    parts = np.array([w * rx.detected_state(rho, t) for w, t in zip(weights, thetas)])
+    tables = steering.born_table(rho, mset, parts, efficiency=0.6)
+    whole = steering.born_table(rho, mset, [parts.sum(axis=0)], efficiency=0.6)[0]
+    np.testing.assert_allclose(tables.sum(axis=0), whole, rtol=0, atol=1e-13)
+    announced = tables[1:, ..., :2].sum(axis=-1)
+    np.testing.assert_allclose(tables[1:, ..., 2], -announced, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("receiver", RECEIVERS)
@@ -150,10 +197,11 @@ def test_receiver_constants_are_shared_read_only_arrays(receiver):
     gaps = np.subtract.outer(momenta, momenta)
     np.testing.assert_array_equal(rx.gaps, np.block([[gaps, gaps], [gaps, gaps]]))
     np.testing.assert_array_equal(rx.lift, np.kron(np.eye(2), kets))
-    np.testing.assert_array_equal(rx.readout, np.kron(np.eye(2), kets.conj().T @ rx.encoder))
-    np.testing.assert_allclose(rx.readout, np.kron(np.eye(2), enc.CIRC_TO_HV.conj().T),
+    # the read modes pulled back through the encoder are the exact read-out
+    np.testing.assert_array_equal(enc.READOUT, np.kron(np.eye(2), enc.CIRC_TO_HV.conj().T))
+    np.testing.assert_allclose(np.kron(np.eye(2), kets.conj().T @ rx.encoder), enc.READOUT,
                                rtol=0, atol=1e-15)
-    for part in (rx.encoder, rx.lift, rx.gaps, rx.readout):
+    for part in (rx.encoder, rx.lift, rx.gaps):
         with pytest.raises(ValueError):
             part[0] = 0
 
@@ -163,22 +211,28 @@ def test_receiver_constants_are_shared_read_only_arrays(receiver):
        span=hs.sampled_from([0.0, np.pi]) | hs.floats(0, 10))
 def test_vortex_detected_state_ignores_rotation(seed, theta, span):
     # both read modes have m = 0: any state, encoded or not, is read out the
-    # same at every angle and span, bit for bit
+    # same at every angle, bit for bit, and its tables have no harmonic, so
+    # they are the same at every angle and span
     rx = enc.receiver("vortex")
     rng = np.random.default_rng(seed)
     rho = random_state(rng, len(rx.lift))
     still = rx.detected_state(rho, 0.0)
-    assert np.array_equal(rx.detected_state(rho, theta, span), still)
+    assert np.array_equal(rx.detected_state(rho, theta), still)
     angles = rng.uniform(-50, 50, size=3)
     for thetas in (angles, angles.reshape(-1, 1)):  # (n,) and (T, 1)
-        got = rx.detected_state(rho, thetas, span)
+        got = rx.detected_state(rho, thetas)
         assert np.array_equal(got, np.broadcast_to(still, got.shape))
+    mset = steering.platonic_set(3)
+    gaps, coef = ex._harmonics(rho, mset, 0.45)
+    assert gaps == [] and coef.shape == (1, 3, 2, 3)
+    for thetas in (np.array([[theta]]), angles.reshape(1, -1), angles.reshape(-1, 1)):
+        got = ex._tables(rho, mset, 0.45, thetas, span)
+        assert np.array_equal(got, np.broadcast_to(coef[0], got.shape))
 
 
 @settings(max_examples=30, deadline=None)
-@given(rx=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS,
-       span=hs.sampled_from([0.0, np.pi / 2]) | hs.floats(0, 2 * np.pi))
-def test_detected_state_matches_full_frame_formula(rx, n, seed, span):
+@given(rx=hs.sampled_from(RECEIVERS), n=N_SETTINGS, seed=SEEDS)
+def test_detected_state_matches_full_frame_formula(rx, n, seed):
     # the two read modes give the state the whole circular frame gives:
     # bit for bit for polarization, to rounding for vortex, whose full-frame
     # read-out carries residues of about 1e-17 on the other modes
@@ -186,8 +240,8 @@ def test_detected_state_matches_full_frame_formula(rx, n, seed, span):
     rho = random_state(rng, len(rx.lift))
     angles = rng.uniform(0, 2 * np.pi, size=n)
     for theta in (angles[0], angles, angles.reshape(-1, 1)):  # scalar, (n,), (T, 1)
-        got = rx.detected_state(rho, theta, span)
-        want = vo.full_frame_detected_state(rx.kind, rx.encoder, rho, theta, span,
+        got = rx.detected_state(rho, theta)
+        want = vo.full_frame_detected_state(rx.kind, rx.encoder, rho, theta, 0.0,
                                             SPACE)
         assert got.shape == want.shape == np.shape(theta) + (4, 4)
         if rx.kind == "polarization":
@@ -204,7 +258,7 @@ def test_span_average_matches_quadrature(rx, n, seed):
     mset = steering.platonic_set(n)
     lo, hi = np.sort(rng.uniform(-2 * np.pi, 2 * np.pi, size=2))
     expected = quadrature_table(rho, mset, rx.kind, lo, hi)
-    table = steering.born_table(rho, mset, rx.detected_state(rho, lo, hi - lo))
+    table = ex._tables(rho, mset, 1.0, np.array([[(lo + hi) / 2]]), hi - lo)[0]
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
@@ -215,9 +269,13 @@ def test_encoded_two_qubit_state_is_rotation_invariant(seed, theta, span):
     rho4 = random_state(np.random.default_rng(seed), 4)
     w = np.kron(np.eye(2), rx.encoder)
     encoded = DensityMatrix(w @ rho4.entries @ w.conj().T)
-    for got in (rx.detected_state(encoded, theta),
-                rx.detected_state(encoded, theta, span)):
-        np.testing.assert_allclose(got, rho4.entries, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rx.detected_state(encoded, theta), rho4.entries,
+                               rtol=0, atol=1e-12)
+    # averaged over any span, the table is that of the unencoded qubit at rest
+    mset = steering.platonic_set(4)
+    table = ex._tables(encoded, mset, 1.0, np.array([[theta]]), span)[0]
+    at_rest = steering.born_table(rho4, mset, [rho4.entries])[0]
+    np.testing.assert_allclose(table, at_rest, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,7 +285,8 @@ def test_wider_oracle_ladder_gives_the_same_detected_state(seed, encoded, theta,
                                                            span):
     # the vortex qubit has m = 0, so where the ladder is cut off does not
     # matter: a state zero-padded into the wider oracle ladder and read out
-    # through the oracle's own q-plate gives the receiver's detected state
+    # through the oracle's own q-plate, averaged over any span, gives the
+    # receiver's detected state
     rx = enc.receiver("vortex")
     rng = np.random.default_rng(seed)
     if encoded:
@@ -239,7 +298,7 @@ def test_wider_oracle_ladder_gives_the_same_detected_state(seed, encoded, theta,
     wide = vo.full_frame_detected_state(
         "vortex", vo.qplate_encoder(WIDE_SPACE),
         DensityMatrix(pad @ rho @ pad.conj().T), theta, span, WIDE_SPACE)
-    np.testing.assert_allclose(wide, rx.detected_state(DensityMatrix(rho), theta, span),
+    np.testing.assert_allclose(wide, rx.detected_state(DensityMatrix(rho), theta),
                                rtol=0, atol=1e-15)
 
 

@@ -11,7 +11,7 @@ from qmath_helpers import trace_distance
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import tomography as tm
-from vortexsteer.qmath import DensityMatrix, StateVector
+from vortexsteer.qmath import GRID, DensityMatrix, StateVector
 
 
 class TestSettings:
@@ -96,17 +96,20 @@ class TestSimulateCounts:
         want = [np.trace(proj @ rho.entries).real for proj in spec.projectors]
         probs = tm.born_probabilities(rho, spec)
         np.testing.assert_allclose(probs, want, rtol=0, atol=1e-14)
-        # bit for bit the map from a design matrix rebuilt on every call
+        # bit for bit the map from a design matrix rebuilt on every call,
+        # clipped at 0; the mean counts take the probabilities on the grid
         p = (spec.projectors.reshape(-1, 16).conj() @ rho.entries.reshape(16)).real
-        p = np.where(p > tm.ZERO_TOL, p, 0.0)
+        p = np.maximum(p, 0.0)
         assert probs.tobytes() == p.tobytes()
-        assert tm.expected_counts(rho, spec).tobytes() == (10_000 * p).tobytes()
+        means = tm.expected_counts(rho, spec)
+        assert means.tobytes() == (10_000 * GRID * np.rint(p / GRID)).tobytes()
+        assert np.abs(means / 10_000 - p).max() <= GRID / 2
 
     @pytest.mark.parametrize("deg", [0, 90, 180])
     def test_counts_ignore_rounding_residues_of_zero(self, deg):
         # the pure singlet behind the polarization receiver carries residues
         # of ~1e-17, which make some of its six zero probabilities ~1e-35 or
-        # ~1e-18; Poisson draws nothing for a mean of exactly 0 only
+        # ~1e-18; on the grid they are means of exactly 0, which draw nothing
         det = enc.receiver("polarization").detected_state(
             ex.werner_state(1.0), np.radians(deg))
         rho = DensityMatrix(det / np.trace(det).real)
@@ -114,7 +117,7 @@ class TestSimulateCounts:
                               + 1j * np.round(rho.entries.imag, 12))
         assert 0 < np.abs(rho.entries - clean.entries).max() < 1e-15
         spec = tm.standard_settings(100_000)
-        assert np.count_nonzero(tm.born_probabilities(rho, spec) == 0) == 6
+        assert np.count_nonzero(tm.expected_counts(rho, spec) == 0) == 6
         for seed in range(3):
             np.testing.assert_array_equal(tm.simulate_counts(rho, spec, seed),
                                           tm.simulate_counts(clean, spec, seed))

@@ -2,9 +2,10 @@
 
 An explicit q = 1/2 q-plate matrix, the beam rotation written out from the
 phase conventions in `encoding`, the unrotated analyzer elements
-QP^dag (Pi (x) |l=0><l=0|) QP, and the detected state computed in the full
-circular frame.  The tests check `encoding.receiver` against these; none of
-them reads a `Receiver`.
+QP^dag (Pi (x) |l=0><l=0|) QP, the detected state computed in the full
+circular frame, and the sampled table in two stages from that state.  The
+tests check `encoding.receiver` and the harmonic tables of `experiment`
+against these; none of them reads a `Receiver`.
 
 Every function takes its OAM ladder ``space`` as a plain tuple of
 consecutive levels l, such as ``encoding.OAM_LEVELS`` or a wider one.
@@ -82,8 +83,8 @@ def analyzer_element(pol_op: np.ndarray, space: tuple) -> np.ndarray:
 def full_frame_detected_state(kind: str, encoder, rho, theta, span: float,
                               space: tuple):
     """`Receiver.detected_state` taken through the whole circular frame: lift
-    rho into it, scale entry (i, j) by the span-averaged e^{i(m_i - m_j)theta},
-    read out through frame^dag encoder."""
+    rho into it, scale entry (i, j) by e^{i(m_i - m_j)theta} averaged over
+    [theta, theta + span], read out through frame^dag encoder."""
     frame, momenta = circular_frame(kind, space)
     gaps = np.tile(np.subtract.outer(momenta, momenta), (2, 2))
     mid = np.asarray(theta, dtype=float)[..., None, None] + span / 2
@@ -92,3 +93,27 @@ def full_frame_detected_state(kind: str, encoder, rho, theta, span: float,
     readout = np.kron(np.eye(2), frame.conj().T @ encoder)
     circ = lift.conj().T @ rho.entries @ lift
     return readout.conj().T @ (circ * kernel) @ readout
+
+
+def two_stage_table(rho, mset, efficiency: float, theta, span: float) -> np.ndarray:
+    """The table (n, 2, 3) a run samples, in two stages: the span-averaged
+    detected state of each setting's angle (one, or one per setting), its
+    lossless Born table clipped at 0, then Bob's announced entries scaled by his
+    efficiency, the rest declined, and each setting's six entries normalised."""
+    kind = "polarization" if rho.dim == 4 else "vortex"
+    encoder = (np.eye(2) if kind == "polarization"
+               else qplate_encoder(enc.OAM_LEVELS))
+    thetas = np.broadcast_to(theta, (mset.n,))
+    detected = full_frame_detected_state(kind, encoder, rho, thetas, span,
+                                         enc.OAM_LEVELS)
+    proj, d = mset.projectors, rho.dim // 2
+    sigma = detected.reshape(mset.n, 2, 2, 2, 2)
+    alice = np.einsum("ajbj->ab", rho.entries.reshape(2, d, 2, d))
+    probs = np.empty((mset.n, 2, 3))
+    probs[..., :2] = np.einsum("kxyzw,kazx,kbwy->kab", sigma, proj, proj).real
+    probs[..., 2] = (np.einsum("xz,kazx->ka", alice, proj).real
+                     - probs[..., :2].sum(axis=-1))
+    probs = np.maximum(probs, 0.0)
+    out = probs * (efficiency, efficiency, 1.0)
+    out[..., 2] = probs.sum(axis=-1) - out[..., :2].sum(axis=-1)
+    return out / out.sum(axis=(-2, -1), keepdims=True)
