@@ -13,17 +13,15 @@ trial-by-trial simulation, up to the grid, and bit-reproducible from the seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds, encoding, steering
-from .qmath import GRID, DensityMatrix
+from .qmath import GRID, DensityMatrix, _check_seed
 
 DEFAULT_TRIALS = 2_000_000  # ~100 s at the source's ~20,000 coincidences/s
-TABLE_CACHE_SIZE = 64  # configurations whose table coefficients are kept; a few kB each
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,8 @@ class ThetaPolicy:
                 raise ValueError(f"{name} must be finite")
         if not self.theta_min <= self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")
+        if not math.isfinite(self.theta_max - self.theta_min):
+            raise ValueError("theta_max - theta_min must be finite")
 
     @classmethod
     def fixed(cls, theta: float) -> "ThetaPolicy":
@@ -130,11 +130,6 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
     return DensityMatrix(w @ rho4 @ w.conj().T)
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     """The run's generator after Alice's thinning, and the trials she kept."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
@@ -148,32 +143,6 @@ def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     if channel.alice_efficiency < 1.0:
         return rng, int(rng.binomial(trials, channel.alice_efficiency))
     return rng, trials
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _harmonics(state, mset, bob_efficiency) -> tuple:
-    """The gaps g > 0 and the read-only coefficients A, B_g, C_g (1 + 2G, n, 2, 3):
-    tables of the parts theta weighs by 1, cos g theta, sin g theta; keyed by identity."""
-    rx = encoding.receiver_for(state.dim)
-    gaps = sorted({int(g) for g in rx.gaps.flat if g > 0})
-    weights = [rx.gaps == 0] + [(abs(rx.gaps) == g) * w for g in gaps
-                                for w in (1, 1j * np.sign(rx.gaps))]
-    coef = steering.born_table(state, mset, rx.read(state, np.array(weights)),
-                               bob_efficiency)
-    coef.flags.writeable = False
-    return gaps, coef
-
-
-def _tables(state, mset, bob_efficiency, theta: np.ndarray, span) -> np.ndarray:
-    """Tables (T, n, 2, 3) over spans centred on theta, (T, 1) or one per
-    setting (T, n): A + sum_g sinc(g span/2pi)(B_g cos g theta + C_g sin g theta)."""
-    gaps, coef = _harmonics(state, mset, bob_efficiency)
-    tables = np.zeros(theta.shape[:1] + coef.shape[1:]) + coef[0]
-    for g, b, c in zip(gaps, coef[1::2], coef[2::2]):
-        angle, half = g * theta[..., None, None], g * span / 2
-        tables += (math.sin(half) / half if span else 1.0) * (
-            b * np.cos(angle) + c * np.sin(angle))
-    return tables
 
 
 def _on_grid(tables: np.ndarray) -> np.ndarray:
@@ -212,7 +181,7 @@ def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
                                for p, (rng, _) in zip(policies, draws)]), 0.0
     else:
         mids = np.array([p.theta_min + span / 2 for p in policies]).reshape(-1, 1)
-    tables = _on_grid(_tables(state, mset, channel.bob_efficiency, mids, span))
+    tables = _on_grid(steering._tables(state, mset, channel.bob_efficiency, mids, span))
     counts = np.array([_sample(t, *draw) for t, draw in zip(tables, draws)],
                       dtype=np.int64).reshape(tables.shape)
     return [_judge(est, mset, kind, p, trials, s)

@@ -23,6 +23,13 @@ IMAG_TOL = 1e-10
 GRID = 2.0 ** -32
 
 
+def _check_seed(seed) -> None:
+    """Reject what numpy would run as another seed (True as 1) or fail on
+    with its own error: only non-negative integers seed a sampler."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=complex)
     if not np.all(np.isfinite(arr)):

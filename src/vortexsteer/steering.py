@@ -1,4 +1,5 @@
-"""Measurement sets, Bob's announce/decline model, and the steering parameter.
+"""Measurement sets, the Born table of Bob's announce/decline model, and the
+steering parameter.
 
 The steering parameter is the average over n settings of the Alice-Bob
 correlation conditioned on Bob announcing an outcome.  Bookkeeping follows
@@ -13,14 +14,16 @@ axis 1 indexes Alice's outcome (0 -> +1, 1 -> -1), axis 2 Bob's raw outcome
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoding, qmath
+from . import encoding
 from .qmath import DensityMatrix, unit_directions
 
 EQUALITY_TOL = 1e-12
+TABLE_CACHE_SIZE = 64  # configurations whose table coefficients are kept; a few kB each
 _GOLDEN = (1 + np.sqrt(5)) / 2
 
 ALICE_OUTCOMES = (+1, -1)
@@ -32,7 +35,6 @@ class MeasurementSet:
     read-only (n, 3) array; any pairwise non-(anti)parallel set will do."""
 
     directions: np.ndarray
-    projectors: np.ndarray = field(init=False, repr=False)  # Alice's P[k, a]
 
     def __post_init__(self):
         dirs = unit_directions(self.directions, ndim=2)
@@ -42,8 +44,6 @@ class MeasurementSet:
         if np.any(np.abs(off) > 1 - 1e-9):
             raise ValueError("measurement directions must be pairwise non-(anti)parallel")
         object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "projectors", qmath._freeze(np.stack(
-            [encoding.pol_projector(dirs, a) for a in ALICE_OUTCOMES], axis=1)))
 
     @property
     def n(self) -> int:
@@ -102,19 +102,39 @@ class SteeringEstimate:
         object.__setattr__(self, "per_setting_correlations", corr)
 
 
-def born_table(rho: DensityMatrix, mset: MeasurementSet, parts,
-               efficiency: float = 1.0) -> np.ndarray:
-    """Tables p[i, k, alice, bob], bob in (+1, -1, null), linear in the parts
-    (P, 4, 4) of a detected state: Bob's announced entries scaled by his
-    ``efficiency``, and null, Alice's marginal in part 0 alone, minus them."""
-    proj, sigma = mset.projectors, np.reshape(parts, (-1, 2, 2, 2, 2))
-    alice = rho.entries.reshape(2, rho.dim // 2, 2, -1)
-    probs = np.zeros((len(sigma), mset.n, 2, 3))
-    probs[..., :2] = np.einsum("ixyzw,kazx,kbwy->ikab", sigma, proj,
-                               proj).real * efficiency
-    probs[0, ..., 2] = np.einsum("xjzj,kazx->ka", alice, proj).real
-    probs[..., 2] -= probs[..., :2].sum(axis=-1)
-    return probs
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _harmonics(state: DensityMatrix, mset: MeasurementSet, bob_efficiency) -> tuple:
+    """The gaps g > 0 and the read-only coefficients A, B_g, C_g (1 + 2G, n, 2, 3):
+    tables of the detected parts theta weighs by 1, cos g theta, sin g theta.
+    Bob's announced entries carry his efficiency; null is Alice's marginal, in A
+    alone, minus them.  Keyed by identity."""
+    rx = encoding.receiver_for(state.dim)
+    gaps = sorted({int(g) for g in rx.gaps.flat if g > 0})
+    weights = [rx.gaps == 0] + [(abs(rx.gaps) == g) * w for g in gaps
+                                for w in (1, 1j * np.sign(rx.gaps))]
+    sigma = rx.read(state, np.array(weights)).reshape(-1, 2, 2, 2, 2)
+    proj = np.stack([encoding.pol_projector(mset.directions, a)
+                     for a in ALICE_OUTCOMES], axis=1)   # Alice's P[k, a]
+    alice = state.entries.reshape(2, state.dim // 2, 2, -1)
+    coef = np.zeros((len(sigma), mset.n, 2, 3))
+    coef[..., :2] = np.einsum("ixyzw,kazx,kbwy->ikab", sigma, proj,
+                              proj).real * bob_efficiency
+    coef[0, ..., 2] = np.einsum("xjzj,kazx->ka", alice, proj).real
+    coef[..., 2] -= coef[..., :2].sum(axis=-1)
+    coef.flags.writeable = False
+    return gaps, coef
+
+
+def _tables(state, mset, bob_efficiency, theta: np.ndarray, span) -> np.ndarray:
+    """Tables (T, n, 2, 3) over spans centred on theta, (T, 1) or one per
+    setting (T, n): A + sum_g sinc(g span/2pi)(B_g cos g theta + C_g sin g theta)."""
+    gaps, coef = _harmonics(state, mset, bob_efficiency)
+    tables = np.zeros(theta.shape[:1] + coef.shape[1:]) + coef[0]
+    for g, b, c in zip(gaps, coef[1::2], coef[2::2]):
+        angle, half = g * theta[..., None, None], span / 2 * g  # g span may overflow
+        tables += (math.sin(half) / half if half else 1.0) * (
+            b * np.cos(angle) + c * np.sin(angle))
+    return tables
 
 
 def _per_setting(table: np.ndarray) -> tuple:
@@ -131,9 +151,10 @@ def _per_setting(table: np.ndarray) -> tuple:
 
 def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              theta: float = 0.0) -> SteeringEstimate:
-    """S_n computed directly from the state by the Born rule."""
-    detected = encoding.receiver_for(rho.dim).detected_state(rho, theta)
-    announced, _, corr = _per_setting(born_table(rho, mset, [detected])[0])
+    """S_n computed directly from the state by the Born rule: the lossless
+    table that a fixed run at theta samples, before the grid."""
+    table = _tables(rho, mset, 1.0, np.array([[theta]], dtype=float), 0.0)[0]
+    announced, _, corr = _per_setting(table)
     return SteeringEstimate(s_value=float(np.mean(corr)), std_err=0.0,
                             announce_fraction=float(np.mean(announced)),
                             per_setting_correlations=tuple(corr))

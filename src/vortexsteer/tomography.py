@@ -106,6 +106,7 @@ def expected_counts(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
 
 def simulate_counts(rho: DensityMatrix, spec: TomographySpec, seed: int) -> np.ndarray:
     """Poisson coincidence counts for every setting, reproducible from seed."""
+    qmath._check_seed(seed)
     return np.random.default_rng(seed).poisson(expected_counts(rho, spec))
 
 

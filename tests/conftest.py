@@ -8,14 +8,14 @@ output capture, so every run log shows one pass/fail line per criterion.
 
 import pytest
 
-from vortexsteer import experiment
+from vortexsteer import steering
 
 acceptance_lines: list[str] = []
 
 
 @pytest.fixture(autouse=True)
 def cold_table_cache():
-    experiment._harmonics.cache_clear()
+    steering._harmonics.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -4,7 +4,7 @@ Operators tagged by kind, tensor products, partial traces, expectation
 values, the trace distance, a normalizing `StateVector` constructor and
 `unit`, which scales a real 3-vector to a unit Bloch direction.
 The package itself needs none of them: states are built and read out
-through `encoding.Receiver` and `steering.born_table`.
+through `encoding.Receiver` and the tables of `steering`.
 """
 
 from enum import Enum

@@ -12,6 +12,7 @@ import vortex_oracle as vo
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
+from vortexsteer import tomography as tm
 from vortexsteer.qmath import GRID, StateVector, fidelity_pure
 
 M3 = st.platonic_set(3)
@@ -86,6 +87,16 @@ class TestThetaPolicy:
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 ex.ThetaPolicy.fixed(value)
 
+    def test_range_too_wide_for_a_float_rejected(self):
+        # each end is finite, but the width overflows to inf
+        with pytest.raises(ValueError, match=r"^theta_max - theta_min must be finite$"):
+            ex.ThetaPolicy(-1e308, 1e308)
+        # a finite width runs, though twice it (g span at the gap g = 2) is inf
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "polarization")
+        wide = ex.ThetaPolicy(-5e307, 5e307)
+        assert math.isfinite(ex.run_experiment(state, M3, ex.ChannelModel(), wide,
+                                               10_000, 1).estimate.s_value)
+
     def test_fixed_is_a_range_of_width_zero(self):
         assert ex.ThetaPolicy.fixed(0.7) == ex.ThetaPolicy(0.7, 0.7, False)
 
@@ -101,9 +112,9 @@ class TestThetaPolicy:
         mset, channel = st.platonic_set(n), ex.ChannelModel(*efficiencies)
         block = ex.ThetaPolicy(theta, theta, per_setting_block=True)
         angles = np.random.default_rng(0).uniform(theta, theta, size=n)
-        table = ex._on_grid(ex._tables(state, mset, efficiencies[0],
+        table = ex._on_grid(st._tables(state, mset, efficiencies[0],
                                        np.array([[theta]]), 0.0))[0]
-        assert ex._on_grid(ex._tables(state, mset, efficiencies[0], angles[None],
+        assert ex._on_grid(st._tables(state, mset, efficiencies[0], angles[None],
                                       0.0))[0].tobytes() == table.tobytes()
         rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
         rng.uniform(theta, theta, size=n)
@@ -125,7 +136,7 @@ class TestThetaPolicy:
         block = ex.ThetaPolicy(lo, hi, per_setting_block=True)
         rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
         angles = rng.uniform(lo, hi, size=n)
-        table = ex._on_grid(ex._tables(state, mset, efficiencies[0], angles[None], 0.0))[0]
+        table = ex._on_grid(st._tables(state, mset, efficiencies[0], angles[None], 0.0))[0]
         counts = ex._sample(table, rng, n_eff)
         want = ex._judge(st.steering_parameter_counts(counts), mset, kind, block,
                          50_000, 5)
@@ -220,7 +231,8 @@ class TestRunExperiment:
                              ids=["bool", "float", "negative", "str"])
     def test_invalid_seed_rejected(self, seed):
         # numpy would run True as seed 1 and raise its own TypeError for 3.0;
-        # a sweep's parent seed is checked before its child seeds are derived
+        # a sweep's parent seed is checked before its child seeds are derived,
+        # and tomography's sampler keeps the same rule
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
         channel = ex.ChannelModel()
         runs = [
@@ -228,6 +240,7 @@ class TestRunExperiment:
                                       10_000, seed),
             lambda: ex.sweep_theta(state, M3, channel, [0.0, 0.5], 10_000, seed),
             lambda: ex.dynamic_rotation_run(state, M3, channel, 10_000, seed),
+            lambda: tm.simulate_counts(state, tm.standard_settings(), seed),
         ]
         for run in runs:
             with pytest.raises(ValueError, match=re.escape(
@@ -244,6 +257,9 @@ class TestRunExperiment:
         assert [hexed(r) for r in ex.sweep_theta(state, M3, channel, [0.0, 0.5],
                                                  10_000, np.int64(7))] == \
             [hexed(r) for r in ex.sweep_theta(state, M3, channel, [0.0, 0.5], 10_000, 7)]
+        spec = tm.standard_settings()
+        assert np.array_equal(tm.simulate_counts(state, spec, np.int64(7)),
+                              tm.simulate_counts(state, spec, 7))
 
 
 class TestSweep:
@@ -344,15 +360,15 @@ class TestTableCache:
         # each table of a stack is also the table of its angle alone
         state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
         mset = st.platonic_set(n)
-        gaps, coef = ex._harmonics(state, mset, efficiency)
+        gaps, coef = st._harmonics(state, mset, efficiency)
         assert gaps == ([] if kind == "vortex" else [2])
         assert coef.shape == (1 + 2 * len(gaps), n, 2, 3)
-        tables = ex._tables(state, mset, efficiency, np.reshape(thetas, (-1, 1)), span)
+        tables = st._tables(state, mset, efficiency, np.reshape(thetas, (-1, 1)), span)
         assert tables.shape == (len(thetas), n, 2, 3)
         for theta, table in zip(thetas, tables):
-            assert table.tobytes() == ex._tables(state, mset, efficiency,
+            assert table.tobytes() == st._tables(state, mset, efficiency,
                                                  np.array([[theta]]), span)[0].tobytes()
-        assert ex._harmonics(state, mset, efficiency)[1] is coef
+        assert st._harmonics(state, mset, efficiency)[1] is coef
         assert not coef.flags.writeable
         with pytest.raises(ValueError):
             coef[..., 0] = 0.0
@@ -360,7 +376,7 @@ class TestTableCache:
     def test_fixed_per_trial_and_block_runs_share_one_entry(self):
         state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
         channel = ex.ChannelModel(bob_efficiency=0.45)
-        cache = ex._harmonics
+        cache = st._harmonics
         for seed in (1, 2):
             ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3),
                               10_000, seed)
@@ -370,12 +386,15 @@ class TestTableCache:
         assert (cache.cache_info().currsize, cache.cache_info().hits) == (1, 5)
 
     def test_fixed_run_and_one_angle_sweep_share_one_table(self):
+        # and exact S reads the coefficients of a lossless run
         state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
-        channel = ex.ChannelModel(bob_efficiency=0.45)
-        ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3), 10_000, 1)
-        ex.sweep_theta(state, M3, channel, [0.3], 10_000, 2)
-        info = ex._harmonics.cache_info()
-        assert (info.currsize, info.hits) == (1, 1)
+        for efficiency in (0.45, 1.0):
+            channel = ex.ChannelModel(bob_efficiency=efficiency)
+            ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3), 10_000, 1)
+            ex.sweep_theta(state, M3, channel, [0.3], 10_000, 2)
+        st.steering_parameter_exact(state, M3, 0.3)
+        info = st._harmonics.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
 
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
     def test_warm_and_cold_cache_give_identical_runs(self, kind):
@@ -390,9 +409,9 @@ class TestTableCache:
             return [hexed(r) for r in sweep + [dynamic, block]]
 
         cold = runs()
-        assert ex._harmonics.cache_info().currsize == 1
+        assert st._harmonics.cache_info().currsize == 1
         warm = runs()
-        ex._harmonics.cache_clear()
+        st._harmonics.cache_clear()
         assert runs() == warm == cold
 
 
@@ -410,7 +429,7 @@ class TestGrid:
                 for v, dephasing in ((1.0, 0.0), (V_PAPER, 0.0), (0.8, 0.3)):
                     state = ex.prepare_state(ex.NoiseModel(v, dephasing), kind)
                     for efficiency in (1.0, 0.45):
-                        tables = ex._tables(state, mset, efficiency,
+                        tables = st._tables(state, mset, efficiency,
                                             np.reshape(SWEEP, (-1, 1)), 0.0)
                         nudged = tables * (1 + 1e-15 * rng.uniform(-1, 1, tables.shape))
                         for seed, (a, b) in enumerate(zip(ex._on_grid(tables),
@@ -436,7 +455,7 @@ class TestGrid:
             span = 0.0
         else:
             mids = np.array([[theta], [theta + 1.0], [theta + 2.0]])
-        exact = ex._tables(state, mset, efficiency, mids, span).reshape(-1, 6)
+        exact = st._tables(state, mset, efficiency, mids, span).reshape(-1, 6)
         rows = ex._on_grid(exact.reshape(3, n, 2, 3)).reshape(-1, 6)
         assert np.array_equal(rows / GRID, np.rint(rows / GRID))
         assert rows.min() >= 0

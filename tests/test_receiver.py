@@ -19,7 +19,6 @@ from hypothesis import strategies as hs
 import vortex_oracle as vo
 from qmath_helpers import unit
 from vortexsteer import encoding as enc
-from vortexsteer import experiment as ex
 from vortexsteer import steering
 from vortexsteer.qmath import DensityMatrix
 
@@ -104,14 +103,12 @@ def quadrature_table(rho: DensityMatrix, mset, kind: str, lo: float,
 @given(rx=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
        per_setting=hs.booleans())
 def test_born_table_matches_trace_oracle(rx, mset, seed, per_setting):
-    # a detected state per setting gives each setting its own table
+    # one angle per setting gives each setting its own table
     rng = np.random.default_rng(seed)
     rho = random_state(rng, len(rx.lift))
     n = mset.n
     theta = rng.uniform(0, 2 * np.pi, size=n if per_setting else None)
-    detected = np.broadcast_to(rx.detected_state(rho, theta), (n, 4, 4))
-    table = np.array([steering.born_table(rho, mset, [d])[0][k]
-                      for k, d in enumerate(detected)])
+    table = steering._tables(rho, mset, 1.0, np.reshape(theta, (1, -1)), 0.0)[0]
     expected = oracle_table(rho, mset, rx.kind, np.broadcast_to(theta, (n,)))
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
@@ -137,10 +134,10 @@ def test_stacked_tables_equal_separate_calls(rx, mset, seed, encoded, thetas, sp
     stack = rx.detected_state(rho, np.reshape(thetas, (-1, 1)))
     assert stack.shape == (len(thetas), 1, 4, 4)
     assert np.array_equal(stack[:, 0], [rx.detected_state(rho, t) for t in thetas])
-    tables = ex._tables(rho, mset, 0.7, np.reshape(thetas, (-1, 1)), span)
+    tables = steering._tables(rho, mset, 0.7, np.reshape(thetas, (-1, 1)), span)
     assert tables.shape == (len(thetas), mset.n, 2, 3)
-    assert np.array_equal(tables, [ex._tables(rho, mset, 0.7, np.array([[t]]), span)[0]
-                                   for t in thetas])
+    assert np.array_equal(tables, [
+        steering._tables(rho, mset, 0.7, np.array([[t]]), span)[0] for t in thetas])
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,27 +156,10 @@ def test_harmonic_table_matches_two_stage_table(rx, mset, seed, encoded, efficie
         start, span = theta + rng.uniform(-3, 3, size=mset.n), 0.0
     else:
         start = theta
-    got = ex._tables(rho, mset, efficiency,
-                     np.reshape(start + span / 2, (1, -1)), span)[0]
+    got = steering._tables(rho, mset, efficiency,
+                           np.reshape(start + span / 2, (1, -1)), span)[0]
     want = vo.two_stage_table(rho, mset, efficiency, start, span)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rx=hs.sampled_from(RECEIVERS), mset=MEASUREMENT_SETS, seed=SEEDS,
-       weights=hs.lists(hs.floats(-3, 3), min_size=1, max_size=5))
-def test_born_table_is_linear_in_the_parts(rx, mset, seed, weights):
-    # the table of a sum of parts is the sum of their tables, to rounding; only
-    # the first part carries Alice's marginal, into its null entries
-    rng = np.random.default_rng(seed)
-    rho = random_state(rng, len(rx.lift))
-    thetas = rng.uniform(0, 2 * np.pi, size=len(weights))
-    parts = np.array([w * rx.detected_state(rho, t) for w, t in zip(weights, thetas)])
-    tables = steering.born_table(rho, mset, parts, efficiency=0.6)
-    whole = steering.born_table(rho, mset, [parts.sum(axis=0)], efficiency=0.6)[0]
-    np.testing.assert_allclose(tables.sum(axis=0), whole, rtol=0, atol=1e-13)
-    announced = tables[1:, ..., :2].sum(axis=-1)
-    np.testing.assert_allclose(tables[1:, ..., 2], -announced, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("receiver", RECEIVERS)
@@ -223,10 +203,10 @@ def test_vortex_detected_state_ignores_rotation(seed, theta, span):
         got = rx.detected_state(rho, thetas)
         assert np.array_equal(got, np.broadcast_to(still, got.shape))
     mset = steering.platonic_set(3)
-    gaps, coef = ex._harmonics(rho, mset, 0.45)
+    gaps, coef = steering._harmonics(rho, mset, 0.45)
     assert gaps == [] and coef.shape == (1, 3, 2, 3)
     for thetas in (np.array([[theta]]), angles.reshape(1, -1), angles.reshape(-1, 1)):
-        got = ex._tables(rho, mset, 0.45, thetas, span)
+        got = steering._tables(rho, mset, 0.45, thetas, span)
         assert np.array_equal(got, np.broadcast_to(coef[0], got.shape))
 
 
@@ -258,7 +238,7 @@ def test_span_average_matches_quadrature(rx, n, seed):
     mset = steering.platonic_set(n)
     lo, hi = np.sort(rng.uniform(-2 * np.pi, 2 * np.pi, size=2))
     expected = quadrature_table(rho, mset, rx.kind, lo, hi)
-    table = ex._tables(rho, mset, 1.0, np.array([[(lo + hi) / 2]]), hi - lo)[0]
+    table = steering._tables(rho, mset, 1.0, np.array([[(lo + hi) / 2]]), hi - lo)[0]
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
@@ -273,8 +253,8 @@ def test_encoded_two_qubit_state_is_rotation_invariant(seed, theta, span):
                                rtol=0, atol=1e-12)
     # averaged over any span, the table is that of the unencoded qubit at rest
     mset = steering.platonic_set(4)
-    table = ex._tables(encoded, mset, 1.0, np.array([[theta]]), span)[0]
-    at_rest = steering.born_table(rho4, mset, [rho4.entries])[0]
+    table = steering._tables(encoded, mset, 1.0, np.array([[theta]]), span)[0]
+    at_rest = steering._tables(rho4, mset, 1.0, np.zeros((1, 1)), 0.0)[0]
     np.testing.assert_allclose(table, at_rest, rtol=0, atol=1e-12)
 
 

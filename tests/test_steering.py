@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
 from vortexsteer.qmath import DensityMatrix
@@ -60,18 +59,6 @@ class TestPlatonicSets:
             mset.directions[0, 0] = 0.0
 
 
-    def test_alice_projectors_are_one_shared_read_only_stack(self):
-        mset = st.platonic_set(4)
-        assert st.platonic_set(4).projectors is mset.projectors
-        assert mset.projectors.shape == (4, 2, 2, 2)
-        with pytest.raises(ValueError):
-            mset.projectors[0, 0, 0, 0] = 0.0
-        for k, u in enumerate(mset.directions):
-            for i, a in enumerate(st.ALICE_OUTCOMES):
-                np.testing.assert_array_equal(mset.projectors[k, i],
-                                              enc.pol_projector(u, a))
-
-
 class TestSteeringExact:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("encoding_kind", ["polarization", "vortex"])
@@ -80,6 +67,20 @@ class TestSteeringExact:
         est = st.steering_parameter_exact(state, st.platonic_set(n), theta=0.0)
         assert est.s_value == pytest.approx(1.0, abs=1e-9)
         assert est.announce_fraction == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("encoding_kind", ["polarization", "vortex"])
+    def test_exact_s_reads_the_table_a_lossless_fixed_run_samples(self, n,
+                                                                 encoding_kind):
+        # bit for bit the run's table before the grid, at any angle
+        state = ex.prepare_state(ex.NoiseModel(0.9693, dephasing=0.1), encoding_kind)
+        mset = st.platonic_set(n)
+        for theta in np.random.default_rng(n).uniform(0, 2 * np.pi, size=10):
+            table = st._tables(state, mset, 1.0, np.array([[theta]]), 0.0)[0]
+            want = st._per_setting(table)[2].tolist()
+            got = st.steering_parameter_exact(state, mset, theta)
+            assert [c.hex() for c in got.per_setting_correlations] == \
+                [c.hex() for c in want]
 
     def test_werner_gives_visibility(self):
         v = 0.73

@@ -4,7 +4,7 @@ An explicit q = 1/2 q-plate matrix, the beam rotation written out from the
 phase conventions in `encoding`, the unrotated analyzer elements
 QP^dag (Pi (x) |l=0><l=0|) QP, the detected state computed in the full
 circular frame, and the sampled table in two stages from that state.  The
-tests check `encoding.receiver` and the harmonic tables of `experiment`
+tests check `encoding.receiver` and the harmonic tables of `steering`
 against these; none of them reads a `Receiver`.
 
 Every function takes its OAM ladder ``space`` as a plain tuple of
@@ -106,7 +106,8 @@ def two_stage_table(rho, mset, efficiency: float, theta, span: float) -> np.ndar
     thetas = np.broadcast_to(theta, (mset.n,))
     detected = full_frame_detected_state(kind, encoder, rho, thetas, span,
                                          enc.OAM_LEVELS)
-    proj, d = mset.projectors, rho.dim // 2
+    proj = np.stack([enc.pol_projector(mset.directions, a) for a in (+1, -1)], axis=1)
+    d = rho.dim // 2
     sigma = detected.reshape(mset.n, 2, 2, 2, 2)
     alice = np.einsum("ajbj->ab", rho.entries.reshape(2, d, 2, d))
     probs = np.empty((mset.n, 2, 3))
