@@ -13,6 +13,7 @@ trial-by-trial simulation, up to the grid, and bit-reproducible from the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,9 @@ class ThetaPolicy:
             raise ValueError("theta_min must not exceed theta_max")
         if not math.isfinite(self.theta_max - self.theta_min):
             raise ValueError("theta_max - theta_min must be finite")
+        if not isinstance(self.per_setting_block, (bool, np.bool_)):
+            raise ValueError(f"per_setting_block must be a bool, "
+                             f"got {self.per_setting_block!r}")
 
     @classmethod
     def fixed(cls, theta: float) -> "ThetaPolicy":
@@ -148,15 +152,29 @@ def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
 def _on_grid(tables: np.ndarray) -> np.ndarray:
     """Each setting's six entries on `GRID`, the largest taking the remainder of 1."""
     rows = np.rint(tables.reshape(-1, 6) / GRID) * GRID
-    rows[np.arange(len(rows)), rows.argmax(axis=-1)] += 1 - rows.sum(axis=-1)
+    rows[np.arange(len(rows)), rows.argmax(axis=-1)] += 1 - np.add.reduce(rows, axis=-1)
     return rows.reshape(tables.shape)
 
 
-def _sample(table: np.ndarray, rng, n_eff: int) -> np.ndarray:
-    """Tallies (n, 2, 3): a uniform split over settings, then their outcomes."""
-    p = table.reshape(-1, 6)
-    split = rng.multinomial(n_eff, np.full(len(p), 1.0 / len(p)))
-    return rng.multinomial(split, p).reshape(-1, 2, 3)
+@functools.lru_cache(maxsize=steering.TABLE_CACHE_SIZE)
+def _gridded(state, mset, bob_efficiency, mids: tuple, span) -> np.ndarray:
+    """The read-only tables on `GRID` that runs at fixed midpoints sample:
+    `_on_grid` of `steering._tables` over spans centred on mids.  Keyed by
+    identity, like the coefficients it is built from."""
+    tables = _on_grid(steering._tables(state, mset, bob_efficiency,
+                                       np.array(mids, dtype=float).reshape(-1, 1), span))
+    tables.flags.writeable = False
+    return tables
+
+
+def _sample(tables: np.ndarray, draws) -> np.ndarray:
+    """Tallies (T, n, 2, 3) of a stack of tables, each drawn by its run's
+    (generator, trials): a uniform split over settings, then their outcomes."""
+    n = tables.shape[1]
+    split = np.full(n, 1.0 / n)
+    return np.array([rng.multinomial(rng.multinomial(n_eff, split), p)
+                     for p, (rng, n_eff) in zip(tables.reshape(-1, n, 6), draws)],
+                    dtype=np.int64).reshape(tables.shape)
 
 
 def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
@@ -172,20 +190,21 @@ def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     """One run per policy on its own seed, the receiver uniform over
     [theta_min, theta_min + span] or, in block mode, at n angles per run.
     Each run's generator draws Alice's thinning, the block angles, the
-    setting split and the tallies, in that order; one pass judges all."""
+    setting split and the tallies, in that order; one pass judges all.
+    Block angles are fresh draws, so only fixed midpoints share `_gridded`."""
     # thinning checks the trial count before any table is built
     draws = [_thinned(mset, channel, trials, s) for s in seeds]
     kind = encoding.receiver_for(state.dim).kind
     if any(p.per_setting_block for p in policies):
-        mids, span = np.array([rng.uniform(p.theta_min, p.theta_max, size=mset.n)
-                               for p, (rng, _) in zip(policies, draws)]), 0.0
+        mids = np.array([rng.uniform(p.theta_min, p.theta_max, size=mset.n)
+                         for p, (rng, _) in zip(policies, draws)])
+        tables = _on_grid(steering._tables(state, mset, channel.bob_efficiency,
+                                           mids, 0.0))
     else:
-        mids = np.array([p.theta_min + span / 2 for p in policies]).reshape(-1, 1)
-    tables = _on_grid(steering._tables(state, mset, channel.bob_efficiency, mids, span))
-    counts = np.array([_sample(t, *draw) for t, draw in zip(tables, draws)],
-                      dtype=np.int64).reshape(tables.shape)
-    return [_judge(est, mset, kind, p, trials, s)
-            for p, s, est in zip(policies, seeds, steering._estimates(counts))]
+        tables = _gridded(state, mset, channel.bob_efficiency,
+                          tuple(p.theta_min + span / 2 for p in policies), span)
+    return [_judge(est, mset, kind, p, trials, s) for p, s, est in
+            zip(policies, seeds, steering._estimates(_sample(tables, draws)))]
 
 
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
@@ -199,6 +218,8 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
 def derive_seeds(seed: int, count: int) -> list[int]:
     """Deterministic child seeds for indexed sub-runs."""
     _check_seed(seed)
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 

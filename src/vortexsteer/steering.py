@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import encoding
 from .qmath import DensityMatrix, unit_directions
 
 EQUALITY_TOL = 1e-12
-TABLE_CACHE_SIZE = 64  # configurations whose table coefficients are kept; a few kB each
+TABLE_CACHE_SIZE = 64  # entries of each table cache: coefficients, gridded tables
 _GOLDEN = (1 + np.sqrt(5)) / 2
 
 ALICE_OUTCOMES = (+1, -1)
@@ -88,7 +89,7 @@ class SteeringEstimate:
 
     def __post_init__(self):
         # plain floats: the comparisons are written so that NaN fails them
-        corr = tuple(float(c) for c in self.per_setting_correlations)
+        corr = tuple(map(float, self.per_setting_correlations))
         if not corr:
             raise ValueError("per_setting_correlations must not be empty")
         if not all(abs(c) <= 1 + EQUALITY_TOL for c in corr):
@@ -129,6 +130,10 @@ def _tables(state, mset, bob_efficiency, theta: np.ndarray, span) -> np.ndarray:
     """Tables (T, n, 2, 3) over spans centred on theta, (T, 1) or one per
     setting (T, n): A + sum_g sinc(g span/2pi)(B_g cos g theta + C_g sin g theta)."""
     gaps, coef = _harmonics(state, mset, bob_efficiency)
+    if gaps and not np.abs(theta).max(initial=0.0) <= sys.float_info.max / gaps[-1]:
+        # g theta would overflow, and the tables at such an angle are NaN
+        raise ValueError(f"theta must not exceed {sys.float_info.max / gaps[-1]:.6g} "
+                         f"in magnitude at the receiver's gap {gaps[-1]}")
     tables = np.zeros(theta.shape[:1] + coef.shape[1:]) + coef[0]
     for g, b, c in zip(gaps, coef[1::2], coef[2::2]):
         angle, half = g * theta[..., None, None], span / 2 * g  # g span may overflow
@@ -140,8 +145,9 @@ def _tables(state, mset, bob_efficiency, theta: np.ndarray, span) -> np.ndarray:
 def _per_setting(table: np.ndarray) -> tuple:
     """Announced weight, agreement and correlation of each setting of a
     (..., n, 2, 3) table of probabilities or tallies."""
-    announced = table[..., :2].sum(axis=(-2, -1)).astype(float)
-    if not announced.all():   # the first table's first such setting, as run by run
+    announced = np.add.reduce(table[..., :2], axis=(-2, -1)).astype(float)
+    if np.count_nonzero(announced) < announced.size:
+        # the first table's first such setting, as run by run
         bad = np.argwhere(announced == 0)[0][-1]
         raise ValueError(f"setting {bad} has zero announced events")
     # B_k is the negated raw outcome: agreement = (alice, bob raw) opposite
@@ -178,16 +184,17 @@ def _estimates(counts: np.ndarray) -> list[SteeringEstimate]:
     so each estimate is bit for bit the one of its table alone."""
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integer tallies, got dtype {counts.dtype}")
-    if counts.size and counts.min() < 0:
+    if counts.size and np.minimum.reduce(counts, axis=None) < 0:
         raise ValueError("counts must be non-negative")
     announced, agree, corr = _per_setting(counts)
     p_hat = agree / announced
     var = 4 * p_hat * (1 - p_hat) / announced
-    n = counts.shape[-3]
-    return [SteeringEstimate(s_value=s, std_err=e, announce_fraction=f,
-                             per_setting_correlations=tuple(c))
-            for s, e, f, c in zip(corr.mean(axis=-1).tolist(),
-                                  (np.sqrt(var.sum(axis=-1)) / n).tolist(),
-                                  (announced.sum(axis=-1)
-                                   / counts.sum(axis=(-3, -2, -1))).tolist(),
+    # add.reduce is what mean and sum run, without their Python wrappers;
+    # mean is the sum divided by the count
+    n, add = counts.shape[-3], np.add.reduce
+    return [SteeringEstimate(s, e, f, c)
+            for s, e, f, c in zip((add(corr, axis=-1) / n).tolist(),
+                                  (np.sqrt(add(var, axis=-1)) / n).tolist(),
+                                  (add(announced, axis=-1)
+                                   / add(counts, axis=(-3, -2, -1))).tolist(),
                                   corr.tolist())]

@@ -359,7 +359,8 @@ def test_two_strategy_cheater_is_not_judged_violated():
     trials, violated = 100_000, 0
     for seed in range(100):
         rng, n_eff = ex._thinned(M3, ex.ChannelModel(), trials, seed)
-        estimate = st.steering_parameter_counts(ex._sample(CHEATER, rng, n_eff))
+        counts = ex._sample(CHEATER[None], [(rng, n_eff)])[0]
+        estimate = st.steering_parameter_counts(counts)
         violated += ex._judge(estimate, M3, "polarization",
                               ex.ThetaPolicy.fixed(0.0), trials, seed).violated
     assert violated <= 7

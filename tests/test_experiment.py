@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from vortexsteer.qmath import GRID, StateVector, fidelity_pure
 M3 = st.platonic_set(3)
 V_PAPER = ex.visibility_for_fidelity(0.977)
 SWEEP = tuple(math.radians(t) for t in range(0, 91, 15))
+
+
+def cache_counts(cache):
+    """A table cache's (entries, misses, hits)."""
+    info = cache.cache_info()
+    return info.currsize, info.misses, info.hits
 
 
 def hexed(result):
@@ -97,6 +104,45 @@ class TestThetaPolicy:
         assert math.isfinite(ex.run_experiment(state, M3, ex.ChannelModel(), wide,
                                                10_000, 1).estimate.s_value)
 
+    @pytest.mark.parametrize("block", [False, True])
+    def test_angle_whose_phase_overflows_rejected(self, block):
+        # 2 theta overflows at the polarization gap; the rejection comes before
+        # any table is built, and the rotation-invariant vortex table has no gap
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "polarization")
+        message = (r"^theta must not exceed 8\.98847e\+307 in magnitude "
+                   r"at the receiver's gap 2$")
+        for policy in (ex.ThetaPolicy(1e308, 1e308, block),
+                       ex.ThetaPolicy(1e308, 1.5e308, block)):
+            with pytest.raises(ValueError, match=message):
+                ex.run_experiment(state, M3, ex.ChannelModel(), policy, 10_000, 1)
+        assert ex._gridded.cache_info().currsize == 0
+        with pytest.raises(ValueError, match=message):
+            st.steering_parameter_exact(state, M3, 1e308)
+        largest = ex.ThetaPolicy(sys.float_info.max / 2, sys.float_info.max / 2, block)
+        assert math.isfinite(ex.run_experiment(state, M3, ex.ChannelModel(), largest,
+                                               10_000, 1).estimate.s_value)
+        vortex = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
+        far, zero = (ex.run_experiment(vortex, M3, ex.ChannelModel(),
+                                       ex.ThetaPolicy(theta, theta, block), 10_000, 1)
+                     for theta in (1e308, 0.0))
+        assert hexed(far.estimate) == hexed(zero.estimate)
+        assert hexed(st.steering_parameter_exact(vortex, M3, 1e308)) == \
+            hexed(st.steering_parameter_exact(vortex, M3, 0.0))
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
+    def test_non_bool_block_flag_rejected(self, flag):
+        # "no" is truthy, and would run in block mode
+        with pytest.raises(ValueError, match=re.escape(
+                f"per_setting_block must be a bool, got {flag!r}")):
+            ex.ThetaPolicy(0.0, 1.0, flag)
+
+    def test_numpy_bool_block_flag_accepted(self):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "polarization")
+        runs = [ex.run_experiment(state, M3, ex.ChannelModel(),
+                                  ex.ThetaPolicy(0.0, 1.0, flag), 10_000, 3)
+                for flag in (np.bool_(True), True)]
+        assert hexed(runs[0]) == hexed(runs[1])
+
     def test_fixed_is_a_range_of_width_zero(self):
         assert ex.ThetaPolicy.fixed(0.7) == ex.ThetaPolicy(0.7, 0.7, False)
 
@@ -118,7 +164,7 @@ class TestThetaPolicy:
                                       0.0))[0].tobytes() == table.tobytes()
         rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
         rng.uniform(theta, theta, size=n)
-        counts = ex._sample(table, rng, n_eff)
+        counts = ex._sample(table[None], [(rng, n_eff)])[0]
         want = ex._judge(st.steering_parameter_counts(counts), mset, kind, block,
                          50_000, 5)
         got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
@@ -137,7 +183,7 @@ class TestThetaPolicy:
         rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
         angles = rng.uniform(lo, hi, size=n)
         table = ex._on_grid(st._tables(state, mset, efficiencies[0], angles[None], 0.0))[0]
-        counts = ex._sample(table, rng, n_eff)
+        counts = ex._sample(table[None], [(rng, n_eff)])[0]
         want = ex._judge(st.steering_parameter_counts(counts), mset, kind, block,
                          50_000, 5)
         got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
@@ -246,6 +292,16 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match=re.escape(
                     f"seed must be a non-negative integer, got {seed!r}")):
                 run()
+
+    @pytest.mark.parametrize("count", [-1, 2.5, True, "3", np.float64(2)],
+                             ids=["negative", "fraction", "bool", "str", "numpy-float"])
+    def test_invalid_seed_count_rejected(self, count):
+        # numpy would raise its own errors, or derive one seed for True
+        with pytest.raises(ValueError, match=re.escape(
+                f"count must be a non-negative integer, got {count!r}")):
+            ex.derive_seeds(1, count)
+        assert ex.derive_seeds(1, np.int64(3)) == ex.derive_seeds(1, 3)
+        assert ex.derive_seeds(1, 0) == []
 
     def test_numpy_integer_seed_accepted(self):
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
@@ -374,16 +430,18 @@ class TestTableCache:
             coef[..., 0] = 0.0
 
     def test_fixed_per_trial_and_block_runs_share_one_entry(self):
+        # one coefficient entry serves all three; the fixed and the per-trial
+        # run each grid their table once, and the block runs never do
         state = ex.prepare_state(ex.NoiseModel(V_PAPER), "vortex")
         channel = ex.ChannelModel(bob_efficiency=0.45)
-        cache = st._harmonics
         for seed in (1, 2):
             ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3),
                               10_000, seed)
             ex.dynamic_rotation_run(state, M3, channel, 10_000, seed)
             ex.dynamic_rotation_run(state, M3, channel, 10_000, seed,
                                     per_setting_block=True)
-        assert (cache.cache_info().currsize, cache.cache_info().hits) == (1, 5)
+        assert cache_counts(st._harmonics) == (1, 1, 3)
+        assert cache_counts(ex._gridded) == (2, 2, 2)
 
     def test_fixed_run_and_one_angle_sweep_share_one_table(self):
         # and exact S reads the coefficients of a lossless run
@@ -393,8 +451,64 @@ class TestTableCache:
             ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(0.3), 10_000, 1)
             ex.sweep_theta(state, M3, channel, [0.3], 10_000, 2)
         st.steering_parameter_exact(state, M3, 0.3)
-        info = st._harmonics.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
+        assert cache_counts(st._harmonics) == (2, 2, 1)
+        assert cache_counts(ex._gridded) == (2, 2, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=hs.sampled_from(["polarization", "vortex"]),
+           n=hs.sampled_from([2, 3, 4, 6]), v=hs.floats(0, 1), dephasing=hs.floats(0, 1),
+           efficiency=hs.floats(0.05, 1),
+           starts=hs.lists(hs.floats(-10, 10), min_size=1, max_size=8),
+           span=hs.floats(0, 2 * math.pi), seed=hs.integers(0, 2 ** 32 - 1))
+    def test_gridded_table_is_the_fresh_one_read_only(self, kind, n, v, dephasing,
+                                                      efficiency, starts, span, seed):
+        # a batch grids its table once; the same batch again is a cache hit
+        # and samples the same tallies
+        state = ex.prepare_state(ex.NoiseModel(v, dephasing), kind)
+        mset, channel = st.platonic_set(n), ex.ChannelModel(efficiency)
+        policies = [ex.ThetaPolicy(t, t + span) for t in starts]
+        seeds = ex.derive_seeds(seed, len(policies))
+        before = ex._gridded.cache_info()
+        first = ex._runs(state, mset, channel, policies, span, 10_000, seeds)
+        second = ex._runs(state, mset, channel, policies, span, 10_000, seeds)
+        after = ex._gridded.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert [hexed(r) for r in first] == [hexed(r) for r in second]
+        mids = tuple(t + span / 2 for t in starts)
+        cached = ex._gridded(state, mset, efficiency, mids, span)
+        fresh = ex._on_grid(st._tables(state, mset, efficiency,
+                                       np.reshape(mids, (-1, 1)), span))
+        assert ex._gridded.cache_info().hits == after.hits + 1
+        assert cached.tobytes() == fresh.tobytes()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[..., 0] = 0.0
+
+    def test_block_runs_leave_the_gridded_cache_untouched(self):
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "polarization")
+        channel = ex.ChannelModel(bob_efficiency=0.45)
+        for seed in (1, 1, 2):
+            ex.dynamic_rotation_run(state, M3, channel, 10_000, seed,
+                                    per_setting_block=True)
+            ex.run_experiment(state, M3, channel, ex.ThetaPolicy(0.3, 0.3, True),
+                              10_000, seed)
+        assert cache_counts(ex._gridded) == (0, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["polarization", "vortex"])
+    def test_signed_zero_angles_share_an_entry(self, kind):
+        # 0.0 == -0.0 as a key; the uncached tables at either angle draw the
+        # same tallies, so sharing the entry moves no run
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
+        channel = ex.ChannelModel(0.45, 0.9)
+        runs = [ex.run_experiment(state, M3, channel, ex.ThetaPolicy.fixed(theta),
+                                  50_000, 5) for theta in (0.0, -0.0)]
+        assert cache_counts(ex._gridded) == (1, 1, 1)
+        assert hexed(runs[0].estimate) == hexed(runs[1].estimate)
+        tables = [ex._on_grid(st._tables(state, M3, 0.45, np.array([[theta]]), 0.0))
+                  for theta in (0.0, -0.0)]
+        tallies = [ex._sample(t, [ex._thinned(M3, channel, 50_000, 5)]).tobytes()
+                   for t in tables]
+        assert tallies[0] == tallies[1]
 
     @pytest.mark.parametrize("kind", ["polarization", "vortex"])
     def test_warm_and_cold_cache_give_identical_runs(self, kind):
@@ -410,8 +524,10 @@ class TestTableCache:
 
         cold = runs()
         assert st._harmonics.cache_info().currsize == 1
+        assert ex._gridded.cache_info().currsize == 2   # the sweep, the per-trial run
         warm = runs()
         st._harmonics.cache_clear()
+        ex._gridded.cache_clear()
         assert runs() == warm == cold
 
 
@@ -434,7 +550,8 @@ class TestGrid:
                         nudged = tables * (1 + 1e-15 * rng.uniform(-1, 1, tables.shape))
                         for seed, (a, b) in enumerate(zip(ex._on_grid(tables),
                                                           ex._on_grid(nudged))):
-                            draws = [ex._sample(t, np.random.default_rng(seed), 100_000)
+                            draws = [ex._sample(t[None],
+                                                [(np.random.default_rng(seed), 100_000)])
                                      for t in (a, b)]
                             assert draws[0].tobytes() == draws[1].tobytes()
 
