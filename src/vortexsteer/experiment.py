@@ -169,11 +169,14 @@ def _gridded(state, mset, bob_efficiency, mids: tuple, span) -> np.ndarray:
 
 def _sample(tables: np.ndarray, draws) -> np.ndarray:
     """Tallies (T, n, 2, 3) of a stack of tables, each drawn by its run's
-    (generator, trials): a uniform split over settings, then their outcomes."""
+    (generator, trials): a uniform split over settings, then each setting's
+    outcomes.  One multinomial call per setting draws what one call over the
+    (n, 6) rows draws, without numpy's array-count checks."""
     n = tables.shape[1]
     split = np.full(n, 1.0 / n)
-    return np.array([rng.multinomial(rng.multinomial(n_eff, split), p)
-                     for p, (rng, n_eff) in zip(tables.reshape(-1, n, 6), draws)],
+    return np.array([rng.multinomial(m, p)
+                     for rows, (rng, n_eff) in zip(tables.reshape(-1, n, 6), draws)
+                     for m, p in zip(rng.multinomial(n_eff, split).tolist(), rows)],
                     dtype=np.int64).reshape(tables.shape)
 
 

@@ -189,12 +189,12 @@ def _estimates(counts: np.ndarray) -> list[SteeringEstimate]:
     announced, agree, corr = _per_setting(counts)
     p_hat = agree / announced
     var = 4 * p_hat * (1 - p_hat) / announced
-    # add.reduce is what mean and sum run, without their Python wrappers;
-    # mean is the sum divided by the count
+    # add.reduce is what mean and sum run, without their Python wrappers; mean
+    # is the sum over the count, and Python rounds each scalar step as numpy does
     n, add = counts.shape[-3], np.add.reduce
-    return [SteeringEstimate(s, e, f, c)
-            for s, e, f, c in zip((add(corr, axis=-1) / n).tolist(),
-                                  (np.sqrt(add(var, axis=-1)) / n).tolist(),
-                                  (add(announced, axis=-1)
-                                   / add(counts, axis=(-3, -2, -1))).tolist(),
-                                  corr.tolist())]
+    return [SteeringEstimate(s / n, math.sqrt(v) / n, a / total, c)
+            for s, v, a, total, c in zip(add(corr, axis=-1).tolist(),
+                                         add(var, axis=-1).tolist(),
+                                         add(announced, axis=-1).tolist(),
+                                         add(counts, axis=(-3, -2, -1)).tolist(),
+                                         corr.tolist())]
