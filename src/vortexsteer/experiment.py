@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, encoding, steering
-from .qmath import GRID, DensityMatrix, _check_seed
+from .qmath import GRID, DensityMatrix, _check_count
 
 DEFAULT_TRIALS = 2_000_000  # ~100 s at the source's ~20,000 coincidences/s
 
@@ -136,9 +136,8 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
 
 def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     """The run's generator after Alice's thinning, and the trials she kept."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    _check_seed(seed)
+    _check_count("trials", trials)
+    _check_count("seed", seed)
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
     if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
@@ -220,9 +219,8 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
 
 def derive_seeds(seed: int, count: int) -> list[int]:
     """Deterministic child seeds for indexed sub-runs."""
-    _check_seed(seed)
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    _check_count("seed", seed)
+    _check_count("count", count)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 

@@ -23,11 +23,11 @@ IMAG_TOL = 1e-10
 GRID = 2.0 ** -32
 
 
-def _check_seed(seed) -> None:
-    """Reject what numpy would run as another seed (True as 1) or fail on
-    with its own error: only non-negative integers seed a sampler."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_count(name: str, value) -> None:
+    """The one integer rule, for every seed and count: reject what numpy would
+    run as another value (True as 1, 2.5 as 2) or fail on with its own error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

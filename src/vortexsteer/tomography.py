@@ -39,6 +39,7 @@ class TomographySpec:
     trace: np.ndarray = field(init=False, repr=False)   # trace @ vec r = N sum_s p_s
 
     def __post_init__(self):
+        qmath._check_count("counts_per_setting", self.counts_per_setting)
         if self.counts_per_setting < 1:
             raise ValueError("counts_per_setting must be positive")
         projectors, n = qmath._freeze(self.projectors), self.counts_per_setting
@@ -106,7 +107,7 @@ def expected_counts(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
 
 def simulate_counts(rho: DensityMatrix, spec: TomographySpec, seed: int) -> np.ndarray:
     """Poisson coincidence counts for every setting, reproducible from seed."""
-    qmath._check_seed(seed)
+    qmath._check_count("seed", seed)
     return np.random.default_rng(seed).poisson(expected_counts(rho, spec))
 
 

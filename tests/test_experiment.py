@@ -245,11 +245,14 @@ class TestRunExperiment:
             ex.run_experiment(state, M3, ex.ChannelModel(),
                               ex.ThetaPolicy.fixed(0.0), trials=0, seed=0)
 
-    @pytest.mark.parametrize("trials", [100_000.5, 1e5, np.float64(1e5), True, "100000"],
-                             ids=["fraction", "float", "numpy-float", "bool", "str"])
+    @pytest.mark.parametrize("trials", [100_000.5, 1e5, np.float64(1e5), True, "100000",
+                                        2.5, 1000.0, -1, "3", None],
+                             ids=["fraction", "float", "numpy-float", "bool", "str",
+                                  "small-fraction", "small-float", "negative",
+                                  "small-str", "none"])
     def test_non_integer_trials_rejected(self, trials):
-        # numpy would truncate 100000.5 to 100,000 trials; the bool is
-        # rejected by type before the trial count is range-checked
+        # numpy would truncate 100000.5 to 100,000 trials; a bool or a negative
+        # count fails the integer rule before the trial count is range-checked
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
         channel = ex.ChannelModel()
         runs = [
@@ -263,7 +266,8 @@ class TestRunExperiment:
         ]
         for run in runs:
             with pytest.raises(ValueError,
-                               match=re.escape(f"trials must be an integer, got {trials!r}")):
+                               match=re.escape(
+                                   f"trials must be a non-negative integer, got {trials!r}")):
                 run()
 
     def test_numpy_integer_trials_accepted(self):
@@ -273,8 +277,9 @@ class TestRunExperiment:
         b = ex.run_experiment(state, M3, ex.ChannelModel(), policy, 10_000, 7)
         assert hexed(a) == hexed(b)
 
-    @pytest.mark.parametrize("seed", [True, 3.0, -1, "1"],
-                             ids=["bool", "float", "negative", "str"])
+    @pytest.mark.parametrize("seed", [True, 3.0, -1, "1", 2.5, 1000.0, "3", None],
+                             ids=["bool", "float", "negative", "str", "fraction",
+                                  "large-float", "other-str", "none"])
     def test_invalid_seed_rejected(self, seed):
         # numpy would run True as seed 1 and raise its own TypeError for 3.0;
         # a sweep's parent seed is checked before its child seeds are derived,
@@ -293,15 +298,27 @@ class TestRunExperiment:
                     f"seed must be a non-negative integer, got {seed!r}")):
                 run()
 
-    @pytest.mark.parametrize("count", [-1, 2.5, True, "3", np.float64(2)],
-                             ids=["negative", "fraction", "bool", "str", "numpy-float"])
+    @pytest.mark.parametrize("count", [-1, 2.5, True, "3", np.float64(2), 1000.0, None],
+                             ids=["negative", "fraction", "bool", "str", "numpy-float",
+                                  "float", "none"])
     def test_invalid_seed_count_rejected(self, count):
-        # numpy would raise its own errors, or derive one seed for True
+        # numpy would raise its own errors, or derive one seed for True; a
+        # tomography spec's counts per setting keep the same rule, where
+        # True would run 1 count and 2.5 would scale every Poisson mean
         with pytest.raises(ValueError, match=re.escape(
                 f"count must be a non-negative integer, got {count!r}")):
             ex.derive_seeds(1, count)
+        labels, projectors = tm._pair_projectors("HVDL")
+        for build in (tm.standard_settings, tm.minimal_settings,
+                      lambda c: tm.TomographySpec(labels, projectors, c)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"counts_per_setting must be a non-negative integer, got {count!r}")):
+                build(count)
         assert ex.derive_seeds(1, np.int64(3)) == ex.derive_seeds(1, 3)
         assert ex.derive_seeds(1, 0) == []
+        state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
+        assert np.array_equal(tm.simulate_counts(state, tm.standard_settings(np.int64(5)), 7),
+                              tm.simulate_counts(state, tm.standard_settings(5), 7))
 
     def test_numpy_integer_seed_accepted(self):
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
