@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, encoding, steering
-from .qmath import GRID, DensityMatrix, _check_count
+from .qmath import GRID, DensityMatrix, _check_count, _check_real
 
 DEFAULT_TRIALS = 2_000_000  # ~100 s at the source's ~20,000 coincidences/s
 
@@ -33,10 +33,10 @@ class NoiseModel:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.werner_v <= 1.0:
-            raise ValueError("werner_v must lie in [0, 1]")
-        if not 0.0 <= self.dephasing <= 1.0:
-            raise ValueError("dephasing must lie in [0, 1]")
+        for name in ("werner_v", "dephasing"):
+            _check_real(name, v := getattr(self, name))
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class ChannelModel:
 
     def __post_init__(self):
         for name in ("bob_efficiency", "alice_efficiency"):
-            v = getattr(self, name)
+            _check_real(name, v := getattr(self, name))
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
 
@@ -64,7 +64,8 @@ class ThetaPolicy:
 
     def __post_init__(self):
         for name in ("theta_min", "theta_max"):
-            if not math.isfinite(getattr(self, name)):
+            _check_real(name, end := getattr(self, name))
+            if not math.isfinite(end):
                 raise ValueError(f"{name} must be finite")
         if not self.theta_min <= self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")

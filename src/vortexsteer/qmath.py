@@ -30,6 +30,13 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a bool or a non-number by type, before a range check compares it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                         np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=complex)
     if not np.all(np.isfinite(arr)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoding
-from .qmath import DensityMatrix, unit_directions
+from .qmath import DensityMatrix, _check_real, unit_directions
 
 EQUALITY_TOL = 1e-12
 TABLE_CACHE_SIZE = 64  # entries of each table cache: coefficients, gridded tables
@@ -159,6 +159,9 @@ def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              theta: float = 0.0) -> SteeringEstimate:
     """S_n computed directly from the state by the Born rule: the lossless
     table that a fixed run at theta samples, before the grid."""
+    _check_real("theta", theta)
+    if not math.isfinite(theta):  # the vortex table has no gap, so never reads it
+        raise ValueError("theta must be finite")
     table = _tables(rho, mset, 1.0, np.array([[theta]], dtype=float), 0.0)[0]
     announced, _, corr = _per_setting(table)
     return SteeringEstimate(s_value=float(np.mean(corr)), std_err=0.0,

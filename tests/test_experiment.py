@@ -82,17 +82,22 @@ class TestThetaPolicy:
 
     @pytest.mark.parametrize("kind, field, value", [
         ("fixed", "theta", math.nan), ("fixed", "theta", math.inf),
-        ("dynamic", "theta_max", math.inf), ("dynamic", "theta_min", -math.inf),
+        ("fixed", "theta", -math.inf), ("dynamic", "theta_max", math.inf), ("dynamic", "theta_min", -math.inf),
         ("dynamic", "theta_min", math.nan), ("dynamic", "theta_max", math.nan),
     ])
     def test_non_finite_angle_rejected(self, kind, field, value):
-        # fixed(t) is the range (t, t), so its first end is the one named
+        # fixed(t) is the range (t, t), so its first end is the one named;
+        # exact S at t rejects the angle too, though the vortex table never reads it
         name = "theta_min" if field == "theta" else field
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             ex.ThetaPolicy(**{name: value})
         if kind == "fixed":
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 ex.ThetaPolicy.fixed(value)
+            for encoding_kind in ("polarization", "vortex"):
+                state = ex.prepare_state(ex.NoiseModel(V_PAPER), encoding_kind)
+                with pytest.raises(ValueError, match="^theta must be finite$"):
+                    st.steering_parameter_exact(state, M3, value)
 
     def test_range_too_wide_for_a_float_rejected(self):
         # each end is finite, but the width overflows to inf
@@ -319,6 +324,28 @@ class TestRunExperiment:
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
         assert np.array_equal(tm.simulate_counts(state, tm.standard_settings(np.int64(5)), 7),
                               tm.simulate_counts(state, tm.standard_settings(5), 7))
+
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_non_real_parameter_rejected(self, value):
+        # numpy would run True as 1, and a string or None would fail the range
+        # check with Python's TypeError; each field is checked by type first
+        fields = {ex.NoiseModel: ("werner_v", "dephasing"),
+                  ex.ChannelModel: ("bob_efficiency", "alice_efficiency"),
+                  ex.ThetaPolicy: ("theta_min", "theta_max")}
+        for model, names in fields.items():
+            for name in names:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{name} must be a real number, got {value!r}")):
+                    model(**{name: value})
+        state = ex.prepare_state(ex.NoiseModel(V_PAPER), "polarization")
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta must be a real number, got {value!r}")):
+            st.steering_parameter_exact(state, M3, value)
+        # np.float32(0.5) is exactly 0.5, so its run is bit for bit the float's
+        runs = [ex.run_experiment(ex.prepare_state(ex.NoiseModel(x, x), "polarization"),
+                                  M3, ex.ChannelModel(x, x), ex.ThetaPolicy(x, x),
+                                  10_000, 3).estimate for x in (np.float32(0.5), 0.5)]
+        assert hexed(runs[0]) == hexed(runs[1])
 
     def test_numpy_integer_seed_accepted(self):
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
