@@ -82,7 +82,8 @@ class TestThetaPolicy:
 
     @pytest.mark.parametrize("kind, field, value", [
         ("fixed", "theta", math.nan), ("fixed", "theta", math.inf),
-        ("fixed", "theta", -math.inf), ("dynamic", "theta_max", math.inf), ("dynamic", "theta_min", -math.inf),
+        ("fixed", "theta", -math.inf), ("dynamic", "theta_max", math.inf),
+        ("dynamic", "theta_min", -math.inf),
         ("dynamic", "theta_min", math.nan), ("dynamic", "theta_max", math.nan),
     ])
     def test_non_finite_angle_rejected(self, kind, field, value):
@@ -327,8 +328,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
     def test_non_real_parameter_rejected(self, value):
-        # numpy would run True as 1, and a string or None would fail the range
-        # check with Python's TypeError; each field is checked by type first
+        # True would run as 1, and a string or None would fail the range check
+        # with Python's TypeError; each field is checked by type first
         fields = {ex.NoiseModel: ("werner_v", "dephasing"),
                   ex.ChannelModel: ("bob_efficiency", "alice_efficiency"),
                   ex.ThetaPolicy: ("theta_min", "theta_max")}
