@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .qmath import unit_directions
+from .qmath import _check_real, unit_directions
 from .steering import MeasurementSet
 
 SUPPORT_TOL = 1e-9
@@ -113,7 +113,7 @@ def _mix(verts, points, i, floor):
 
 def loss_tolerant_bound(mset: MeasurementSet, xi: float):
     """C_n(xi) and an optimizing mixture of at most two strategies."""
-    xi = float(xi)
+    xi = _check_real("xi", xi)
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
     verts, points = _facets(mset)
@@ -128,7 +128,8 @@ def deterministic_bound(mset: MeasurementSet) -> float:
 
 def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
     """Evaluate the loss-tolerant bound on a strictly increasing xi grid."""
-    xi_grid = tuple(float(x) for x in xi_grid)
+    xi_grid = tuple(x if type(x) is float else _check_real("grid value", x)
+                    for x in xi_grid)     # a float skips the call, 0.5 us a point
     if any(not 0.0 < x <= 1.0 for x in xi_grid):
         raise ValueError("grid values must lie in (0, 1]")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):

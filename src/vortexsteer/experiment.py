@@ -64,8 +64,7 @@ class ThetaPolicy:
 
     def __post_init__(self):
         for name in ("theta_min", "theta_max"):
-            _check_real(name, end := getattr(self, name))
-            if not math.isfinite(end):
+            if not math.isfinite(_check_real(name, getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if not self.theta_min <= self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")
@@ -77,7 +76,7 @@ class ThetaPolicy:
 
     @classmethod
     def fixed(cls, theta: float) -> "ThetaPolicy":
-        return cls(float(theta), float(theta))
+        return cls(*[_check_real("theta", theta)] * 2)
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,14 @@ class SteeringRunResult:
 
 def visibility_for_fidelity(fidelity: float) -> float:
     """Invert F = v + (1 - v)/4 for the Werner visibility."""
-    if not 0.25 <= fidelity <= 1.0:
+    if not 0.25 <= _check_real("fidelity", fidelity) <= 1.0:
         raise ValueError("Werner fidelity must lie in [0.25, 1]")
     return (4 * fidelity - 1) / 3
 
 
 def werner_state(v: float) -> DensityMatrix:
     """Werner mixture of the polarization singlet with white noise (4x4)."""
-    if not 0.0 <= v <= 1.0:
+    if not 0.0 <= _check_real("visibility", v) <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     psi = encoding.singlet_pol()
     rho = v * psi.density().entries + (1 - v) * np.eye(4) / 4
@@ -229,7 +228,7 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
                 channel: ChannelModel, thetas, trials_per_point: int,
                 seed: int) -> list[SteeringRunResult]:
     """One fixed-orientation run per theta (radians), seeds derived from seed."""
-    thetas = [float(t) for t in thetas]
+    thetas = [_check_real("theta", t) for t in thetas]
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
         raise ValueError("theta values must lie in [0, 2 pi)")
     return _runs(state, mset, channel, [ThetaPolicy.fixed(t) for t in thetas], 0.0,

@@ -30,11 +30,15 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
-    """Reject a bool or a non-number by type, before a range check compares it."""
+def _check_real(name: str, value) -> float:
+    """The one real-number rule: the float of a real that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
                                                          np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range, maybe too long to format
+        raise ValueError(f"{name} must lie within float range") from None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

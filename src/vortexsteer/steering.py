@@ -159,8 +159,7 @@ def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              theta: float = 0.0) -> SteeringEstimate:
     """S_n computed directly from the state by the Born rule: the lossless
     table that a fixed run at theta samples, before the grid."""
-    _check_real("theta", theta)
-    if not math.isfinite(theta):  # the vortex table has no gap, so never reads it
+    if not math.isfinite(_check_real("theta", theta)):  # a vortex table never reads it
         raise ValueError("theta must be finite")
     table = _tables(rho, mset, 1.0, np.array([[theta]], dtype=float), 0.0)[0]
     announced, _, corr = _per_setting(table)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import vortex_oracle as vo
+from vortexsteer import bounds as bd
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
@@ -326,22 +327,36 @@ class TestRunExperiment:
         assert np.array_equal(tm.simulate_counts(state, tm.standard_settings(np.int64(5)), 7),
                               tm.simulate_counts(state, tm.standard_settings(5), 7))
 
-    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, 10**400],
+                             ids=["bool", "str", "none", "huge-int"])
     def test_non_real_parameter_rejected(self, value):
-        # True would run as 1, and a string or None would fail the range check
-        # with Python's TypeError; each field is checked by type first
+        # True would run as 1, a string as 0.5 or a TypeError, None as a
+        # TypeError and 10**400 as an OverflowError; every real input passes
+        # the one rule first, whose message never formats a huge int's digits
         fields = {ex.NoiseModel: ("werner_v", "dephasing"),
                   ex.ChannelModel: ("bob_efficiency", "alice_efficiency"),
                   ex.ThetaPolicy: ("theta_min", "theta_max")}
-        for model, names in fields.items():
-            for name in names:
-                with pytest.raises(ValueError, match=re.escape(
-                        f"{name} must be a real number, got {value!r}")):
-                    model(**{name: value})
+        calls = [(name, lambda model=model, name=name: model(**{name: value}))
+                 for model, names in fields.items() for name in names]
         state = ex.prepare_state(ex.NoiseModel(V_PAPER), "polarization")
-        with pytest.raises(ValueError, match=re.escape(
-                f"theta must be a real number, got {value!r}")):
-            st.steering_parameter_exact(state, M3, value)
+        calls += [
+            ("theta", lambda: ex.ThetaPolicy.fixed(value)),
+            ("theta", lambda: st.steering_parameter_exact(state, M3, value)),
+            ("theta", lambda: ex.sweep_theta(state, M3, ex.ChannelModel(), [0.5, value],
+                                             10_000, 3)),
+            ("xi", lambda: bd.loss_tolerant_bound(M3, value)),
+            ("grid value", lambda: bd.bound_curve(M3, [0.25, value])),
+            ("visibility", lambda: ex.werner_state(value)),
+            ("fidelity", lambda: ex.visibility_for_fidelity(value))]
+        for name, call in calls:
+            message = (f"{name} must lie within float range" if type(value) is int
+                       else f"{name} must be a real number, got {value!r}")
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                call()
+        # numpy and int reals are read as Python floats, as float() read them
+        for x in (np.float32(0.5), np.float64(0.5), 1):
+            assert type(ex.ThetaPolicy.fixed(x).theta_min) is float
+            assert type(bd.bound_curve(M3, [0.25, x]).xi_grid[1]) is float
         # np.float32(0.5) is exactly 0.5, so its run is bit for bit the float's
         runs = [ex.run_experiment(ex.prepare_state(ex.NoiseModel(x, x), "polarization"),
                                   M3, ex.ChannelModel(x, x), ex.ThetaPolicy(x, x),
