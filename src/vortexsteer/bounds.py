@@ -47,12 +47,13 @@ class CheatStrategy:
     answers: tuple
 
     def __post_init__(self):
-        answers = tuple(int(a) for a in self.answers)
-        if any(a not in (-1, 0, 1) for a in answers):
+        answers = tuple(self.answers)
+        if not all(type(a) is not bool and isinstance(a, (int, np.integer))
+                   and a in (-1, 0, 1) for a in answers):
             raise ValueError("answers must be +1, -1 or 0 (null)")
         if all(a == 0 for a in answers):
             raise ValueError("strategy must answer at least one setting")
-        object.__setattr__(self, "answers", answers)
+        object.__setattr__(self, "answers", tuple(map(int, answers)))
         object.__setattr__(self, "bloch", unit_directions(self.bloch, ndim=1))
 
 

@@ -30,8 +30,14 @@ class TestStrategyPayoff:
     def test_all_null_rejected(self):
         with pytest.raises(ValueError):
             bd.CheatStrategy([0, 0, 1], (0, 0, 0))
-        with pytest.raises(ValueError, match=r"answers must be \+1, -1 or 0 \(null\)"):
-            bd.CheatStrategy(np.array([0, 0, 1.]), (2, 0, 0))
+        # int() would run 1.5 and "1" as 1, 0.9 as 0 and True as 1
+        for answers in [(2, 0, 0), (1.5, 0, 0), (0.9, 1, 0), (1.0, 0, 0),
+                        (np.float64(-1), 0, 0), ("1", 0, 0), (True, 0, 0),
+                        (np.True_, 0, 0), (None, 1, 0)]:
+            with pytest.raises(ValueError, match=r"answers must be \+1, -1 or 0 \(null\)"):
+                bd.CheatStrategy(np.array([0, 0, 1.]), answers)
+        answers = bd.CheatStrategy([0, 0, 1], tuple(np.array([1, 0, -1]))).answers
+        assert answers == (1, 0, -1) and all(type(a) is int for a in answers)
 
 
 class TestDeterministicBound:
