@@ -109,9 +109,9 @@ def cmd_bound(config: dict) -> None:
 
 def _prepared_state(config: dict):
     if config["visibility"] is not None:
-        visibility = float(config["visibility"])
+        visibility = config["visibility"]
     else:
-        visibility = experiment.visibility_for_fidelity(float(config["fidelity"]))
+        visibility = experiment.visibility_for_fidelity(config["fidelity"])
     noise = experiment.NoiseModel(werner_v=visibility,
                                   dephasing=config["dephasing"])
     return experiment.prepare_state(noise, config["encoding"])
