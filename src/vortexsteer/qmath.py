@@ -37,7 +37,7 @@ def _check_real(name: str, value) -> float:
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
-    except OverflowError:  # an int beyond float range, maybe too long to format
+    except OverflowError:  # an int beyond float range; 4,300+ digits do not format
         raise ValueError(f"{name} must lie within float range") from None
 
 
