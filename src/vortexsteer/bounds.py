@@ -15,9 +15,10 @@ E[P*(a)] / E[a], subject to E[a] >= n xi.  The best total payoff at a mean
 of x answered settings is the upper concave hull of the points (a, P*(a)),
 a = 0..n, with P*(0) = 0, and the optimum spends the floor exactly, so
 C_n(xi) is that hull at n xi over n xi.  One cached table per set holds the
-hull vertices and their strategies; one bisect, or one cursor along a rising
-grid, finds the vertex or the facet (lo, hi) at n xi, whose ends, mixed to
-mean n xi, are the witness.
+hull vertices, their strategies and the facets' lines P = alpha + beta a;
+one bisect, or one cursor along a rising grid, finds the vertex or the facet
+(lo, hi) at n xi, whose ends, mixed to mean n xi, are the witness.  On facet
+j, C_n(xi) = beta_j + alpha_j / (n xi) and C_n'(xi) = -alpha_j / (n xi^2).
 """
 
 from __future__ import annotations
@@ -69,8 +70,11 @@ class BoundCurve:
 
 @functools.lru_cache(maxsize=32)
 def _facets(mset: MeasurementSet) -> tuple:
-    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, and
-    their (P*(a), strategy); a point on or below a chord is dropped.
+    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, their
+    (P*(a), strategy), and the (alpha, beta) of the facet ending at each: the
+    line P = alpha + beta a through the vertex before it, or through the
+    origin for the first, where C_n is flat.  A point on or below a chord is
+    dropped.
 
     P*(a) is the longest resultant over answer patterns with a answered
     settings, and its strategy takes the resultant's direction.  Patterns are
@@ -92,9 +96,13 @@ def _facets(mset: MeasurementSet) -> tuple:
                 break
             hull.pop()
         hull.append(a)
-    return tuple(hull[1:]), tuple(
-        (pstar[a], CheatStrategy(resultants[best[a]] / norms[best[a]],
-                                 tuple(patterns[best[a]]))) for a in hull[1:])
+    lines = [(0.0, pstar[hull[1]] / hull[1])]
+    for lo, hi in zip(hull[1:], hull[2:]):
+        beta = (pstar[hi] - pstar[lo]) / (hi - lo)
+        lines.append((pstar[lo] - beta * lo, beta))
+    points = tuple((pstar[a], CheatStrategy(resultants[best[a]] / norms[best[a]],
+                                            tuple(patterns[best[a]]))) for a in hull[1:])
+    return tuple(hull[1:]), points, tuple(lines)
 
 
 def _mix(verts, points, i, floor):
@@ -117,9 +125,20 @@ def loss_tolerant_bound(mset: MeasurementSet, xi: float):
     xi = _check_real("xi", xi)
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    verts, points = _facets(mset)
+    verts, points, _ = _facets(mset)
     floor = mset.n * xi
     return _mix(verts, points, bisect.bisect_left(verts, floor), floor)
+
+
+def _bound_and_slope(mset: MeasurementSet, xi: float) -> tuple:
+    """C_n(xi), bit for bit `loss_tolerant_bound`'s, and its slope
+    -alpha_j / (n xi^2) on the facet j at n xi; at a kink, the steeper side's,
+    which is the later facet's.  For xi in (0, 1] from counts, unchecked."""
+    verts, points, lines = _facets(mset)
+    floor = mset.n * xi
+    i = bisect.bisect_left(verts, floor)
+    j = i + 1 if verts[i] == floor and i + 1 < len(verts) else i
+    return _mix(verts, points, i, floor)[0], -lines[j][0] / (floor * xi)
 
 
 def deterministic_bound(mset: MeasurementSet) -> float:
@@ -135,7 +154,7 @@ def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
         raise ValueError("grid values must lie in (0, 1]")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("xi grid must be strictly increasing")
-    verts, points = _facets(mset)
+    verts, points, _ = _facets(mset)
     n, i = mset.n, 0
     values = []
     witnesses = []

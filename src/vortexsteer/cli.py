@@ -78,8 +78,10 @@ def _write_table(config: dict, columns, rows) -> None:
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        records = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(records, sort_keys=True, indent=2) + "\n"
+        # JSON has no NaN: an undefined value (a run with no announced event) is null
+        records = [{c: None if v != v else v for c, v in zip(columns, row)}
+                   for row in rows]
+        text = json.dumps(records, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _atomic_write(config["output"], text)
 
 
@@ -93,6 +95,9 @@ def _witness_text(witness) -> str:
 
 def _run_row(theta_label, result) -> tuple:
     est = result.estimate
+    if not est.announce_fraction:
+        print(f"warning: run {theta_label} announced no event: its s_value, std_err "
+              f"and bound are undefined (nan), and it is not violated", file=sys.stderr)
     return (theta_label, result.encoding_kind, result.n, est.s_value,
             est.std_err, est.announce_fraction, result.bound_at_observed_xi,
             result.violated)

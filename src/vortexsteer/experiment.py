@@ -4,11 +4,13 @@ Noisy singlet preparation, encoding choice, receiver orientation policy,
 Bob-side loss, sampling, estimation and the verdict against the
 loss-tolerant bound evaluated at the observed announce fraction.
 
-Sampling is aggregate: trials are grouped by setting and the per-setting
-outcome tallies are drawn from the multinomial implied by the per-trial
-procedure (uniform setting choice, orientation per policy, Born probabilities
-on `GRID`, state-independent loss).  This is distributionally identical to
-trial-by-trial simulation, up to the grid, and bit-reproducible from the seed.
+Sampling is aggregate: a run draws one multinomial over its setting-averaged
+(2, 3) table on `GRID`.  A uniform setting choice followed by each setting's
+outcomes (orientation per policy, Born probabilities, state-independent
+loss) is exactly that one multinomial, and the verdict reads only its
+agreeing, announced and total counts.  So it is distributionally identical
+to trial-by-trial simulation, up to the grid, and bit-reproducible from the
+seed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("werner_v", "dephasing"):
-            _check_real(name, v := getattr(self, name))
+            object.__setattr__(self, name, v := _check_real(name, getattr(self, name)))
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
@@ -48,7 +50,7 @@ class ChannelModel:
 
     def __post_init__(self):
         for name in ("bob_efficiency", "alice_efficiency"):
-            _check_real(name, v := getattr(self, name))
+            object.__setattr__(self, name, v := _check_real(name, getattr(self, name)))
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
 
@@ -64,7 +66,8 @@ class ThetaPolicy:
 
     def __post_init__(self):
         for name in ("theta_min", "theta_max"):
-            if not math.isfinite(_check_real(name, getattr(self, name))):
+            object.__setattr__(self, name, v := _check_real(name, getattr(self, name)))
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
         if not self.theta_min <= self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")
@@ -81,7 +84,10 @@ class ThetaPolicy:
 
 @dataclass(frozen=True)
 class SteeringRunResult:
-    """One simulated steering experiment and its verdict."""
+    """One simulated steering experiment and its verdict: violated when the
+    pooled S' lies more than two standard errors above C_n at the observed
+    announce fraction.  A run with no announced event has no S', sigma or
+    bound (NaN), and is not violated."""
 
     n: int
     encoding_kind: str
@@ -93,22 +99,24 @@ class SteeringRunResult:
     seed: int
 
     def __post_init__(self):
-        expect = (self.estimate.s_value - 2 * self.estimate.std_err
-                  > self.bound_at_observed_xi)
-        if self.violated != expect:
-            raise ValueError("verdict inconsistent with the 2-sigma criterion")
+        est, bound = self.estimate, self.bound_at_observed_xi
+        if (est.announce_fraction == 0.0) != math.isnan(bound):
+            raise ValueError("the bound is undefined exactly when no event "
+                             "was announced")
+        if self.violated != (est.s_value - 2 * est.std_err > bound):
+            raise ValueError("verdict inconsistent with the pooled 2-sigma criterion")
 
 
 def visibility_for_fidelity(fidelity: float) -> float:
     """Invert F = v + (1 - v)/4 for the Werner visibility."""
-    if not 0.25 <= _check_real("fidelity", fidelity) <= 1.0:
+    if not 0.25 <= (fidelity := _check_real("fidelity", fidelity)) <= 1.0:
         raise ValueError("Werner fidelity must lie in [0.25, 1]")
     return (4 * fidelity - 1) / 3
 
 
 def werner_state(v: float) -> DensityMatrix:
     """Werner mixture of the polarization singlet with white noise (4x4)."""
-    if not 0.0 <= _check_real("visibility", v) <= 1.0:
+    if not 0.0 <= (v := _check_real("visibility", v)) <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     psi = encoding.singlet_pol()
     rho = v * psi.density().entries + (1 - v) * np.eye(4) / 4
@@ -148,40 +156,45 @@ def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
     return rng, trials
 
 
-def _on_grid(tables: np.ndarray) -> np.ndarray:
-    """Each setting's six entries on `GRID`, the largest taking the remainder of 1."""
-    rows = np.rint(tables.reshape(-1, 6) / GRID) * GRID
-    rows[np.arange(len(rows)), rows.argmax(axis=-1)] += 1 - np.add.reduce(rows, axis=-1)
-    return rows.reshape(tables.shape)
+def _on_grid(rows: np.ndarray) -> np.ndarray:
+    """Each row of six entries on `GRID`, the largest taking the remainder of 1."""
+    flat = np.rint(rows.reshape(-1, 6) / GRID) * GRID
+    flat[np.arange(len(flat)), flat.argmax(axis=-1)] += 1 - np.add.reduce(flat, axis=-1)
+    return flat.reshape(rows.shape)
+
+
+def _averaged(tables: np.ndarray) -> np.ndarray:
+    """The (T, 2, 3) setting averages of a (T, n, 2, 3) table stack, on `GRID`:
+    what a run with a uniform setting choice samples."""
+    return _on_grid(np.add.reduce(tables, axis=1) / tables.shape[1])
 
 
 @functools.lru_cache(maxsize=steering.TABLE_CACHE_SIZE)
 def _gridded(state, mset, bob_efficiency, mids: tuple, span) -> np.ndarray:
-    """The read-only tables on `GRID` that runs at fixed midpoints sample:
-    `_on_grid` of `steering._tables` over spans centred on mids.  Keyed by
+    """The read-only averaged rows that runs at fixed midpoints sample:
+    `_averaged` of `steering._tables` over spans centred on mids.  Keyed by
     identity, like the coefficients it is built from."""
-    tables = _on_grid(steering._tables(state, mset, bob_efficiency,
-                                       np.array(mids, dtype=float).reshape(-1, 1), span))
-    tables.flags.writeable = False
-    return tables
+    rows = _averaged(steering._tables(state, mset, bob_efficiency,
+                                      np.array(mids, dtype=float).reshape(-1, 1), span))
+    rows.flags.writeable = False
+    return rows
 
 
-def _sample(tables: np.ndarray, draws) -> np.ndarray:
-    """Tallies (T, n, 2, 3) of a stack of tables, each drawn by its run's
-    (generator, trials): a uniform split over settings, then each setting's
-    outcomes.  One multinomial call per setting draws what one call over the
-    (n, 6) rows draws, without numpy's array-count checks."""
-    n = tables.shape[1]
-    split = np.full(n, 1.0 / n)
-    return np.array([rng.multinomial(m, p)
-                     for rows, (rng, n_eff) in zip(tables.reshape(-1, n, 6), draws)
-                     for m, p in zip(rng.multinomial(n_eff, split).tolist(), rows)],
-                    dtype=np.int64).reshape(tables.shape)
+def _sample(rows: np.ndarray, draws) -> list:
+    """Each run's (2, 3) tally: one multinomial draw of its averaged row by
+    its (generator, kept trials)."""
+    return [rng.multinomial(m, p).reshape(2, 3)
+            for p, (rng, m) in zip(rows.reshape(-1, 6), draws)]
 
 
-def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
-    """The verdict on S_n against C_n at the observed announce fraction."""
-    bound, _ = bounds.loss_tolerant_bound(mset, estimate.announce_fraction)
+def _judge(tally, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
+    """The verdict on a run's (2, 3) tally: its pooled S' against C_n at its
+    announced fraction xi, two sigma apart, with sigma from the trinomial and
+    the bound's slope at xi.  With no announced event: NaN, not violated."""
+    agree, announced, kept = steering._totals(tally)
+    bound, slope = (bounds._bound_and_slope(mset, announced / kept) if announced
+                    else (math.nan, 0.0))
+    estimate = steering._estimate(agree, announced, kept, slope)
     return SteeringRunResult(
         n=mset.n, encoding_kind=kind, theta_policy=theta_policy, trials=trials,
         estimate=estimate, bound_at_observed_xi=bound, seed=seed,
@@ -191,22 +204,22 @@ def _judge(estimate, mset, kind, theta_policy, trials, seed) -> SteeringRunResul
 def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     """One run per policy on its own seed, the receiver uniform over
     [theta_min, theta_min + span] or, in block mode, at n angles per run.
-    Each run's generator draws Alice's thinning, the block angles, the
-    setting split and the tallies, in that order; one pass judges all.
-    Block angles are fresh draws, so only fixed midpoints share `_gridded`."""
+    Each run's generator draws Alice's thinning, the block angles and the
+    tallies, in that order.  Block angles are fresh draws, so only fixed
+    midpoints share `_gridded`."""
     # thinning checks the trial count before any table is built
     draws = [_thinned(mset, channel, trials, s) for s in seeds]
     kind = encoding.receiver_for(state.dim).kind
     if any(p.per_setting_block for p in policies):
         mids = np.array([rng.uniform(p.theta_min, p.theta_max, size=mset.n)
                          for p, (rng, _) in zip(policies, draws)])
-        tables = _on_grid(steering._tables(state, mset, channel.bob_efficiency,
-                                           mids, 0.0))
+        rows = _averaged(steering._tables(state, mset, channel.bob_efficiency,
+                                          mids, 0.0))
     else:
-        tables = _gridded(state, mset, channel.bob_efficiency,
-                          tuple(p.theta_min + span / 2 for p in policies), span)
-    return [_judge(est, mset, kind, p, trials, s) for p, s, est in
-            zip(policies, seeds, steering._estimates(_sample(tables, draws)))]
+        rows = _gridded(state, mset, channel.bob_efficiency,
+                        tuple(p.theta_min + span / 2 for p in policies), span)
+    return [_judge(tally, mset, kind, p, trials, s) for p, s, tally in
+            zip(policies, seeds, _sample(rows, draws))]
 
 
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,

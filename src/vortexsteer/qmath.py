@@ -41,6 +41,15 @@ def _check_real(name: str, value) -> float:
         raise ValueError(f"{name} must lie within float range") from None
 
 
+def _real_array(name: str, arr) -> np.ndarray:
+    """A float copy of an array of reals.  Bools, strings and objects, which
+    numpy would run as numbers or fail on with its own error, raise."""
+    a = np.asarray(arr)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return a.astype(float)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=complex)
     if not np.all(np.isfinite(arr)):
@@ -52,7 +61,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def unit_directions(arr, ndim: int | None = None) -> np.ndarray:
     """Read-only float copy of unit 3-vectors along the last axis; ``ndim``
     pins the shape (1: one vector, 2: an (n, 3) array)."""
-    u = np.array(arr, dtype=float)
+    u = _real_array("directions", arr)
     if u.shape[-1:] != (3,) or ndim not in (None, u.ndim):
         want = {1: "(3,)", 2: "(n, 3)"}.get(ndim, "(..., 3)")
         raise ValueError(f"directions must have shape {want}, got {u.shape}")

@@ -1,10 +1,14 @@
 """Measurement sets, the Born table of Bob's announce/decline model, and the
 steering parameter.
 
-The steering parameter is the average over n settings of the Alice-Bob
-correlation conditioned on Bob announcing an outcome.  Bookkeeping follows
-the anticorrelated singlet: Bob's reported value B_k is the negated raw
-analyzer outcome, so the ideal singlet gives S_n = +1 on every setting.
+The steering parameter is the pooled S' = sum_k N_k / sum_k D_k: the
+Alice-Bob correlation conditioned on Bob announcing an outcome, over all
+settings together.  D_k is setting k's announced weight and N_k its signed
+agreement, so S' = 2G/A - 1 reads only the agreeing and announced totals G
+and A.  This is the ratio the loss-tolerant bound caps, whatever announce
+rate a cheating Bob picks per setting.  Bookkeeping follows the
+anticorrelated singlet: Bob's reported value B_k is the negated raw
+analyzer outcome, so the ideal singlet gives S' = +1.
 
 Count tables are numpy integer arrays of shape (n, 2, 3):
 axis 1 indexes Alice's outcome (0 -> +1, 1 -> -1), axis 2 Bob's raw outcome
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoding
-from .qmath import DensityMatrix, _check_real, unit_directions
+from .qmath import DensityMatrix, _check_count, _check_real, unit_directions
 
 EQUALITY_TOL = 1e-12
 TABLE_CACHE_SIZE = 64  # entries of each table cache: coefficients, gridded tables
@@ -54,11 +58,16 @@ class MeasurementSet:
         return self.directions
 
 
-@functools.cache  # one shared set per n; its array is read-only
 def platonic_set(n: int) -> MeasurementSet:
     """Canonical direction sets: 2 orthogonal axes, Pauli axes, tetrahedron,
     or six icosahedron half-vertices.  z-axis member listed first where the
     solid has one."""
+    _check_count("n", n)
+    return _platonic_set(int(n))
+
+
+@functools.cache  # one shared set per n, keyed by the int, whatever n's type
+def _platonic_set(n: int) -> MeasurementSet:
     if n == 2:
         vecs = [(0, 0, 1), (1, 0, 0)]
     elif n == 3:
@@ -80,27 +89,27 @@ def platonic_set(n: int) -> MeasurementSet:
 
 @dataclass(frozen=True)
 class SteeringEstimate:
-    """S_n with its statistical error and the observed announce fraction."""
+    """The pooled S' = 2G/A - 1 over all settings, with its standard error
+    and the announced fraction xi = A/M: G agreeing and A announced of M
+    trials.  With no announced event, S' and its error are undefined: NaN."""
 
     s_value: float
     std_err: float
     announce_fraction: float
-    per_setting_correlations: tuple
 
     def __post_init__(self):
-        # plain floats: the comparisons are written so that NaN fails them
-        corr = tuple(map(float, self.per_setting_correlations))
-        if not corr:
-            raise ValueError("per_setting_correlations must not be empty")
-        if not all(abs(c) <= 1 + EQUALITY_TOL for c in corr):
-            raise ValueError("per_setting_correlations must lie in [-1, 1]")
-        if not abs(self.s_value - sum(corr) / len(corr)) <= EQUALITY_TOL:
-            raise ValueError("s_value must equal the mean of per_setting_correlations")
+        # the comparisons are written so that NaN fails them
+        if self.announce_fraction == 0.0:
+            if not (math.isnan(self.s_value) and math.isnan(self.std_err)):
+                raise ValueError("with no announced event, s_value and std_err "
+                                 "must be NaN")
+            return
+        if not abs(self.s_value) <= 1 + EQUALITY_TOL:
+            raise ValueError("s_value must lie in [-1, 1]")
         if not self.std_err >= 0.0:
             raise ValueError("std_err must be non-negative")
-        if not 0.0 <= self.announce_fraction <= 1.0:
+        if not 0.0 < self.announce_fraction <= 1.0:
             raise ValueError("announce_fraction must lie in [0, 1]")
-        object.__setattr__(self, "per_setting_correlations", corr)
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -142,61 +151,58 @@ def _tables(state, mset, bob_efficiency, theta: np.ndarray, span) -> np.ndarray:
     return tables
 
 
-def _per_setting(table: np.ndarray) -> tuple:
-    """Announced weight, agreement and correlation of each setting of a
-    (..., n, 2, 3) table of probabilities or tallies."""
-    announced = np.add.reduce(table[..., :2], axis=(-2, -1)).astype(float)
-    if np.count_nonzero(announced) < announced.size:
-        # the first table's first such setting, as run by run
-        bad = np.argwhere(announced == 0)[0][-1]
-        raise ValueError(f"setting {bad} has zero announced events")
+def _totals(table) -> tuple:
+    """(G, A, M): the agreeing, announced and total weight of a (2, 3) table
+    of tallies or probabilities, as Python numbers."""
     # B_k is the negated raw outcome: agreement = (alice, bob raw) opposite
-    agree = table[..., 0, 1] + table[..., 1, 0]
-    return announced, agree, (2 * agree - announced) / announced
+    (pp, pm, p0), (mp, mm, m0) = table.tolist()
+    agree = pm + mp
+    announced = agree + pp + mm
+    return agree, announced, announced + p0 + m0
+
+
+def _estimate(agree, announced, kept, slope=0.0) -> SteeringEstimate:
+    """S' = 2G/A - 1 of G agreeing and A announced of M kept trials, with
+    sigma^2 = 4 p(1 - p)/A + slope^2 xi(1 - xi)/M, p = G/A and xi = A/M: the
+    trinomial's delta-method variance of S' - C(xi) for a bound of that slope
+    at xi (S' and xi are uncorrelated).  No announced event: NaN, at xi = 0."""
+    if not announced:
+        return SteeringEstimate(math.nan, math.nan, 0.0)
+    p, xi = agree / announced, announced / kept
+    return SteeringEstimate((2 * agree - announced) / announced,
+                            math.sqrt(4 * p * (1 - p) / announced
+                                      + slope * slope * xi * (1 - xi) / kept), xi)
+
+
+def _exact(tables: np.ndarray) -> SteeringEstimate:
+    """The pooled S' and announced fraction of an (n, 2, 3) probability table,
+    read from its setting average."""
+    agree, announced, total = _totals(np.add.reduce(tables, axis=0) / len(tables))
+    return SteeringEstimate((2 * agree - announced) / announced, 0.0, announced / total)
 
 
 def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
                              theta: float = 0.0) -> SteeringEstimate:
-    """S_n computed directly from the state by the Born rule: the lossless
-    table that a fixed run at theta samples, before the grid."""
+    """S' computed directly from the state by the Born rule: the lossless
+    table that a fixed run at theta samples, before its settings are averaged
+    and put on the grid."""
     if not math.isfinite(_check_real("theta", theta)):  # a vortex table never reads it
         raise ValueError("theta must be finite")
-    table = _tables(rho, mset, 1.0, np.array([[theta]], dtype=float), 0.0)[0]
-    announced, _, corr = _per_setting(table)
-    return SteeringEstimate(s_value=float(np.mean(corr)), std_err=0.0,
-                            announce_fraction=float(np.mean(announced)),
-                            per_setting_correlations=tuple(corr))
+    return _exact(_tables(rho, mset, 1.0, np.array([[theta]], dtype=float), 0.0)[0])
 
 
 def steering_parameter_counts(counts: np.ndarray) -> SteeringEstimate:
-    """S_n from a tally table, with per-setting binomial error propagation.
+    """The pooled S' of an (n, 2, 3) tally table, with its binomial error
+    given the announced total: the run's error for a bound of slope 0.
 
     The quoted std_err is ONE standard deviation; scale by 2 for
     two-standard-deviation error bars.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 3 or counts.shape[1] != 2 or counts.shape[2] != 3:
+    if counts.ndim != 3 or counts.shape[1:] != (2, 3) or not len(counts):
         raise ValueError("counts must have shape (n, 2, 3)")
-    return _estimates(counts[None])[0]
-
-
-def _estimates(counts: np.ndarray) -> list[SteeringEstimate]:
-    """`steering_parameter_counts` of each table in a (T, n, 2, 3) stack, in
-    one pass: every reduction runs along the same last axes as for one table,
-    so each estimate is bit for bit the one of its table alone."""
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integer tallies, got dtype {counts.dtype}")
-    if counts.size and np.minimum.reduce(counts, axis=None) < 0:
+    if counts.min() < 0:
         raise ValueError("counts must be non-negative")
-    announced, agree, corr = _per_setting(counts)
-    p_hat = agree / announced
-    var = 4 * p_hat * (1 - p_hat) / announced
-    # add.reduce is what mean and sum run, without their Python wrappers; mean
-    # is the sum over the count, and Python rounds each scalar step as numpy does
-    n, add = counts.shape[-3], np.add.reduce
-    return [SteeringEstimate(s / n, math.sqrt(v) / n, a / total, c)
-            for s, v, a, total, c in zip(add(corr, axis=-1).tolist(),
-                                         add(var, axis=-1).tolist(),
-                                         add(announced, axis=-1).tolist(),
-                                         add(counts, axis=(-3, -2, -1)).tolist(),
-                                         corr.tolist())]
+    return _estimate(*_totals(counts.sum(axis=0)))

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import encoding, qmath
-from .qmath import GRID, DensityMatrix, StateVector
+from .qmath import GRID, DensityMatrix, StateVector, _real_array
 
 MAX_ITERATIONS = 10_000
 GAP_TOL = 1e-8  # certified likelihood gap, in nats per count
@@ -130,7 +130,7 @@ def reconstruct(counts, spec: TomographySpec,
     `counts` may be floats (e.g. exact expected counts) for noiseless studies.
     The log-likelihood is Poisson's for means N Tr(P_s rho), up to a constant.
     """
-    counts = np.asarray(counts, dtype=float)
+    counts = _real_array("counts", counts)
     if counts.shape != (spec.n_settings,) or not np.all(
             np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be one finite non-negative number per setting")

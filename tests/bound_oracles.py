@@ -9,6 +9,8 @@
 - `hull_facets`: the facets of the upper concave hull of (a, P*(a)) by gift
   wrapping, each a linear steering inequality P(s) <= alpha + beta a(s).
 - `strategy_payoff`: the payoff of one strategy, summed setting by setting.
+- `mean_ratio_cheater`: the LHS mixture that maximises the mean over
+  settings of the per-setting ratios at fixed per-setting announce rates.
 """
 
 from __future__ import annotations
@@ -89,6 +91,29 @@ def lp_bound(mset: MeasurementSet, xi: float, per_setting: bool = False):
     support = np.nonzero(q > SUPPORT_TOL * max(1.0, total))[0]
     witness = tuple((float(q[j] / total), strategies[j]) for j in support)
     return float(-res.fun), witness
+
+
+def mean_ratio_cheater(mset: MeasurementSet, rates) -> list:
+    """The LHS mixture, as (weight, Bloch vector, pattern) triples, that
+    maximises the mean over settings of N_k / D_k with setting k announced at
+    rate D_k: an LP over all 3^n patterns, the all-null one included.  Bob's
+    best state for a pattern s is the resultant of s_k u_k / D_k, and its
+    norm is the pattern's share of the objective."""
+    from scipy.optimize import linprog
+
+    rates = np.asarray(rates, dtype=float)
+    patterns = np.array(list(product((0, 1, -1), repeat=mset.n)))
+    resultants = (patterns / rates) @ mset.directions
+    norms = np.linalg.norm(resultants, axis=1)
+    a_eq = np.vstack([(patterns != 0).T, np.ones(len(patterns))])
+    res = linprog(-norms, A_eq=a_eq, b_eq=np.append(rates, 1.0), bounds=(0, None),
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"cheater LP failed: {res.message}")
+    return [(float(q), r / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0]),
+             tuple(int(a) for a in pattern))
+            for q, r, norm, pattern in zip(res.x, resultants, norms, patterns)
+            if q > 1e-12]
 
 
 def brute_force_pstar(mset: MeasurementSet) -> list[float]:

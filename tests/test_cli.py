@@ -508,84 +508,88 @@ class TestTomoCommand:
         assert (tmp_path / "tomo.json.config.json").read_bytes() == sidecar
 
 
-# Seeded rows as printed when the tallies were still drawn one setting at a
-# time: a change to the draw order or to the Born table shows here.
+# Seeded rows, re-copied when each run became one multinomial draw of its
+# setting-averaged table, judged by the pooled S' with the bound's slope in
+# its sigma: a change to the draw order or to the Born table shows here.
 GOLDEN_ROWS = {
     ("steer", "3", "vortex"):
-        "25,vortex,3,0.970566978979,0.00113464224687,0.45054,0.847609367131,true",
+        "25,vortex,3,0.969358527433,0.00190627970306,0.45037,0.847772959925,true",
     ("steer", "3", "polarization"):
-        "25,polarization,3,0.738073394128,0.00308138717296,0.45077,0.847388232106,false",
+        "25,polarization,3,0.738728734509,0.00351929608613,0.45026,0.847878879913,false",
     ("steer", "6", "vortex"):
-        "25,vortex,6,0.968853554483,0.00116554416195,0.45118,0.806772656282,true",
+        "25,vortex,6,0.969358527433,0.00123634046372,0.45037,0.80699587229,true",
     ("steer", "6", "polarization"):
-        "25,polarization,6,0.736612999594,0.0031410043204,0.45148,0.806690186944,false",
+        "25,polarization,6,0.738728734509,0.00320594998293,0.45026,0.807026247513,false",
     ("dynamic", "3", "vortex"):
-        "dynamic,vortex,3,0.96808073374,0.00118084368176,0.45053,0.847618986819,true",
+        "dynamic,vortex,3,0.969131004464,0.00190931719743,0.45029,0.847849987512,true",
     ("dynamic", "3", "polarization"):
-        "dynamic,polarization,3,-0.23443813596,0.00220156014105,0.45136,0.846822003253,false",
+        "dynamic,polarization,3,-0.22805224809,0.00483292043963,0.45016,0.847975215731,false",
     ("dynamic", "6", "vortex"):
-        "dynamic,vortex,6,0.968719857183,0.00116798567848,0.45121,0.806764404414,true",
+        "dynamic,vortex,6,0.969081997028,0.00124021885682,0.45087,0.806857989894,true",
     ("dynamic", "6", "polarization"):
-        "dynamic,polarization,6,0.216332301342,0.00372532179911,0.45066,0.806915863235,false",
+        "dynamic,polarization,6,0.23075895838,0.00461107963663,0.4493,0.807291971683,false",
 }
 GOLDEN_SWEEP = [
-    "0,vortex,4,0.883358960649,0.00247771956841,0.448195969893,0.837706536583,true",
-    "45,vortex,4,0.885831512149,0.00245454789324,0.446989504235,0.838259076753,true",
-    "90,vortex,4,0.877309129371,0.00253502916054,0.447197684284,0.838163521096,true",
+    "0,vortex,4,0.886648683223,0.00256547817163,0.450337512054,0.836733039348,true",
+    "45,vortex,4,0.884920191986,0.00258802767924,0.448303038643,0.837657644643,true",
+    "90,vortex,4,0.888959760393,0.00253994872982,0.449905175425,0.836928823296,true",
 ]
 # The same sweep as JSON, where every float prints in full: a change in the
 # last digit of any estimate or bound shows here.
 GOLDEN_SWEEP_JSON = [
-    {"announce_fraction": 0.44819596989317334, "bound": 0.8377065365830425,
-     "encoding": "vortex", "n": 4, "s_value": 0.8833589606489334,
-     "std_err": 0.002477719568406629, "theta_deg": 0.0, "violated": True},
-    {"announce_fraction": 0.4469895042345847, "bound": 0.8382590767526055,
-     "encoding": "vortex", "n": 4, "s_value": 0.8858315121494538,
-     "std_err": 0.002454547893240562, "theta_deg": 45.0, "violated": True},
-    {"announce_fraction": 0.44719768428407447, "bound": 0.8381635210960724,
-     "encoding": "vortex", "n": 4, "s_value": 0.8773091293714756,
-     "std_err": 0.0025350291605404996, "theta_deg": 90.0, "violated": True},
+    {"announce_fraction": 0.4503375120540019, "bound": 0.836733039347902,
+     "encoding": "vortex", "n": 4, "s_value": 0.8866486832225591,
+     "std_err": 0.002565478171629883, "theta_deg": 0.0, "violated": True},
+    {"announce_fraction": 0.4483030386429313, "bound": 0.8376576446434358,
+     "encoding": "vortex", "n": 4, "s_value": 0.8849201919857127,
+     "std_err": 0.002588027679236258, "theta_deg": 45.0, "violated": True},
+    {"announce_fraction": 0.4499051754254629, "bound": 0.836928823296488,
+     "encoding": "vortex", "n": 4, "s_value": 0.8889597603926898,
+     "std_err": 0.002539948729818894, "theta_deg": 90.0, "violated": True},
 ]
 # Lossless polarization sweeps: every null entry of their tables is a
 # rounding residue of about 1e-16, which the probability grid draws as exactly
 # 0. Re-copied when the tables moved onto the grid: the residues had steered
-# the multinomial draws.
+# the multinomial draws. Re-copied again with the one-draw sampler: the pooled
+# S' of a pure state at 90 degrees has p = 1/3 across settings, so sigma > 0.
 GOLDEN_LOSSLESS_SWEEPS = {
     ("3", "--fidelity", "0.977"): [
-        "0,polarization,3,0.969478192855,0.000775336611818,1,0.57735026919,true",
-        "45,polarization,3,0.32292441955,0.00262138887611,1,0.57735026919,false",
-        "90,polarization,3,-0.322786414579,0.000792357219749,1,0.57735026919,false",
+        "0,polarization,3,0.96864,0.000785726099859,1,0.57735026919,true",
+        "45,polarization,3,0.32556,0.00299000114783,1,0.57735026919,false",
+        "90,polarization,3,-0.32316,0.00299260357281,1,0.57735026919,false",
     ],
     ("3", "--visibility", "1"): [
         "0,polarization,3,1,0,1,0.57735026919,true",
-        "45,polarization,3,0.336307016104,0.0025833887485,1,0.57735026919,false",
-        "90,polarization,3,-0.333333333333,0,1,0.57735026919,false",
+        "45,polarization,3,0.33578,0.0029786772091,1,0.57735026919,false",
+        "90,polarization,3,-0.3334,0.00298134942602,1,0.57735026919,false",
     ],
     ("6", "--fidelity", "0.977"): [
-        "0,polarization,6,0.970117375093,0.000767304295734,1,0.539344662917,true",
-        "45,polarization,6,0.325113800998,0.00284930547825,1,0.539344662917,false",
-        "90,polarization,6,-0.319857566275,0.0023618742451,1,0.539344662917,false",
+        "0,polarization,6,0.96864,0.000785726099859,1,0.539344662917,true",
+        "45,polarization,6,0.32556,0.00299000114783,1,0.539344662917,false",
+        "90,polarization,6,-0.32316,0.00299260357281,1,0.539344662917,false",
     ],
     ("6", "--visibility", "1"): [
         "0,polarization,6,1,0,1,0.539344662917,true",
-        "45,polarization,6,0.335345454866,0.00282803061582,1,0.539344662917,false",
-        "90,polarization,6,-0.330826247101,0.00230017279642,1,0.539344662917,false",
+        "45,polarization,6,0.33578,0.0029786772091,1,0.539344662917,false",
+        "90,polarization,6,-0.3334,0.00298134942602,1,0.539344662917,false",
     ],
 }
 
 # Vortex runs at n = 6 whose tables hold rounding residues: a pure state behind
 # loss, and a lossless dephased sweep. Re-copied when the tables moved onto
-# the probability grid, which draws the residues as exactly 0.
+# the probability grid, which draws the residues as exactly 0, and again with
+# the one-draw sampler, whose sigma for S' = 1 behind loss is the bound's
+# slope term.
 GOLDEN_VORTEX_RESIDUE_RUNS = {
     "pure-lossy-steer": (
         ["steer", "--visibility", "1", "--efficiency", "0.45", "--theta", "25"],
-        ["25,vortex,6,1,0,0.45036,0.806998633061,true"]),
+        ["25,vortex,6,1,0.000437794434669,0.44851,0.807511493735,true"]),
     "lossless-dephased-sweep": (
         ["sweep", "--visibility", "1", "--dephasing", "0.3", "--efficiency", "1",
          "--thetas", "0,45,90"],
-        ["0,vortex,6,0.80237342333,0.00186616084888,1,0.539344662917,true",
-         "45,vortex,6,0.800433340809,0.00187481961104,1,0.539344662917,true",
-         "90,vortex,6,0.801899781808,0.00187141096357,1,0.539344662917,true"]),
+        ["0,vortex,6,0.79814,0.0019051838242,1,0.539344662917,true",
+         "45,vortex,6,0.8015,0.00189102551543,1,0.539344662917,true",
+         "90,vortex,6,0.80176,0.00188992302065,1,0.539344662917,true"]),
 }
 
 
@@ -683,3 +687,25 @@ def test_module_entry_point_exits_with_mains_code(tmp_path, n, code):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert done.returncode == code
     assert out.exists() == (code == 0)
+
+
+def test_run_with_no_announced_event_warns_and_is_not_violated(tmp_path, capsys):
+    # once a setting with no announced event exited 2; now only a run with no
+    # announced event at all is undefined, and it is a result, not an error
+    out = tmp_path / "steer.csv"
+    assert run(["steer", "--visibility", "1", "--efficiency", "1e-12", "--trials", "10",
+                "--seed", "1", "--output", str(out)]) == 0
+    assert read_lines(out)[1] == "0,vortex,3,nan,nan,0,nan,false"
+    assert capsys.readouterr().err == (
+        "warning: run 0.0 announced no event: its s_value, std_err and bound are "
+        "undefined (nan), and it is not violated\n")
+    result = out.read_bytes()
+    assert run(["--config", str(tmp_path / "steer.csv.config.json")]) == 0
+    assert out.read_bytes() == result
+    # JSON has no NaN, so the undefined values are null
+    assert run(["steer", "--visibility", "1", "--efficiency", "1e-12", "--trials", "10",
+                "--seed", "1", "--format", "json", "--output", str(tmp_path / "s.json")]) == 0
+    record, = json.loads((tmp_path / "s.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(name))
+    assert [record[c] for c in ("s_value", "std_err", "bound", "announce_fraction",
+                                "violated")] == [None, None, None, 0.0, False]

@@ -7,6 +7,7 @@ from hypothesis import strategies as hs
 
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
+from vortexsteer import tomography as tm
 from vortexsteer.qmath import DensityMatrix
 
 
@@ -38,6 +39,15 @@ class TestPlatonicSets:
         with pytest.raises(ValueError):
             st.platonic_set(5)
 
+    def test_one_set_per_n(self):
+        # every identity-keyed cache (facets, coefficients, gridded rows)
+        # then sees one set; n passes the one integer rule
+        assert st.platonic_set(np.int64(3)) is st.platonic_set(3)
+        assert st.platonic_set(np.uint8(6)) is st.platonic_set(6)
+        for n in (3.0, np.float64(3), True, "3", -3):
+            with pytest.raises(ValueError, match="n must be a non-negative integer"):
+                st.platonic_set(n)
+
     def test_rejects_antipodal_directions(self):
         with pytest.raises(ValueError):
             st.MeasurementSet([[0, 0, 1], [0, 0, -1]])
@@ -48,6 +58,18 @@ class TestPlatonicSets:
         dirs[..., 0] = 1.0   # unit rows where a row has three entries
         with pytest.raises(ValueError):
             st.MeasurementSet(dirs)
+
+    @pytest.mark.parametrize("build", ["set", "reconstruct"])
+    @pytest.mark.parametrize("dtype", [str, bool, object])
+    def test_non_real_arrays_rejected_by_dtype(self, build, dtype):
+        # numpy would parse "1" as 1.0 and run True as 1
+        if build == "set":
+            with pytest.raises(ValueError, match="^directions must be real numbers, got dtype"):
+                st.MeasurementSet(np.eye(3).astype(int).astype(dtype))
+        else:
+            spec = tm.standard_settings(100)
+            with pytest.raises(ValueError, match="^counts must be real numbers, got dtype"):
+                tm.reconstruct(np.ones(spec.n_settings, dtype=int).astype(dtype), spec)
 
     def test_directions_are_a_read_only_copy(self):
         dirs = np.eye(3)
@@ -72,15 +94,18 @@ class TestSteeringExact:
     @pytest.mark.parametrize("encoding_kind", ["polarization", "vortex"])
     def test_exact_s_reads_the_table_a_lossless_fixed_run_samples(self, n,
                                                                  encoding_kind):
-        # bit for bit the run's table before the grid, at any angle
+        # bit for bit the pooled ratio of the setting average that a lossless
+        # fixed run at any angle puts on the grid
         state = ex.prepare_state(ex.NoiseModel(0.9693, dephasing=0.1), encoding_kind)
         mset = st.platonic_set(n)
         for theta in np.random.default_rng(n).uniform(0, 2 * np.pi, size=10):
-            table = st._tables(state, mset, 1.0, np.array([[theta]]), 0.0)[0]
-            want = st._per_setting(table)[2].tolist()
+            tables = st._tables(state, mset, 1.0, np.array([[theta]]), 0.0)
+            row = np.add.reduce(tables, axis=1) / n
+            assert ex._averaged(tables).tobytes() == ex._on_grid(row).tobytes()
+            (pp, pm, _), (mp, mm, _) = row[0].tolist()
+            announced = pm + mp + pp + mm
             got = st.steering_parameter_exact(state, mset, theta)
-            assert [c.hex() for c in got.per_setting_correlations] == \
-                [c.hex() for c in want]
+            assert got.s_value.hex() == ((2 * (pm + mp) - announced) / announced).hex()
 
     def test_werner_gives_visibility(self):
         v = 0.73
@@ -148,13 +173,22 @@ class TestSteeringCounts:
         est = st.steering_parameter_counts(counts)
         assert est.s_value == pytest.approx(0.0)
 
-    def test_zero_announced_setting_raises(self):
+    def test_zero_announced_setting_is_pooled(self):
+        # the other settings' tallies define S'; a setting needs no events
         counts = np.zeros((3, 2, 3), dtype=int)
         counts[:, :, :2] = 10
         counts[1, :, :2] = 0
         counts[1, :, 2] = 10
-        with pytest.raises(ValueError):
-            st.steering_parameter_counts(counts)
+        est = st.steering_parameter_counts(counts)
+        assert (est.s_value, est.announce_fraction) == (0.0, 80 / 100)
+
+    @pytest.mark.parametrize("nulls", [0, 7])
+    def test_no_announced_event_is_undefined(self, nulls):
+        counts = np.zeros((3, 2, 3), dtype=int)
+        counts[:, :, 2] = nulls
+        est = st.steering_parameter_counts(counts)
+        assert math.isnan(est.s_value) and math.isnan(est.std_err)
+        assert est.announce_fraction == 0.0
 
     def test_monte_carlo_matches_exact_value(self):
         v = 0.9693
@@ -164,22 +198,6 @@ class TestSteeringCounts:
                                    trials=10**6, seed=99)
         est = result.estimate
         assert abs(est.s_value - v) < 3 * est.std_err
-
-    def test_matches_per_setting_loop(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 4, 6):
-            counts = rng.integers(1, 10**6, size=(n, 2, 3))
-            corr, var = [], []
-            for k in range(n):
-                announced = float(counts[k, :, :2].sum())
-                agree = counts[k, 0, 1] + counts[k, 1, 0]
-                disagree = counts[k, 0, 0] + counts[k, 1, 1]
-                corr.append((agree - disagree) / announced)
-                p_hat = agree / announced
-                var.append(4 * p_hat * (1 - p_hat) / announced)
-            est = st.steering_parameter_counts(counts)
-            assert est.per_setting_correlations == tuple(corr)
-            assert est.std_err == float(np.sqrt(np.sum(var)) / n)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -193,70 +211,51 @@ class TestSteeringCounts:
             st.steering_parameter_counts(counts)
 
 
-def estimate_one_table(counts):
-    """The single-table estimator, reduction for reduction, as it stood
-    before tables were judged in stacks: (s, std_err, xi, correlations)."""
-    announced = counts[:, :, :2].sum(axis=(1, 2)).astype(float)
-    agree = counts[:, 0, 1] + counts[:, 1, 0]
-    corr = (2 * agree - announced) / announced
+def pooled_reference(counts):
+    """(S', std_err, xi) of a tally table, in Python integers until the last
+    divisions: the pooled estimator with a bound of slope 0."""
+    agree = int(counts[:, 0, 1].sum()) + int(counts[:, 1, 0].sum())
+    announced = agree + int(counts[:, 0, 0].sum()) + int(counts[:, 1, 1].sum())
+    total = int(counts.sum())
     p_hat = agree / announced
-    var = 4 * p_hat * (1 - p_hat) / announced
-    return (float(corr.mean()), float(np.sqrt(var.sum()) / len(counts)),
-            float(announced.sum() / counts.sum()), tuple(float(c) for c in corr))
+    return ((2 * agree - announced) / announced,
+            math.sqrt(4 * p_hat * (1 - p_hat) / announced), announced / total)
 
 
-def bits(values):
-    """Floats as hex strings, so that equality means bit for bit."""
-    if isinstance(values, (tuple, list)):
-        return tuple(bits(v) for v in values)
-    return float.hex(values)
-
-
-class TestStackedEstimates:
+class TestPooledEstimate:
     @settings(max_examples=60, deadline=None)
-    @given(t=hs.integers(1, 8), n=hs.integers(2, 8), magnitude=hs.integers(1, 40),
+    @given(n=hs.integers(1, 8), magnitude=hs.integers(1, 40),
            seed=hs.integers(0, 2 ** 32 - 1))
-    def test_stack_equals_each_table_alone(self, t, n, magnitude, seed):
-        counts = np.random.default_rng(seed).integers(0, 2 ** magnitude, size=(t, n, 2, 3))
-        counts[..., 0, 0] += counts[..., :2].sum(axis=(-2, -1)) == 0  # announce once
-        stacked = st._estimates(counts)
-        assert len(stacked) == t
-        for table, est in zip(counts, stacked):
-            alone = st.steering_parameter_counts(table)
-            expected = bits(estimate_one_table(table))
-            for e in (est, alone):
-                assert bits((e.s_value, e.std_err, e.announce_fraction,
-                             e.per_setting_correlations)) == expected
+    def test_counts_equal_the_pooled_reference(self, n, magnitude, seed):
+        counts = np.random.default_rng(seed).integers(0, 2 ** magnitude, size=(n, 2, 3))
+        counts[0, 0, 0] += counts[..., :2].sum() == 0  # announce once
+        est = st.steering_parameter_counts(counts)
+        assert tuple(map(float.hex, (est.s_value, est.std_err, est.announce_fraction))) \
+            == tuple(map(float.hex, pooled_reference(counts)))
 
-    def test_zero_announced_setting_in_a_middle_table(self):
-        counts = np.full((5, 3, 2, 3), 10)
-        counts[2, 1, :, :2] = 0      # table 2, setting 1 never announces
-        counts[3, 0, :, :2] = 0      # a later table does not mask it
-        with pytest.raises(ValueError) as alone:
-            st.steering_parameter_counts(counts[2])
-        with pytest.raises(ValueError) as stacked:
-            st._estimates(counts)
-        assert str(stacked.value) == str(alone.value) == \
-            "setting 1 has zero announced events"
+    def test_slope_adds_the_announced_fraction_term(self):
+        # sigma^2 = 4 p(1 - p)/A + slope^2 xi(1 - xi)/M
+        est = st._estimate(300, 400, 1000, slope=-0.5)
+        assert est.s_value == 0.5 and est.announce_fraction == 0.4
+        assert est.std_err == math.sqrt(4 * 0.75 * 0.25 / 400 + 0.25 * 0.4 * 0.6 / 1000)
+        assert st._estimate(300, 400, 1000).std_err == math.sqrt(4 * 0.75 * 0.25 / 400)
 
 
 class TestSteeringEstimateInvariants:
-    def test_mean_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            st.SteeringEstimate(0.5, 0.0, 1.0, (0.1, 0.2, 0.3))
-
-    def test_correlation_range_enforced(self):
-        with pytest.raises(ValueError):
-            st.SteeringEstimate(1.2, 0.0, 1.0, (1.2, 1.2, 1.2))
-
     @pytest.mark.parametrize("args, field", [
-        ((0.5, 0.0, 0.5, ()), "per_setting_correlations"),
-        ((math.nan, 0.0, 0.5, (0.5, 0.5)), "s_value"),
-        ((0.5, 0.0, 0.5, (0.5, math.nan)), "per_setting_correlations"),
-        ((0.5, -1.0, 0.5, (0.5, 0.5)), "std_err"),
-        ((0.5, math.nan, 0.5, (0.5, 0.5)), "std_err"),
-        ((0.5, 0.0, math.nan, (0.5, 0.5)), "announce_fraction"),
+        ((1.2, 0.0, 1.0), "s_value"),
+        ((math.nan, 0.0, 0.5), "s_value"),
+        ((0.5, -1.0, 0.5), "std_err"),
+        ((0.5, math.nan, 0.5), "std_err"),
+        ((0.5, 0.0, math.nan), "announce_fraction"),
+        ((0.5, 0.0, 1.5), "announce_fraction"),
+        ((0.5, 0.0, 0.0), "no announced event"),
+        ((math.nan, 0.0, 0.0), "no announced event"),
     ])
-    def test_empty_or_nan_fields_rejected(self, args, field):
+    def test_out_of_range_or_nan_fields_rejected(self, args, field):
         with pytest.raises(ValueError, match=field):
             st.SteeringEstimate(*args)
+
+    def test_no_announced_event_is_nan(self):
+        est = st.SteeringEstimate(math.nan, math.nan, 0.0)
+        assert est.announce_fraction == 0.0
