@@ -14,17 +14,18 @@ matters, so a mixture is a distribution over a = 1..n with value
 E[P*(a)] / E[a], subject to E[a] >= n xi.  The best total payoff at a mean
 of x answered settings is the upper concave hull of the points (a, P*(a)),
 a = 0..n, with P*(0) = 0, and the optimum spends the floor exactly, so
-C_n(xi) is that hull at n xi over n xi.  One cached table per set holds the
-hull vertices, their strategies and the facets' lines P = alpha + beta a;
-one bisect, or one cursor along a rising grid, finds the vertex or the facet
-(lo, hi) at n xi, whose ends, mixed to mean n xi, are the witness.  On facet
-j, C_n(xi) = beta_j + alpha_j / (n xi) and C_n'(xi) = -alpha_j / (n xi^2).
+C_n(xi) is that hull at n xi over n xi.  One cached record per hull vertex
+hi holds the facet (lo, hi) ending there: its ends' P* and strategies and its
+line P = alpha + beta a.  A bisect, or a cursor along a rising grid, finds
+the facet with lo < n xi <= hi, and one mix of its ends to mean n xi gives
+the witness.  On it, C_n = beta + alpha / (n xi), C_n' = -alpha / (n xi^2).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
@@ -68,13 +69,16 @@ class BoundCurve:
     witnesses: tuple
 
 
+_Facet = namedtuple("_Facet", "lo hi p_lo p_hi s_lo s_hi alpha beta")
+
+
 @functools.lru_cache(maxsize=32)
 def _facets(mset: MeasurementSet) -> tuple:
-    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, their
-    (P*(a), strategy), and the (alpha, beta) of the facet ending at each: the
-    line P = alpha + beta a through the vertex before it, or through the
-    origin for the first, where C_n is flat.  A point on or below a chord is
-    dropped.
+    """The hull vertices a >= 1 of (a, P*(a)), a = 0..n, with P*(0) = 0, and
+    per vertex hi a `_Facet` for the facet (lo, hi) ending there: its ends'
+    P* and strategies, and its line P = alpha + beta a.  The first runs from
+    the origin, which has no strategy and where C_n is flat.  A point on or
+    below a chord is dropped.
 
     P*(a) is the longest resultant over answer patterns with a answered
     settings, and its strategy takes the resultant's direction.  Patterns are
@@ -96,21 +100,22 @@ def _facets(mset: MeasurementSet) -> tuple:
                 break
             hull.pop()
         hull.append(a)
-    lines = [(0.0, pstar[hull[1]] / hull[1])]
-    for lo, hi in zip(hull[1:], hull[2:]):
+    cheat = {a: CheatStrategy(resultants[best[a]] / norms[best[a]],
+                              tuple(patterns[best[a]])) for a in hull[1:]}
+    facets = []
+    for lo, hi in zip(hull, hull[1:]):
         beta = (pstar[hi] - pstar[lo]) / (hi - lo)
-        lines.append((pstar[lo] - beta * lo, beta))
-    points = tuple((pstar[a], CheatStrategy(resultants[best[a]] / norms[best[a]],
-                                            tuple(patterns[best[a]]))) for a in hull[1:])
-    return tuple(hull[1:]), points, tuple(lines)
+        facets.append(_Facet(lo, hi, pstar[lo], pstar[hi], cheat.get(lo), cheat[hi],
+                             pstar[lo] - beta * lo, beta))
+    return tuple(hull[1:]), tuple(facets)
 
 
-def _mix(verts, points, i, floor):
-    """C_n(xi) at floor = n xi, where verts[i] is the first hull vertex >=
-    floor, and its witness: the facet ends mixed to mean exactly floor."""
-    if i == 0 or verts[i] == floor:
-        return points[i][0] / verts[i], ((1.0, points[i][1]),)
-    (lo, hi), ((p_lo, s_lo), (p_hi, s_hi)) = verts[i - 1:i + 1], points[i - 1:i + 1]
+def _mix(facet, floor):
+    """C_n(xi) at floor = n xi on the facet whose end hi is the first hull
+    vertex >= floor, and its witness: the ends mixed to mean exactly floor."""
+    lo, hi, p_lo, p_hi, s_lo, s_hi, _, _ = facet
+    if lo == 0 or hi == floor:
+        return p_hi / hi, ((1.0, s_hi),)
     w = (hi - floor) / (hi - lo)
     value = (w * p_lo + (1 - w) * p_hi) / floor
     if w <= SUPPORT_TOL:
@@ -125,20 +130,20 @@ def loss_tolerant_bound(mset: MeasurementSet, xi: float):
     xi = _check_real("xi", xi)
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    verts, points, _ = _facets(mset)
+    verts, facets = _facets(mset)
     floor = mset.n * xi
-    return _mix(verts, points, bisect.bisect_left(verts, floor), floor)
+    return _mix(facets[bisect.bisect_left(verts, floor)], floor)
 
 
 def _bound_and_slope(mset: MeasurementSet, xi: float) -> tuple:
     """C_n(xi), bit for bit `loss_tolerant_bound`'s, and its slope
     -alpha_j / (n xi^2) on the facet j at n xi; at a kink, the steeper side's,
     which is the later facet's.  For xi in (0, 1] from counts, unchecked."""
-    verts, points, lines = _facets(mset)
+    verts, facets = _facets(mset)
     floor = mset.n * xi
     i = bisect.bisect_left(verts, floor)
     j = i + 1 if verts[i] == floor and i + 1 < len(verts) else i
-    return _mix(verts, points, i, floor)[0], -lines[j][0] / (floor * xi)
+    return _mix(facets[i], floor)[0], -facets[j].alpha / (floor * xi)
 
 
 def deterministic_bound(mset: MeasurementSet) -> float:
@@ -148,25 +153,25 @@ def deterministic_bound(mset: MeasurementSet) -> float:
 
 def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
     """Evaluate the loss-tolerant bound on a strictly increasing xi grid."""
-    xi_grid = tuple(x if type(x) is float else _check_real("grid value", x)
-                    for x in xi_grid)     # a float skips the call, 0.5 us a point
-    if any(not 0.0 < x <= 1.0 for x in xi_grid):
-        raise ValueError("grid values must lie in (0, 1]")
-    if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
-        raise ValueError("xi grid must be strictly increasing")
-    verts, points, _ = _facets(mset)
-    n, i = mset.n, 0
-    values = []
-    witnesses = []
-    for xi in xi_grid:     # one facet cursor; n xi <= n, the last vertex
-        floor = n * xi
+    grid = [x if type(x) is float else _check_real("grid value", x)
+            for x in xi_grid]     # a float skips the call, 0.5 us a point
+    for x in grid:
+        if not 0.0 < x <= 1.0:
+            raise ValueError("grid values must lie in (0, 1]")
+    verts, facets = _facets(mset)
+    n, i, last, c_last = mset.n, 0, 0.0, np.inf
+    values, witnesses = [], []
+    for xi in grid:     # one facet cursor; n xi <= n, the last vertex
+        if xi <= last:
+            raise ValueError("xi grid must be strictly increasing")
+        floor, last = n * xi, xi
         while verts[i] < floor:
             i += 1
-        c, w = _mix(verts, points, i, floor)
+        c, w = _mix(facets[i], floor)
+        if c > c_last + 1e-9:
+            raise RuntimeError("bound curve is not non-increasing")
+        c_last = c
         values.append(c)
         witnesses.append(w)
-    for a, b in zip(values, values[1:]):
-        if b > a + 1e-9:
-            raise RuntimeError("bound curve is not non-increasing")
-    return BoundCurve(n=mset.n, xi_grid=xi_grid, c_values=tuple(values),
+    return BoundCurve(n=n, xi_grid=tuple(grid), c_values=tuple(values),
                       witnesses=tuple(witnesses))

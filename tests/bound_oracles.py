@@ -11,15 +11,19 @@
 - `strategy_payoff`: the payoff of one strategy, summed setting by setting.
 - `mean_ratio_cheater`: the LHS mixture that maximises the mean over
   settings of the per-setting ratios at fixed per-setting announce rates.
+- `frozen_bound`: C_n(xi), its witness and its slope by the earlier
+  arithmetic on a vertex table (vertices, their (P*, strategy) and the
+  facets' lines), kept verbatim so a change every caller shares shows.
 """
 
 from __future__ import annotations
 
+import bisect
 from itertools import product
 
 import numpy as np
 
-from vortexsteer.bounds import SUPPORT_TOL, CheatStrategy
+from vortexsteer.bounds import SUPPORT_TOL, CheatStrategy, _facets
 from vortexsteer.steering import MeasurementSet
 
 
@@ -214,3 +218,34 @@ def _fibonacci_sphere(count: int) -> np.ndarray:
     r = np.sqrt(np.maximum(0.0, 1 - z ** 2))
     phi = i * np.pi * (3 - np.sqrt(5))
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def frozen_bound(mset: MeasurementSet, xi: float):
+    """(C_n(xi), witness, C_n'(xi)) from the vertex table of `bounds._facets`'
+    vertices and their ends' P* and strategies, with the facet lines,
+    bisect, kink rule and mix step as they were before the facet records."""
+    verts, facets = _facets(mset)
+    points = tuple((f.p_hi, f.s_hi) for f in facets)
+    lines = [(0.0, points[0][0] / verts[0])]
+    for (lo, (p_lo, _)), (hi, (p_hi, _)) in zip(zip(verts, points),
+                                                zip(verts[1:], points[1:])):
+        beta = (p_hi - p_lo) / (hi - lo)
+        lines.append((p_lo - beta * lo, beta))
+    floor = mset.n * xi
+    i = bisect.bisect_left(verts, floor)
+    j = i + 1 if verts[i] == floor and i + 1 < len(verts) else i
+    c, witness = _frozen_mix(verts, points, i, floor)
+    return c, witness, -lines[j][0] / (floor * xi)
+
+
+def _frozen_mix(verts, points, i, floor):
+    if i == 0 or verts[i] == floor:
+        return points[i][0] / verts[i], ((1.0, points[i][1]),)
+    (lo, hi), ((p_lo, s_lo), (p_hi, s_hi)) = verts[i - 1:i + 1], points[i - 1:i + 1]
+    w = (hi - floor) / (hi - lo)
+    value = (w * p_lo + (1 - w) * p_hi) / floor
+    if w <= SUPPORT_TOL:
+        return value, ((1 - w, s_hi),)
+    if 1 - w <= SUPPORT_TOL:
+        return value, ((w, s_lo),)
+    return value, ((w, s_lo), (1 - w, s_hi))

@@ -153,6 +153,27 @@ class TestBoundCurve:
         with pytest.raises(ValueError):
             bd.bound_curve(M3, [0.5, 0.4])
 
+    @pytest.mark.parametrize("grid, message", [
+        ([2.0, "x"], "grid value must be a real number"),   # before the range
+        ([0.5, True], "grid value must be a real number"),
+        ([0.5, 0.4, 2.0], r"grid values must lie in \(0, 1\]"),  # before order
+        ([0.5, float("nan")], r"grid values must lie in \(0, 1\]"),
+        ([0.5, 0.4], "strictly increasing"),
+        ([0.5, 0.5], "strictly increasing"),
+    ])
+    def test_grid_errors_in_order_of_precedence(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            bd.bound_curve(M3, grid)
+
+    def test_array_and_one_shot_grids_give_the_list_curve(self):
+        grid = [0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0]
+        want = bd.bound_curve(M4, grid)
+        assert bd.bound_curve(M4, []) == bd.BoundCurve(4, (), (), ())
+        for other in (np.array(grid), (x for x in grid)):
+            got = bd.bound_curve(M4, other)
+            assert got == want
+            assert all(type(x) is float for x in got.xi_grid)
+
 
 SEEDS = hs.integers(0, 2 ** 32 - 1)
 XI = hs.floats(1e-3, 1.0)
@@ -199,6 +220,30 @@ class TestCurveWalk:
                 assert s is s_ref
 
 
+class TestFrozenMix:
+    """Every bound output, against the arithmetic the facet records replaced:
+    the pointwise curve test above cannot see a change all callers share."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=hs.integers(2, 7), seed=SEEDS, platonic=hs.booleans(), data=hs.data())
+    def test_bound_slope_and_curve_are_the_frozen_mix(self, n, seed, platonic, data):
+        mset = st.platonic_set(n) if platonic and n in (2, 3, 4, 6) else random_set(n, seed)
+        points = data.draw(hs.lists(grid_points(n), min_size=1, max_size=40))
+        grid = sorted({x for x in points if 0.0 < x <= 1.0})
+        assume(grid)
+        curve = bd.bound_curve(mset, grid)
+        for xi, c, witness in zip(grid, curve.c_values, curve.witnesses):
+            c_ref, witness_ref, slope_ref = bo.frozen_bound(mset, xi)
+            value, slope = bd._bound_and_slope(mset, xi)
+            assert (value.hex(), slope.hex()) == (c_ref.hex(), slope_ref.hex())
+            for c_got, witness_got in ((c, witness), bd.loss_tolerant_bound(mset, xi)):
+                assert c_got.hex() == c_ref.hex()
+                assert len(witness_got) == len(witness_ref)
+                for (w, s), (w_ref, s_ref) in zip(witness_got, witness_ref):
+                    assert w.hex() == w_ref.hex()
+                    assert s is s_ref
+
+
 class TestFacetLines:
     """Each facet's line P = alpha + beta a gives C_n = beta + alpha/(n xi)
     and C_n' = -alpha/(n xi^2) on it."""
@@ -207,8 +252,9 @@ class TestFacetLines:
     @given(n=hs.integers(2, 7), seed=SEEDS, platonic=hs.booleans(), xi=XI)
     def test_line_gives_the_bound_and_its_slope(self, n, seed, platonic, xi):
         mset = st.platonic_set(n) if platonic and n in (2, 3, 4, 6) else random_set(n, seed)
-        verts, _, lines = bd._facets(mset)
-        alpha, beta = lines[int(np.searchsorted(verts, n * xi))]
+        verts, facets = bd._facets(mset)
+        facet = facets[int(np.searchsorted(verts, n * xi))]
+        alpha, beta = facet.alpha, facet.beta
         c, slope = bd._bound_and_slope(mset, xi)
         assert c == bd.loss_tolerant_bound(mset, xi)[0]
         assert abs(beta + alpha / (n * xi) - c) <= 4.4e-16
@@ -225,12 +271,12 @@ class TestFacetLines:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_kink_takes_the_steeper_side(self, n):
         mset = st.platonic_set(n)
-        verts, _, lines = bd._facets(mset)
+        verts, facets = bd._facets(mset)
         for j, a in enumerate(verts[:-1]):
             _, slope = bd._bound_and_slope(mset, a / n)
-            assert slope == -lines[j + 1][0] / (a * (a / n))
-            assert abs(slope) >= lines[j][0] / (a * (a / n))
-        assert bd._bound_and_slope(mset, 1.0)[1] == -lines[-1][0] / n
+            assert slope == -facets[j + 1].alpha / (a * (a / n))
+            assert abs(slope) >= facets[j].alpha / (a * (a / n))
+        assert bd._bound_and_slope(mset, 1.0)[1] == -facets[-1].alpha / n
         assert bd._bound_and_slope(mset, 0.5 / n)[1] == 0.0     # the flat part
 
 
@@ -257,17 +303,23 @@ class TestClosedForm:
     def test_payoff_table_matches_enumeration(self, n):
         # the cached table is the hull's vertices: its chords are the facets
         mset = st.platonic_set(n)
-        verts, points, lines = table = bd._facets(mset)
+        verts, facets = table = bd._facets(mset)
         assert table is bd._facets(st.platonic_set(n))   # cached
         assert verts[-1] == n
+        assert verts == tuple(f.hi for f in facets)
+        # each record starts where the one before ends, the first at the origin
+        assert (facets[0].lo, facets[0].p_lo, facets[0].s_lo) == (0, 0.0, None)
+        for before, f in zip(facets, facets[1:]):
+            assert (f.lo, f.p_lo) == (before.hi, before.p_hi) and f.s_lo is before.s_hi
         pstar = bo.brute_force_pstar(mset)
-        for a, (payoff, strategy) in zip(verts, points):
-            assert payoff == pytest.approx(pstar[a], rel=0, abs=1e-12)
-            assert bo.strategy_payoff(strategy, mset) == pytest.approx((payoff, a),
-                                                                       abs=1e-12)
-        ends = [(0, 0.0)] + [(a, p) for a, (p, _) in zip(verts, points)]
+        for f in facets:
+            assert f.p_hi == pytest.approx(pstar[f.hi], rel=0, abs=1e-12)
+            assert bo.strategy_payoff(f.s_hi, mset) == pytest.approx((f.p_hi, f.hi),
+                                                                     abs=1e-12)
+        ends = [(0, 0.0)] + [(f.hi, f.p_hi) for f in facets]
         chords = [((p0 * a1 - p1 * a0) / (a1 - a0), (p1 - p0) / (a1 - a0))
                   for (a0, p0), (a1, p1) in zip(ends, ends[1:])]
+        lines = [(f.alpha, f.beta) for f in facets]
         np.testing.assert_allclose(chords, bo.hull_facets(pstar), rtol=0, atol=1e-12)
         np.testing.assert_allclose(lines, bo.hull_facets(pstar), rtol=0, atol=1e-12)
         assert lines[0][0] == 0.0
@@ -317,7 +369,7 @@ class TestClosedForm:
         # every deterministic pattern s obeys |sum_k s_k u_k| <= alpha + beta a(s)
         # on every facet, and C_n(xi) = min_j alpha_j / (n xi) + beta_j
         mset = st.platonic_set(n)
-        facets = bd._facets(mset)[2]
+        facets = [(f.alpha, f.beta) for f in bd._facets(mset)[1]]
         patterns = np.array(list(product((0, 1, -1), repeat=n)))
         payoffs = np.linalg.norm(patterns @ mset.directions, axis=1)
         answered = np.count_nonzero(patterns, axis=1)
