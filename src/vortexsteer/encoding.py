@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import DensityMatrix, StateVector, unit_directions
+from .qmath import DensityMatrix, StateVector, _real_array, unit_directions
 
 # polarization kets in (H, V) coordinates
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -99,8 +99,9 @@ class Receiver:
     def detected_state(self, rho: DensityMatrix, theta) -> np.ndarray:
         """Unnormalised 4x4 state, Alice (x) read-out qubit, behind the analyzer
         at theta (which leads the shape): e^{i(m_i - m_j)theta} weighs entry (i, j)."""
-        angle = np.asarray(theta, dtype=float)[..., None, None]
-        return self.read(rho, np.exp(1j * self.gaps * angle))
+        if not np.all(np.isfinite(angle := _real_array("theta", theta))):
+            raise ValueError("theta must be finite")
+        return self.read(rho, np.exp(1j * self.gaps * angle[..., None, None]))
 
     def read(self, rho: DensityMatrix, weights) -> np.ndarray:
         """rho read out, entry (i, j) on Alice (x) read modes times weights[..., i, j]."""

@@ -50,8 +50,12 @@ def _real_array(name: str, arr) -> np.ndarray:
     return a.astype(float)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=complex)
+def _freeze(arr) -> np.ndarray:
+    """A read-only complex copy of finite numbers; bools, strings and objects
+    raise, by the dtype rule of `_real_array`."""
+    if (arr := np.asarray(arr)).dtype.kind not in "iufc":
+        raise ValueError(f"entries must be numbers, got dtype {arr.dtype}")
+    arr = arr.astype(complex)
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite")
     arr.setflags(write=False)

@@ -98,6 +98,24 @@ class TestConstructors:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: DensityMatrix([["1"]]),
+        lambda: StateVector(["1", "0"]),
+        lambda: DensityMatrix([[True]]),
+        lambda: StateVector([True, False]),
+        lambda: StateVector(np.array([1, 0], dtype=object)),
+        lambda: DensityMatrix([[None]]),
+    ], ids=["density-string", "state-string", "density-bool", "state-bool",
+            "state-object", "density-none"])
+    def test_non_numeric_entries_rejected_by_dtype(self, build):
+        # numpy would read "1" and True as the number 1, and None as NaN
+        with pytest.raises(ValueError, match="entries must be numbers, got dtype"):
+            build()
+
+    def test_integer_and_complex_entries_are_numbers(self):
+        assert DensityMatrix([[1]]).entries.dtype == complex
+        np.testing.assert_array_equal(StateVector([0, 1j]).amplitudes, [0, 1j])
+
 
 class TestTensor:
     def test_basis_case(self):

@@ -319,6 +319,26 @@ def test_oracle_analyzer_matches_receiver_readout():
         assert np.allclose(null, np.eye(dim) - kets @ kets.conj().T, atol=1e-13)
 
 
+@pytest.mark.parametrize("rx", RECEIVERS, ids=lambda rx: rx.kind)
+@pytest.mark.parametrize("theta, message", [
+    (True, "dtype bool"), ("0.5", "dtype <U3"), (None, "dtype object"),
+    (np.inf, "finite"), (np.nan, "finite"), ([0.1, -np.inf], "finite"),
+])
+def test_detected_state_rejects_a_non_real_or_non_finite_angle(rx, theta, message):
+    # numpy would read True as 1.0, "0.5" as 0.5 and None as NaN
+    rho = DensityMatrix(np.eye(rx.lift.shape[0]) / rx.lift.shape[0])
+    with pytest.raises(ValueError, match=f"theta must be .*{message}"):
+        rx.detected_state(rho, theta)
+
+
+@pytest.mark.parametrize("rx", RECEIVERS, ids=lambda rx: rx.kind)
+def test_detected_state_reads_integer_and_float32_angles_as_floats(rx):
+    rho = DensityMatrix(np.eye(rx.lift.shape[0]) / rx.lift.shape[0])
+    assert np.array_equal(rx.detected_state(rho, 1), rx.detected_state(rho, 1.0))
+    assert np.array_equal(rx.detected_state(rho, np.float32(0.3)),
+                          rx.detected_state(rho, float(np.float32(0.3))))
+
+
 def test_unknown_encoding_rejected():
     with pytest.raises(ValueError):
         enc.receiver("time-bin")

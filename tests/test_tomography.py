@@ -39,6 +39,13 @@ class TestSettings:
         with pytest.raises(ValueError, match="two-qubit"):
             tm.TomographySpec(("H", "V", "D"), projs, 100)
 
+    def test_non_numeric_projectors_rejected(self):
+        # the spec arrays take the state classes' dtype rule
+        spec = tm.standard_settings()
+        for bad in (spec.projectors.astype(str), spec.projectors.real.astype(bool)):
+            with pytest.raises(ValueError, match="entries must be numbers"):
+                tm.TomographySpec(spec.labels, bad, 100)
+
     def test_incomplete_settings_rejected(self):
         spec = tm.standard_settings()
         with pytest.raises(ValueError):
