@@ -226,11 +226,11 @@ def frozen_bound(mset: MeasurementSet, xi: float):
     bisect, kink rule and mix step as they were before the facet records."""
     verts, facets = _facets(mset)
     points = tuple((f.p_hi, f.s_hi) for f in facets)
-    lines = [(0.0, points[0][0] / verts[0])]
-    for (lo, (p_lo, _)), (hi, (p_hi, _)) in zip(zip(verts, points),
-                                                zip(verts[1:], points[1:])):
-        beta = (p_hi - p_lo) / (hi - lo)
-        lines.append((p_lo - beta * lo, beta))
+    pstar = {a: p for a, (p, _) in zip(verts, points)}
+    lines = [(0.0, pstar[verts[0]] / verts[0])]
+    for lo, hi in zip(verts, verts[1:]):
+        beta = (pstar[hi] - pstar[lo]) / (hi - lo)
+        lines.append((pstar[lo] - beta * lo, beta))
     floor = mset.n * xi
     i = bisect.bisect_left(verts, floor)
     j = i + 1 if verts[i] == floor and i + 1 < len(verts) else i

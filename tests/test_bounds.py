@@ -147,21 +147,17 @@ class TestBoundCurve:
         assert c4 > c3
         assert bo.bound_oracle(M4, xi) > bo.bound_oracle(M3, xi)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            bd.bound_curve(M3, [0.0, 0.5])
-        with pytest.raises(ValueError):
-            bd.bound_curve(M3, [0.5, 0.4])
-
     @pytest.mark.parametrize("grid, message", [
         ([2.0, "x"], "grid value must be a real number"),   # before the range
         ([0.5, True], "grid value must be a real number"),
         ([0.5, 0.4, 2.0], r"grid values must lie in \(0, 1\]"),  # before order
+        ([0.0, 0.5], r"grid values must lie in \(0, 1\]"),
         ([0.5, float("nan")], r"grid values must lie in \(0, 1\]"),
         ([0.5, 0.4], "strictly increasing"),
         ([0.5, 0.5], "strictly increasing"),
     ])
-    def test_grid_errors_in_order_of_precedence(self, grid, message):
+    def test_grid_validation(self, grid, message):
+        # errors in order of precedence: real numbers, then range, then order
         with pytest.raises(ValueError, match=message):
             bd.bound_curve(M3, grid)
 
