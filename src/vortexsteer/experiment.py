@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,16 +95,14 @@ class SteeringRunResult:
     trials: int
     estimate: steering.SteeringEstimate
     bound_at_observed_xi: float
-    violated: bool
+    violated: bool = field(init=False)  # derived: NaN compares false
     seed: int
 
     def __post_init__(self):
         est, bound = self.estimate, self.bound_at_observed_xi
         if (est.announce_fraction == 0.0) != math.isnan(bound):
-            raise ValueError("the bound is undefined exactly when no event "
-                             "was announced")
-        if self.violated != (est.s_value - 2 * est.std_err > bound):
-            raise ValueError("verdict inconsistent with the pooled 2-sigma criterion")
+            raise ValueError("the bound is undefined exactly when no event was announced")
+        object.__setattr__(self, "violated", est.s_value - 2 * est.std_err > bound)
 
 
 def visibility_for_fidelity(fidelity: float) -> float:
@@ -194,11 +192,10 @@ def _judge(tally, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
     agree, announced, kept = steering._totals(tally)
     bound, slope = (bounds._bound_and_slope(mset, announced / kept) if announced
                     else (math.nan, 0.0))
-    estimate = steering._estimate(agree, announced, kept, slope)
     return SteeringRunResult(
         n=mset.n, encoding_kind=kind, theta_policy=theta_policy, trials=trials,
-        estimate=estimate, bound_at_observed_xi=bound, seed=seed,
-        violated=estimate.s_value - 2 * estimate.std_err > bound)
+        estimate=steering._estimate(agree, announced, kept, slope),
+        bound_at_observed_xi=bound, seed=seed)
 
 
 def _runs(state, mset, channel, policies, span, trials, seeds) -> list:

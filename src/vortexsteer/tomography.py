@@ -46,6 +46,9 @@ class TomographySpec:
         if projectors.shape[1:] != (4, 4) or np.linalg.matrix_rank(
                 design := projectors.reshape(-1, 16).conj(), tol=1e-10) < 16:
             raise ValueError("settings do not span the two-qubit operator space")
+        if not isinstance(self.labels, (tuple, list)) or len(self.labels) != len(design):
+            raise ValueError("labels must be a tuple or list, one label per setting")
+        object.__setattr__(self, "labels", tuple(self.labels))
         for name, value in dict(projectors=projectors, design=design,
                                 pinv=np.linalg.pinv(design), trace=n * design.sum(0),
                                 total=n * projectors.sum(0)).items():
@@ -60,12 +63,16 @@ class TomographySpec:
 class ReconstructionReport:
     rho_hat: DensityMatrix
     fidelity_to_target: float | None
-    purity: float
-    log_likelihood: float
+    purity: float = field(init=False)
+    log_likelihood: float = field(init=False)
     iterations: int
     converged: bool
     gap: float                 # bounds max log-likelihood - log_likelihood
     history: tuple             # log-likelihood at the start and after each step taken
+
+    def __post_init__(self):
+        object.__setattr__(self, "purity", qmath.purity(self.rho_hat))
+        object.__setattr__(self, "log_likelihood", self.history[-1])
 
 
 def _pair_projectors(side_labels):
@@ -134,6 +141,8 @@ def reconstruct(counts, spec: TomographySpec,
     if counts.shape != (spec.n_settings,) or not np.all(
             np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be one finite non-negative number per setting")
+    if target is not None and not (isinstance(target, StateVector) and target.dim == 4):
+        raise ValueError("target must be None or a two-qubit (4-dim) StateVector")
     seen = counts > 0
     n_seen, seen_rows = counts[seen], spec.projectors.reshape(-1, 16)[seen]
     seen_design, total, trace = spec.design[seen], spec.total, spec.trace
@@ -201,13 +210,7 @@ def reconstruct(counts, spec: TomographySpec,
 
     rho_hat = DensityMatrix(rho)
     fid = qmath.fidelity_pure(target, rho_hat) if target is not None else None
-    return ReconstructionReport(
-        rho_hat=rho_hat,
-        fidelity_to_target=fid,
-        purity=qmath.purity(rho_hat),
-        log_likelihood=loglik,
-        iterations=iterations,
-        converged=gap <= tol,  # an unsolved gap exceeds tol; report it exactly
-        gap=gap if solved else float(inner - np.linalg.eigvalsh(g)[0]),
-        history=tuple(history),
-    )
+    return ReconstructionReport(  # an unsolved gap exceeds tol; report it exactly
+        rho_hat=rho_hat, fidelity_to_target=fid, iterations=iterations,
+        converged=gap <= tol, history=tuple(history),
+        gap=gap if solved else float(inner - np.linalg.eigvalsh(g)[0]))

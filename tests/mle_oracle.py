@@ -90,8 +90,6 @@ def reconstruct(counts, spec, target=None, max_iterations=tm.MAX_ITERATIONS):
     return tm.ReconstructionReport(
         rho_hat=rho_hat,
         fidelity_to_target=fid,
-        purity=qmath.purity(rho_hat),
-        log_likelihood=loglik,
         iterations=iterations,
         converged=gap <= tol,
         gap=gap,

@@ -161,6 +161,21 @@ class TestBoundCurve:
         with pytest.raises(ValueError, match=message):
             bd.bound_curve(M3, grid)
 
+    @pytest.mark.parametrize("rise, raises", [(3e-9, False), (4e-9, True)])
+    def test_self_check_rejects_a_rising_curve(self, monkeypatch, rise, raises):
+        # C_3 is flat for xi <= 1/3; a mix that adds `rise` times the floor
+        # n xi = 0.3, 0.6, 0.9 makes the curve rise by 0.3 rise a step, and
+        # the check allows a rise of up to 1e-9
+        mix = bd._mix
+        monkeypatch.setattr(bd, "_mix", lambda facet, floor: (
+            mix(facet, floor)[0] + rise * floor, mix(facet, floor)[1]))
+        grid = [0.1, 0.2, 0.3]
+        if not raises:
+            assert len(set(bd.bound_curve(M3, grid).c_values)) == 3
+            return
+        with pytest.raises(RuntimeError, match="^bound curve is not non-increasing$"):
+            bd.bound_curve(M3, grid)
+
     def test_array_and_one_shot_grids_give_the_list_curve(self):
         grid = [0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0]
         want = bd.bound_curve(M4, grid)

@@ -714,7 +714,10 @@ def test_no_announced_event_is_a_defined_result():
         assert r.estimate.announce_fraction == 0.0 and not r.violated
         assert all(map(math.isnan, (r.estimate.s_value, r.estimate.std_err,
                                     r.bound_at_observed_xi)))
+    # the record derives the verdict from the NaN bound: not violated
     fields = dataclasses.asdict(r) | {"estimate": r.estimate}
+    assert fields.pop("violated") is False
+    assert ex.SteeringRunResult(**fields).violated is False
     with pytest.raises(ValueError, match="bound is undefined exactly when"):
         ex.SteeringRunResult(**fields | {"bound_at_observed_xi": 0.8})
 
@@ -758,12 +761,19 @@ def test_one_draw_matches_the_split_sampler(kind, n, theta):
 
 
 def test_verdict_invariant_enforced():
+    # the record computes its verdict, violated iff S' - 2 sigma > C, so its
+    # constructor takes no verdict to disagree with
     state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
     r = ex.run_experiment(state, M3, ex.ChannelModel(),
                           ex.ThetaPolicy.fixed(0.0), trials=10_000, seed=12)
-    with pytest.raises(ValueError):
-        ex.SteeringRunResult(
-            n=r.n, encoding_kind=r.encoding_kind, theta_policy=r.theta_policy,
-            trials=r.trials, estimate=r.estimate,
-            bound_at_observed_xi=r.bound_at_observed_xi,
-            violated=not r.violated, seed=r.seed)
+    fields = dict(n=r.n, encoding_kind=r.encoding_kind, theta_policy=r.theta_policy,
+                  trials=r.trials, estimate=r.estimate, seed=r.seed)
+    for verdict in (True, False):
+        with pytest.raises(TypeError, match="violated"):
+            ex.SteeringRunResult(**fields, bound_at_observed_xi=r.bound_at_observed_xi,
+                                 violated=verdict)
+    edge = r.estimate.s_value - 2 * r.estimate.std_err
+    assert r.violated is (edge > r.bound_at_observed_xi) is True
+    for bound, verdict in ((math.nextafter(edge, -math.inf), True), (edge, False),
+                           (math.nextafter(edge, math.inf), False)):
+        assert ex.SteeringRunResult(**fields, bound_at_observed_xi=bound).violated is verdict

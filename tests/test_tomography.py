@@ -51,6 +51,17 @@ class TestSettings:
         with pytest.raises(ValueError):
             tm.TomographySpec(spec.labels[:8], spec.projectors[:8], 100)
 
+    def test_labels_must_name_each_setting(self):
+        spec = tm.standard_settings()
+        for bad in (spec.labels[:3], spec.labels + ("HH",), [], None, "".join(spec.labels)):
+            with pytest.raises(ValueError, match="one label per setting"):
+                tm.TomographySpec(bad, spec.projectors, 100)
+        # the projector checks keep precedence over the labels
+        with pytest.raises(ValueError, match="two-qubit operator space"):
+            tm.TomographySpec(spec.labels[:3], spec.projectors[:8], 100)
+        built = tm.TomographySpec(list(spec.labels), spec.projectors, 100)
+        assert type(built.labels) is tuple and built.labels == spec.labels
+
     @pytest.mark.parametrize("kind", ["standard", "minimal"])
     def test_fixed_arrays_are_read_only_and_built_from_the_projectors(self, kind):
         spec = getattr(tm, f"{kind}_settings")(1_000)
@@ -171,6 +182,29 @@ class TestReconstruct:
         assert rep.fidelity_to_target == qmath.fidelity_pure(enc.singlet_pol(),
                                                              rep.rho_hat)
         assert rep.purity == qmath.purity(rep.rho_hat)
+
+    def test_report_derives_purity_and_log_likelihood(self):
+        spec = tm.standard_settings(20_000)
+        rep = tm.reconstruct(tm.simulate_counts(ex.werner_state(0.8), spec, seed=13), spec)
+        assert rep.log_likelihood == rep.history[-1]
+        fields = dict(rho_hat=rep.rho_hat, fidelity_to_target=None,
+                      iterations=rep.iterations, converged=rep.converged, gap=rep.gap,
+                      history=rep.history)
+        assert tm.ReconstructionReport(**fields) == rep
+        for name in ("purity", "log_likelihood"):
+            with pytest.raises(TypeError, match=name):
+                tm.ReconstructionReport(**fields, **{name: getattr(rep, name)})
+
+    @pytest.mark.parametrize("target, match", [
+        (enc.singlet_pol().amplitudes, "StateVector"),
+        (StateVector(enc.KET_H), "4-dim"),
+        (ex.werner_state(0.9), "StateVector")])
+    def test_target_is_checked_before_the_fit(self, target, match):
+        spec = tm.standard_settings(1_000)
+        counts = tm.simulate_counts(ex.werner_state(0.9), spec, seed=1)
+        with mock.patch.object(tm, "_project_density", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=match):
+                tm.reconstruct(counts, spec, target=target)
 
     def test_log_likelihood_monotone(self):
         spec = tm.standard_settings(20_000)
