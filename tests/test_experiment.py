@@ -773,7 +773,7 @@ def test_verdict_invariant_enforced():
             ex.SteeringRunResult(**fields, bound_at_observed_xi=r.bound_at_observed_xi,
                                  violated=verdict)
     edge = r.estimate.s_value - 2 * r.estimate.std_err
-    assert r.violated is (edge > r.bound_at_observed_xi) is True
+    assert r.violated and r.violated is (edge > r.bound_at_observed_xi)
     for bound, verdict in ((math.nextafter(edge, -math.inf), True), (edge, False),
                            (math.nextafter(edge, math.inf), False)):
         assert ex.SteeringRunResult(**fields, bound_at_observed_xi=bound).violated is verdict
