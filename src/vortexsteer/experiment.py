@@ -140,14 +140,9 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
     return DensityMatrix(w @ rho4 @ w.conj().T)
 
 
-def _thinned(mset, channel: ChannelModel, trials: int, seed: int) -> tuple:
+def _thinned(channel: ChannelModel, trials: int, seed: int) -> tuple:
     """The run's generator after Alice's thinning, and the trials she kept."""
-    _check_count("trials", trials)
     _check_count("seed", seed)
-    if trials < mset.n:
-        raise ValueError("need at least one trial per setting")
-    if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
-        raise ValueError(f"trials must be below 2**63, got {trials}")
     rng = np.random.default_rng(seed)
     if channel.alice_efficiency < 1.0:
         return rng, int(rng.binomial(trials, channel.alice_efficiency))
@@ -204,8 +199,13 @@ def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     Each run's generator draws Alice's thinning, the block angles and the
     tallies, in that order.  Block angles are fresh draws, so only fixed
     midpoints share `_gridded`."""
-    # thinning checks the trial count before any table is built
-    draws = [_thinned(mset, channel, trials, s) for s in seeds]
+    # the trial count is checked once, before any seed or table
+    _check_count("trials", trials)
+    if trials < mset.n:
+        raise ValueError("need at least one trial per setting")
+    if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
+        raise ValueError(f"trials must be below 2**63, got {trials}")
+    draws = [_thinned(channel, trials, s) for s in seeds]
     kind = encoding.receiver_for(state.dim).kind
     if any(p.per_setting_block for p in policies):
         mids = np.array([rng.uniform(p.theta_min, p.theta_max, size=mset.n)
@@ -241,7 +241,7 @@ def sweep_theta(state: DensityMatrix, mset: steering.MeasurementSet,
     thetas = [_check_real("theta", t) for t in thetas]
     if any(not 0.0 <= t < 2 * math.pi for t in thetas):
         raise ValueError("theta values must lie in [0, 2 pi)")
-    return _runs(state, mset, channel, [ThetaPolicy.fixed(t) for t in thetas], 0.0,
+    return _runs(state, mset, channel, [ThetaPolicy(t, t) for t in thetas], 0.0,
                  trials_per_point, derive_seeds(seed, len(thetas)))
 
 

@@ -71,6 +71,9 @@ class ReconstructionReport:
     history: tuple             # log-likelihood at the start and after each step taken
 
     def __post_init__(self):
+        if not isinstance(self.history, (tuple, list)) or not self.history:
+            raise ValueError("history must be a non-empty tuple or list")
+        object.__setattr__(self, "history", tuple(self.history))
         object.__setattr__(self, "purity", qmath.purity(self.rho_hat))
         object.__setattr__(self, "log_likelihood", self.history[-1])
 

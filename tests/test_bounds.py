@@ -461,7 +461,7 @@ def violations(mset, table, trials, seeds) -> int:
     violated, each drawn and judged as `run_experiment` draws and judges."""
     count = 0
     for seed in seeds:
-        draw = ex._thinned(mset, ex.ChannelModel(), trials, seed)
+        draw = ex._thinned(ex.ChannelModel(), trials, seed)
         tally = ex._sample(ex._averaged(table[None]), [draw])[0]
         count += ex._judge(tally, mset, "polarization", ex.ThetaPolicy.fixed(0.0),
                            trials, seed).violated

@@ -185,7 +185,7 @@ class TestThetaPolicy:
                                       np.array([[theta]]), 0.0))
         assert ex._averaged(st._tables(state, mset, efficiencies[0], angles[None],
                                        0.0)).tobytes() == row.tobytes()
-        rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
+        rng, n_eff = ex._thinned(channel, 50_000, 5)
         rng.uniform(theta, theta, size=n)
         tally = ex._sample(row, [(rng, n_eff)])[0]
         want = ex._judge(tally, mset, kind, block, 50_000, 5)
@@ -202,7 +202,7 @@ class TestThetaPolicy:
         state = ex.prepare_state(ex.NoiseModel(V_PAPER, dephasing=0.1), kind)
         mset, channel = st.platonic_set(n), ex.ChannelModel(*efficiencies)
         block = ex.ThetaPolicy(lo, hi, per_setting_block=True)
-        rng, n_eff = ex._thinned(mset, channel, 50_000, 5)
+        rng, n_eff = ex._thinned(channel, 50_000, 5)
         angles = rng.uniform(lo, hi, size=n)
         row = ex._averaged(st._tables(state, mset, efficiencies[0], angles[None], 0.0))
         tally = ex._sample(row, [(rng, n_eff)])[0]
@@ -437,6 +437,19 @@ class TestSweep:
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
         assert ex.sweep_theta(state, M3, ex.ChannelModel(), [], 1000, 0) == []
 
+    @pytest.mark.parametrize("trials, message", [
+        (-1, "trials must be a non-negative integer, got -1"),
+        (1.5, "trials must be a non-negative integer, got 1.5"),
+        (2, "need at least one trial per setting"),
+        (2**63, f"trials must be below 2**63, got {2**63}"),
+    ])
+    def test_empty_theta_list_checks_trials(self, trials, message):
+        # an empty sweep draws no seed, so its trial count is checked once per
+        # call, not per seed
+        state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ex.sweep_theta(state, M3, ex.ChannelModel(), [], trials, 0)
+
     def test_out_of_range_theta_rejected(self):
         state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
         with pytest.raises(ValueError):
@@ -580,7 +593,7 @@ class TestTableCache:
         assert hexed(runs[0].estimate) == hexed(runs[1].estimate)
         rows = [ex._averaged(st._tables(state, M3, 0.45, np.array([[theta]]), 0.0))
                 for theta in (0.0, -0.0)]
-        tallies = [ex._sample(row, [ex._thinned(M3, channel, 50_000, 5)])[0].tobytes()
+        tallies = [ex._sample(row, [ex._thinned(channel, 50_000, 5)])[0].tobytes()
                    for row in rows]
         assert tallies[0] == tallies[1]
 

@@ -1,14 +1,14 @@
 """The package needs numpy only: importing it loads no scipy, and numpy is
-the only declared runtime dependency.  Its public names are pinned."""
+the only declared runtime dependency.  Its Python floor and public names
+are pinned."""
 
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 from types import ModuleType
-
-import pytest
 
 import vortexsteer
 
@@ -25,12 +25,20 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    tomllib = pytest.importorskip("tomllib")
+def project_table() -> dict:
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in project["dependencies"]]
+        return tomllib.load(fh)["project"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0)
+             for d in project_table()["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_python_floor_is_the_benchmarks():
+    # perfbench/run.py imports tomllib, new in Python 3.11
+    assert project_table()["requires-python"] == ">=3.11"
 
 
 def test_public_names():

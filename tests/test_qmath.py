@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,13 @@ class TestFidelityPurity:
     def test_fidelity_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_pure(normalized([1, 1]), ex.werner_state(1.0))
+
+    def test_fidelity_rejects_an_imaginary_overlap(self):
+        # a validated DensityMatrix is Hermitian to 1e-12, so only an
+        # unvalidated stand-in reaches the imaginary-part check
+        rho = types.SimpleNamespace(dim=4, entries=np.eye(4) / 4 + 1e-6j * np.eye(4))
+        with pytest.raises(ValueError, match="non-negligible imaginary part 1e-06"):
+            fidelity_pure(StateVector(np.eye(4)[0]), rho)
 
 
 class TestExpectation:

@@ -195,6 +195,26 @@ class TestReconstruct:
             with pytest.raises(TypeError, match=name):
                 tm.ReconstructionReport(**fields, **{name: getattr(rep, name)})
 
+    def test_report_stores_history_as_a_tuple(self):
+        # a list history is copied, so log_likelihood cannot drift from it
+        rho = ex.werner_state(0.8)
+        history = [-3.0, -2.0]
+        rep = tm.ReconstructionReport(rho_hat=rho, fidelity_to_target=None,
+                                      iterations=1, converged=True, gap=0.0,
+                                      history=history)
+        history.append(-1.0)
+        assert rep.history == (-3.0, -2.0)
+        assert rep.log_likelihood == -2.0
+
+    @pytest.mark.parametrize("history", [(), [], None, -2.0, "ab", np.array([-2.0])],
+                             ids=["empty-tuple", "empty-list", "none", "float", "str",
+                                  "array"])
+    def test_report_rejects_a_bad_history(self, history):
+        with pytest.raises(ValueError, match="history must be a non-empty tuple or list"):
+            tm.ReconstructionReport(rho_hat=ex.werner_state(0.8), fidelity_to_target=None,
+                                    iterations=0, converged=True, gap=0.0,
+                                    history=history)
+
     @pytest.mark.parametrize("target, match", [
         (enc.singlet_pol().amplitudes, "StateVector"),
         (StateVector(enc.KET_H), "4-dim"),
