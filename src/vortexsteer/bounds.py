@@ -138,7 +138,7 @@ def loss_tolerant_bound(mset: MeasurementSet, xi: float):
 def _bound_and_slope(mset: MeasurementSet, xi: float) -> tuple:
     """C_n(xi), bit for bit `loss_tolerant_bound`'s, and its slope
     -alpha_j / (n xi^2) on the facet j at n xi; at a kink, the steeper side's,
-    which is the later facet's.  For xi in (0, 1] from counts, unchecked."""
+    which is the later facet's.  Unchecked: xi = A/M of a run's checked counts."""
     verts, facets = _facets(mset)
     floor = mset.n * xi
     i = bisect.bisect_left(verts, floor)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -84,24 +84,35 @@ class ThetaPolicy:
 
 @dataclass(frozen=True)
 class SteeringRunResult:
-    """One simulated steering experiment and its verdict: violated when the
-    pooled S' lies more than two standard errors above C_n at the observed
-    announce fraction.  A run with no announced event has no S', sigma or
-    bound (NaN), and is not violated."""
+    """One simulated steering run: G agreeing and A announced of the M trials
+    that Alice kept of her `trials`, and what they determine.  The estimate
+    is S' = 2G/A - 1 with sigma at xi = A/M, the bound is C_n(xi), and the
+    run is violated when S' lies more than two sigma above it.  A run with
+    no announced event has no S', sigma or bound (NaN), and is not violated."""
 
-    n: int
+    mset: InitVar[steering.MeasurementSet]
+    n: int = field(init=False)
     encoding_kind: str
     theta_policy: ThetaPolicy
     trials: int
-    estimate: steering.SteeringEstimate
-    bound_at_observed_xi: float
-    violated: bool = field(init=False)  # derived: NaN compares false
+    agree: int
+    announced: int
+    kept: int
     seed: int
+    estimate: steering.SteeringEstimate = field(init=False)
+    bound_at_observed_xi: float = field(init=False)
+    violated: bool = field(init=False)  # NaN compares false
 
-    def __post_init__(self):
-        est, bound = self.estimate, self.bound_at_observed_xi
-        if (est.announce_fraction == 0.0) != math.isnan(bound):
-            raise ValueError("the bound is undefined exactly when no event was announced")
+    def __post_init__(self, mset):
+        for name in ("trials", "agree", "announced", "kept"):
+            _check_count(name, getattr(self, name))
+        g, a, m = self.agree, self.announced, self.kept
+        if not g <= a <= m <= self.trials:
+            raise ValueError("need agree <= announced <= kept <= trials")
+        bound, slope = bounds._bound_and_slope(mset, a / m) if a else (math.nan, 0.0)
+        object.__setattr__(self, "n", mset.n)
+        object.__setattr__(self, "estimate", est := steering._estimate(g, a, m, slope))
+        object.__setattr__(self, "bound_at_observed_xi", bound)
         object.__setattr__(self, "violated", est.s_value - 2 * est.std_err > bound)
 
 
@@ -180,19 +191,6 @@ def _sample(rows: np.ndarray, draws) -> list:
             for p, (rng, m) in zip(rows.reshape(-1, 6), draws)]
 
 
-def _judge(tally, mset, kind, theta_policy, trials, seed) -> SteeringRunResult:
-    """The verdict on a run's (2, 3) tally: its pooled S' against C_n at its
-    announced fraction xi, two sigma apart, with sigma from the trinomial and
-    the bound's slope at xi.  With no announced event: NaN, not violated."""
-    agree, announced, kept = steering._totals(tally)
-    bound, slope = (bounds._bound_and_slope(mset, announced / kept) if announced
-                    else (math.nan, 0.0))
-    return SteeringRunResult(
-        n=mset.n, encoding_kind=kind, theta_policy=theta_policy, trials=trials,
-        estimate=steering._estimate(agree, announced, kept, slope),
-        bound_at_observed_xi=bound, seed=seed)
-
-
 def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     """One run per policy on its own seed, the receiver uniform over
     [theta_min, theta_min + span] or, in block mode, at n angles per run.
@@ -215,8 +213,8 @@ def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     else:
         rows = _gridded(state, mset, channel.bob_efficiency,
                         tuple(p.theta_min + span / 2 for p in policies), span)
-    return [_judge(tally, mset, kind, p, trials, s) for p, s, tally in
-            zip(policies, seeds, _sample(rows, draws))]
+    return [SteeringRunResult(mset, kind, p, trials, *steering._totals(tally), s)
+            for p, s, tally in zip(policies, seeds, _sample(rows, draws))]
 
 
 def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,

@@ -463,8 +463,8 @@ def violations(mset, table, trials, seeds) -> int:
     for seed in seeds:
         draw = ex._thinned(ex.ChannelModel(), trials, seed)
         tally = ex._sample(ex._averaged(table[None]), [draw])[0]
-        count += ex._judge(tally, mset, "polarization", ex.ThetaPolicy.fixed(0.0),
-                           trials, seed).violated
+        count += ex.SteeringRunResult(mset, "polarization", ex.ThetaPolicy.fixed(0.0),
+                                      trials, *st._totals(tally), seed).violated
     return count
 
 

@@ -188,7 +188,7 @@ class TestThetaPolicy:
         rng, n_eff = ex._thinned(channel, 50_000, 5)
         rng.uniform(theta, theta, size=n)
         tally = ex._sample(row, [(rng, n_eff)])[0]
-        want = ex._judge(tally, mset, kind, block, 50_000, 5)
+        want = ex.SteeringRunResult(mset, kind, block, 50_000, *st._totals(tally), 5)
         got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
         assert hexed(got) == hexed(want)
 
@@ -206,7 +206,7 @@ class TestThetaPolicy:
         angles = rng.uniform(lo, hi, size=n)
         row = ex._averaged(st._tables(state, mset, efficiencies[0], angles[None], 0.0))
         tally = ex._sample(row, [(rng, n_eff)])[0]
-        want = ex._judge(tally, mset, kind, block, 50_000, 5)
+        want = ex.SteeringRunResult(mset, kind, block, 50_000, *st._totals(tally), 5)
         got = ex.run_experiment(state, mset, channel, block, 50_000, 5)
         assert hexed(got) == hexed(want)
 
@@ -727,12 +727,15 @@ def test_no_announced_event_is_a_defined_result():
         assert r.estimate.announce_fraction == 0.0 and not r.violated
         assert all(map(math.isnan, (r.estimate.s_value, r.estimate.std_err,
                                     r.bound_at_observed_xi)))
-    # the record derives the verdict from the NaN bound: not violated
-    fields = dataclasses.asdict(r) | {"estimate": r.estimate}
-    assert fields.pop("violated") is False
+    # a record of A = 0 derives the NaN bound and the verdict: not violated,
+    # and it takes no bound to disagree with
+    assert (r.agree, r.announced, r.kept) == (0, 0, 10)
+    fields = dict(mset=M3, encoding_kind=r.encoding_kind, theta_policy=r.theta_policy,
+                  trials=r.trials, agree=0, announced=0, kept=10, seed=r.seed)
+    assert hexed(ex.SteeringRunResult(**fields)) == hexed(r)
     assert ex.SteeringRunResult(**fields).violated is False
-    with pytest.raises(ValueError, match="bound is undefined exactly when"):
-        ex.SteeringRunResult(**fields | {"bound_at_observed_xi": 0.8})
+    with pytest.raises(TypeError, match="bound_at_observed_xi"):
+        ex.SteeringRunResult(**fields, bound_at_observed_xi=0.8)
 
 
 def old_aggregate(tables, rng, kept):
@@ -773,20 +776,25 @@ def test_one_draw_matches_the_split_sampler(kind, n, theta):
         assert chi2_contingency(table)[1] > 1e-3
 
 
-def test_verdict_invariant_enforced():
+def test_verdict_invariant_enforced(monkeypatch):
     # the record computes its verdict, violated iff S' - 2 sigma > C, so its
     # constructor takes no verdict to disagree with
     state = ex.prepare_state(ex.NoiseModel(1.0), "polarization")
     r = ex.run_experiment(state, M3, ex.ChannelModel(),
                           ex.ThetaPolicy.fixed(0.0), trials=10_000, seed=12)
-    fields = dict(n=r.n, encoding_kind=r.encoding_kind, theta_policy=r.theta_policy,
-                  trials=r.trials, estimate=r.estimate, seed=r.seed)
+    fields = dict(mset=M3, encoding_kind=r.encoding_kind, theta_policy=r.theta_policy,
+                  trials=r.trials, agree=r.agree, announced=r.announced, kept=r.kept,
+                  seed=r.seed)
     for verdict in (True, False):
         with pytest.raises(TypeError, match="violated"):
-            ex.SteeringRunResult(**fields, bound_at_observed_xi=r.bound_at_observed_xi,
-                                 violated=verdict)
+            ex.SteeringRunResult(**fields, violated=verdict)
     edge = r.estimate.s_value - 2 * r.estimate.std_err
     assert r.violated and r.violated is (edge > r.bound_at_observed_xi)
+    # each bound at the 2 sigma edge, with the real slope, so sigma is the run's
+    slope = bd._bound_and_slope(M3, r.announced / r.kept)[1]
     for bound, verdict in ((math.nextafter(edge, -math.inf), True), (edge, False),
                            (math.nextafter(edge, math.inf), False)):
-        assert ex.SteeringRunResult(**fields, bound_at_observed_xi=bound).violated is verdict
+        monkeypatch.setattr(bd, "_bound_and_slope", lambda mset, xi: (bound, slope))
+        got = ex.SteeringRunResult(**fields)
+        assert got.estimate == r.estimate and got.bound_at_observed_xi == bound
+        assert got.violated is verdict
