@@ -46,6 +46,7 @@ print("Dynamically rotating receiver (new orientation every round):")
 for kind, state, seed in (("vortex", vortex, 201), ("polarization", pol, 202)):
     r = ex.dynamic_rotation_run(state, mset, channel, TRIALS, seed)
     print(f"  {kind:13s} s = {r.estimate.s_value:+.4f} "
-          f"+/- {r.estimate.std_err:.4f}, bound "
+          f"+/- {r.estimate.std_err:.4f} "
+          f"(G, A, M = {r.agree}, {r.announced}, {r.kept}), bound "
           f"{r.bound_at_observed_xi:.4f} -> "
           f"{'VIOLATED' if r.violated else 'no violation'}")

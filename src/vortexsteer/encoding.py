@@ -38,6 +38,9 @@ KET_R = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
 KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 KET_A = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
+# the encodings that `receiver` builds
+RECEIVER_KINDS = ("polarization", "vortex")
+
 # Bob's truncated OAM ladder, integer l (l*hbar per photon); the vortex qubit
 # lives on l = -1 and +1, so joint vortex states are 20 x 20
 OAM_LEVELS = (-2, -1, 0, 1, 2)
@@ -138,7 +141,7 @@ def receiver(kind: str) -> Receiver:
 
 def receiver_for(dim: int) -> Receiver:
     """The receiver whose joint Alice (x) Bob states are dim x dim."""
-    for kind in ("polarization", "vortex"):
+    for kind in RECEIVER_KINDS:
         rx = receiver(kind)
         if dim == 2 * rx.encoder.shape[0]:
             return rx

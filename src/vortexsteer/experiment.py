@@ -104,8 +104,19 @@ class SteeringRunResult:
     violated: bool = field(init=False)  # NaN compares false
 
     def __post_init__(self, mset):
-        for name in ("trials", "agree", "announced", "kept"):
-            _check_count(name, getattr(self, name))
+        if not isinstance(mset, steering.MeasurementSet):
+            raise ValueError(f"mset must be a MeasurementSet, got {mset!r}")
+        if not (isinstance(self.encoding_kind, str)
+                and self.encoding_kind in encoding.RECEIVER_KINDS):
+            raise ValueError(f"encoding_kind must be one of {encoding.RECEIVER_KINDS}, "
+                             f"got {self.encoding_kind!r}")
+        if not isinstance(self.theta_policy, ThetaPolicy):
+            raise ValueError(f"theta_policy must be a ThetaPolicy, "
+                             f"got {self.theta_policy!r}")
+        # stored as ints, so that the bound is a float and the verdict a bool
+        for name in ("trials", "agree", "announced", "kept", "seed"):
+            _check_count(name, count := getattr(self, name))
+            object.__setattr__(self, name, int(count))
         g, a, m = self.agree, self.announced, self.kept
         if not g <= a <= m <= self.trials:
             raise ValueError("need agree <= announced <= kept <= trials")

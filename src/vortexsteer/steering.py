@@ -91,13 +91,16 @@ def _platonic_set(n: int) -> MeasurementSet:
 class SteeringEstimate:
     """The pooled S' = 2G/A - 1 over all settings, with its standard error
     and the announced fraction xi = A/M: G agreeing and A announced of M
-    trials.  With no announced event, S' and its error are undefined: NaN."""
+    trials.  With no announced event, S' and its error are undefined: NaN;
+    otherwise the error is finite.  Each field is stored as a Python float."""
 
     s_value: float
     std_err: float
     announce_fraction: float
 
     def __post_init__(self):
+        for name in ("s_value", "std_err", "announce_fraction"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         # the comparisons are written so that NaN fails them
         if self.announce_fraction == 0.0:
             if not (math.isnan(self.s_value) and math.isnan(self.std_err)):
@@ -106,8 +109,8 @@ class SteeringEstimate:
             return
         if not abs(self.s_value) <= 1 + EQUALITY_TOL:
             raise ValueError("s_value must lie in [-1, 1]")
-        if not self.std_err >= 0.0:
-            raise ValueError("std_err must be non-negative")
+        if not 0.0 <= self.std_err < math.inf:
+            raise ValueError("std_err must be non-negative and finite")
         if not 0.0 < self.announce_fraction <= 1.0:
             raise ValueError("announce_fraction must lie in [0, 1]")
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import bound_oracles as bo
 import vortex_oracle as vo
 from vortexsteer import bounds as bd
 from vortexsteer import encoding as enc
@@ -798,3 +799,87 @@ def test_verdict_invariant_enforced(monkeypatch):
         got = ex.SteeringRunResult(**fields)
         assert got.estimate == r.estimate and got.bound_at_observed_xi == bound
         assert got.violated is verdict
+
+
+RECORD = dict(mset=M3, encoding_kind="polarization", theta_policy=ex.ThetaPolicy.fixed(0.0),
+              trials=1000, agree=300, announced=400, kept=900, seed=7)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("mset", None), ("mset", M3.directions),
+    ("encoding_kind", "qubit"), ("encoding_kind", ["vortex"]),
+    ("encoding_kind", np.array(["vortex"])),
+    ("theta_policy", None), ("theta_policy", (0.0, 0.0)),
+    ("trials", "1000"), ("trials", 1000.0), ("agree", True), ("announced", -1),
+    ("kept", np.float64(900)), ("seed", 2.5), ("seed", None)])
+def test_run_record_rejects_a_field_of_the_wrong_type(name, value):
+    with pytest.raises(ValueError, match=name):
+        ex.SteeringRunResult(**RECORD | {name: value})
+
+
+@pytest.mark.parametrize("agree, announced, kept, trials", [
+    (401, 400, 900, 1000), (300, 901, 900, 1000), (300, 400, 1001, 1000)])
+def test_run_record_requires_ordered_counts(agree, announced, kept, trials):
+    with pytest.raises(ValueError, match="agree <= announced <= kept <= trials"):
+        ex.SteeringRunResult(**RECORD | dict(agree=agree, announced=announced,
+                                             kept=kept, trials=trials))
+
+
+def test_run_record_holds_no_array_and_python_numbers():
+    # the set is init-only; numpy counts are stored as ints, so the derived
+    # bound is a float and the verdict a bool, bit for bit as from ints
+    r = ex.SteeringRunResult(**RECORD)
+    assert [f.name for f in dataclasses.fields(r)] == [
+        "n", "encoding_kind", "theta_policy", "trials", "agree", "announced", "kept",
+        "seed", "estimate", "bound_at_observed_xi", "violated"]
+    assert "array" not in repr(r) and r.n == 3
+    counts = ("trials", "agree", "announced", "kept", "seed")
+    got = ex.SteeringRunResult(**RECORD | {k: np.int64(RECORD[k]) for k in counts})
+    assert hexed(got) == hexed(r)
+    assert all(type(getattr(got, k)) is int for k in counts)
+    assert type(got.bound_at_observed_xi) is float and type(got.violated) is bool
+
+
+def frozen_judge(mset, agree, announced, kept):
+    """(S', sigma, xi, C_n, violated) by the arithmetic of the former
+    `experiment._judge` and `steering._estimate`, with the bound and slope of
+    `bound_oracles.frozen_bound`."""
+    if not announced:
+        return math.nan, math.nan, 0.0, math.nan, False
+    xi = announced / kept
+    c, _, slope = bo.frozen_bound(mset, xi)
+    p = agree / announced
+    s = (2 * agree - announced) / announced
+    sigma = math.sqrt(4 * p * (1 - p) / announced + slope * slope * xi * (1 - xi) / kept)
+    return s, sigma, xi, c, s - 2 * sigma > c
+
+
+@hs.composite
+def run_counts(draw):
+    """(n, G, A, M, trials): A = 0 (M = 0 too), A = M, A/M at a kink k/n, or
+    any A <= M."""
+    n = draw(hs.sampled_from([2, 3, 4, 6]))
+    case = draw(hs.sampled_from(["none", "all", "kink", "any"]))
+    if case == "kink":
+        k, j = draw(hs.integers(1, n)), draw(hs.integers(1, 10**8))
+        announced, kept = k * j, n * j
+    else:
+        kept = draw(hs.integers(0 if case == "none" else 1, 10**9))
+        announced = (0 if case == "none" else kept if case == "all"
+                     else draw(hs.integers(0, kept)))
+    agree = draw(hs.integers(0, announced))
+    return n, agree, announced, kept, kept + draw(hs.integers(0, 10**9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_counts())
+def test_record_derives_the_former_judge_arithmetic(counts):
+    n, agree, announced, kept, trials = counts
+    mset = st.platonic_set(n)
+    r = ex.SteeringRunResult(mset, "vortex", ex.ThetaPolicy(), trials, agree, announced,
+                             kept, 0)
+    e = r.estimate
+    *want, verdict = frozen_judge(mset, agree, announced, kept)
+    assert [x.hex() for x in (e.s_value, e.std_err, e.announce_fraction,
+                              r.bound_at_observed_xi)] == [x.hex() for x in want]
+    assert r.n == n and r.violated is verdict

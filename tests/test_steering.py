@@ -256,6 +256,24 @@ class TestSteeringEstimateInvariants:
         with pytest.raises(ValueError, match=field):
             st.SteeringEstimate(*args)
 
+    @pytest.mark.parametrize("args, field", [
+        ((np.array([0.5]), 0.1, 0.5), "s_value"),
+        ((np.array([0.5, 0.5]), 0.1, 0.5), "s_value"),
+        ((True, 0.1, 0.5), "s_value"),
+        ((0.5, "x", 0.5), "std_err"),
+        ((0.5, math.inf, 0.5), "std_err"),
+        ((0.5, 0.1, True), "announce_fraction"),
+    ])
+    def test_non_real_fields_and_an_infinite_error_rejected(self, args, field):
+        with pytest.raises(ValueError, match=field):
+            st.SteeringEstimate(*args)
+
+    def test_fields_are_stored_as_python_floats(self):
+        est = st.SteeringEstimate(np.float32(0.5), np.int64(0), 1)
+        assert [type(x) for x in (est.s_value, est.std_err, est.announce_fraction)] == [
+            float] * 3
+        assert est == st.SteeringEstimate(0.5, 0.0, 1.0)
+
     def test_no_announced_event_is_nan(self):
         est = st.SteeringEstimate(math.nan, math.nan, 0.0)
         assert est.announce_fraction == 0.0
