@@ -113,11 +113,10 @@ class SteeringRunResult:
         if not isinstance(self.theta_policy, ThetaPolicy):
             raise ValueError(f"theta_policy must be a ThetaPolicy, "
                              f"got {self.theta_policy!r}")
-        # stored as ints, so that the bound is a float and the verdict a bool
         for name in ("trials", "agree", "announced", "kept", "seed"):
-            _check_count(name, count := getattr(self, name))
-            object.__setattr__(self, name, int(count))
-        g, a, m = self.agree, self.announced, self.kept
+            _check_count(name, getattr(self, name))
+        # Python ints, so that the bound is a float and the verdict a bool
+        g, a, m = int(self.agree), int(self.announced), int(self.kept)
         if not g <= a <= m <= self.trials:
             raise ValueError("need agree <= announced <= kept <= trials")
         bound, slope = bounds._bound_and_slope(mset, a / m) if a else (math.nan, 0.0)

@@ -100,7 +100,8 @@ class SteeringEstimate:
 
     def __post_init__(self):
         for name in ("s_value", "std_err", "announce_fraction"):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+            if type(value := getattr(self, name)) is not float:  # a float skips it
+                object.__setattr__(self, name, _check_real(name, value))
         # the comparisons are written so that NaN fails them
         if self.announce_fraction == 0.0:
             if not (math.isnan(self.s_value) and math.isnan(self.std_err)):
