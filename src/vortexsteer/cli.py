@@ -93,16 +93,6 @@ def _witness_text(witness) -> str:
     return ";".join(parts)
 
 
-def _run_row(theta_label, result) -> tuple:
-    est = result.estimate
-    if not est.announce_fraction:
-        print(f"warning: run {theta_label} announced no event: its s_value, std_err "
-              f"and bound are undefined (nan), and it is not violated", file=sys.stderr)
-    return (theta_label, result.encoding_kind, result.n, est.s_value,
-            est.std_err, est.announce_fraction, result.bound_at_observed_xi,
-            result.violated)
-
-
 def cmd_bound(config: dict) -> None:
     """loss-tolerant bound curve C_n(xi)"""
     mset = steering.platonic_set(config["n"])
@@ -122,42 +112,47 @@ def _prepared_state(config: dict):
     return experiment.prepare_state(noise, config["encoding"])
 
 
-def _common_run_inputs(config: dict):
+def _run_inputs(config: dict) -> tuple:
+    """(state, mset, channel), built set, channel, state for error precedence."""
     mset = steering.platonic_set(config["n"])
     channel = experiment.ChannelModel(
         bob_efficiency=config["efficiency"],
         alice_efficiency=config["alice_efficiency"])
-    return mset, channel, _prepared_state(config)
+    return _prepared_state(config), mset, channel
+
+
+def _write_runs(config: dict, labels, results) -> None:
+    rows = []
+    for label, r in zip(labels, results):
+        if not (est := r.estimate).announce_fraction:
+            print(f"warning: run {label} announced no event: its s_value, std_err and "
+                  f"bound are undefined (nan), and it is not violated", file=sys.stderr)
+        rows.append((label, r.encoding_kind, r.n, est.s_value, est.std_err,
+                     est.announce_fraction, r.bound_at_observed_xi, r.violated))
+    _write_table(config, SWEEP_COLUMNS, rows)
 
 
 def cmd_steer(config: dict) -> None:
     """single fixed-orientation run"""
-    mset, channel, state = _common_run_inputs(config)
-    theta = math.radians(config["theta_deg"])
-    result = experiment.run_experiment(state, mset, channel,
-                                       experiment.ThetaPolicy.fixed(theta),
-                                       config["trials"], config["seed"])
-    _write_table(config, SWEEP_COLUMNS, [_run_row(config["theta_deg"], result)])
+    inputs = _run_inputs(config)
+    policy = experiment.ThetaPolicy.fixed(math.radians(config["theta_deg"]))
+    _write_runs(config, [config["theta_deg"]], [experiment.run_experiment(
+        *inputs, policy, config["trials"], config["seed"])])
 
 
 def cmd_sweep(config: dict) -> None:
     """orientation sweep"""
-    mset, channel, state = _common_run_inputs(config)
     thetas_deg = config["thetas_deg"]
-    results = experiment.sweep_theta(state, mset, channel,
-                                     [math.radians(t) for t in thetas_deg],
-                                     config["trials"], config["seed"])
-    rows = [_run_row(t, r) for t, r in zip(thetas_deg, results)]
-    _write_table(config, SWEEP_COLUMNS, rows)
+    _write_runs(config, thetas_deg, experiment.sweep_theta(
+        *_run_inputs(config), [math.radians(t) for t in thetas_deg],
+        config["trials"], config["seed"]))
 
 
 def cmd_dynamic(config: dict) -> None:
     """dynamically rotating receiver"""
-    mset, channel, state = _common_run_inputs(config)
-    result = experiment.dynamic_rotation_run(
-        state, mset, channel, config["trials"], config["seed"],
-        per_setting_block=config["block"])
-    _write_table(config, SWEEP_COLUMNS, [_run_row("dynamic", result)])
+    _write_runs(config, ["dynamic"], [experiment.dynamic_rotation_run(
+        *_run_inputs(config), config["trials"], config["seed"],
+        per_setting_block=config["block"])])
 
 
 def cmd_tomo(config: dict) -> None:
@@ -207,7 +202,7 @@ KEYS = (
     Key("n", "--n", int, 3, _RUNS),
     Key("xi_grid", "--xi", list, REQUIRED, ("bound",),
         "grid start:stop:step or list"),
-    Key("encoding", "--encoding", ("vortex", "polarization"), "vortex", _SAMPLING),
+    Key("encoding", "--encoding", encoding.RECEIVER_KINDS, "vortex", _SAMPLING),
     Key("visibility", "--visibility", float, None, _SAMPLING),
     Key("fidelity", "--fidelity", float, None, _SAMPLING),
     Key("efficiency", "--efficiency", float, 1.0, _RUNS,

@@ -38,12 +38,15 @@ KET_R = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
 KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 KET_A = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
-# the encodings that `receiver` builds
-RECEIVER_KINDS = ("polarization", "vortex")
-
 # Bob's truncated OAM ladder, integer l (l*hbar per photon); the vortex qubit
 # lives on l = -1 and +1, so joint vortex states are 20 x 20
 OAM_LEVELS = (-2, -1, 0, 1, 2)
+
+# Each encoding's OAM ladder and read modes (s, l), s = +1 for |L>: a q = 1/2 plate
+# sends |L, 0> -> |R, +1>, |R, 0> -> |L, -1>; bare polarization has only l = 0
+READ_MODES = {"vortex": (OAM_LEVELS, ((-1, +1), (+1, -1))),
+              "polarization": ((0,), ((+1, 0), (-1, 0)))}
+RECEIVER_KINDS = tuple(READ_MODES)  # the encodings `receiver` builds, in the CLI's order
 
 # change of basis: circular coordinates -> (H, V) coordinates
 CIRC_TO_HV = np.column_stack([KET_L, KET_R])
@@ -117,18 +120,14 @@ class Receiver:
 
 @lru_cache(maxsize=None)
 def receiver(kind: str) -> Receiver:
-    """The receiver of encoding ``kind``: "polarization" or "vortex"."""
-    # the read modes as (s, l): circular polarization s = +1 for |L>, then l
-    if kind == "polarization":  # a bare polarization photon has only l = 0
-        ladder, modes = (0,), ((+1, 0), (-1, 0))
-    elif kind == "vortex":
-        # a q = 1/2 plate sends |L, 0> -> |R, +1> and |R, 0> -> |L, -1>
-        ladder, modes = OAM_LEVELS, ((-1, +1), (+1, -1))
-    else:
+    """The receiver of encoding ``kind``, one of `RECEIVER_KINDS`."""
+    if kind not in READ_MODES:
         raise ValueError(f"unknown encoding {kind!r}")
+    ladder, modes = READ_MODES[kind]
     levels = np.eye(len(ladder))
     kets = np.column_stack([np.kron(KET_L if s > 0 else KET_R, levels[ladder.index(l)])
                             for s, l in modes])
+    # kets @ C^dagger is I only up to rounding for polarization; I holds its bits
     encoder = (np.eye(2, dtype=complex) if kind == "polarization"
                else kets @ CIRC_TO_HV.conj().T)
     momenta = np.array([s + l for s, l in modes])

@@ -58,33 +58,26 @@ class MeasurementSet:
         return self.directions
 
 
+# Canonical direction sets: 2 orthogonal axes, Pauli axes, tetrahedron, or six
+# icosahedron half-vertices; z-axis member listed first where the solid has one
+_PLATONIC = {
+    2: MeasurementSet([(0, 0, 1), (1, 0, 0)]),
+    3: MeasurementSet([(0, 0, 1), (1, 0, 0), (0, 1, 0)]),
+    4: MeasurementSet(np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+                      / np.sqrt(3)),
+    6: MeasurementSet(np.array([(0, 1, _GOLDEN), (0, -1, _GOLDEN),
+                                (1, _GOLDEN, 0), (-1, _GOLDEN, 0),
+                                (_GOLDEN, 0, 1), (-_GOLDEN, 0, 1)])
+                      / np.sqrt(1 + _GOLDEN ** 2)),
+}
+
+
 def platonic_set(n: int) -> MeasurementSet:
-    """Canonical direction sets: 2 orthogonal axes, Pauli axes, tetrahedron,
-    or six icosahedron half-vertices.  z-axis member listed first where the
-    solid has one."""
+    """The one shared canonical set of n settings, n in 2, 3, 4 or 6."""
     _check_count("n", n)
-    return _platonic_set(int(n))
-
-
-@functools.cache  # one shared set per n, keyed by the int, whatever n's type
-def _platonic_set(n: int) -> MeasurementSet:
-    if n == 2:
-        vecs = [(0, 0, 1), (1, 0, 0)]
-    elif n == 3:
-        vecs = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
-    elif n == 4:
-        s = 1 / np.sqrt(3)
-        vecs = [(s, s, s), (s, -s, -s), (-s, s, -s), (-s, -s, s)]
-    elif n == 6:
-        raw = [
-            (0, 1, _GOLDEN), (0, -1, _GOLDEN),
-            (1, _GOLDEN, 0), (-1, _GOLDEN, 0),
-            (_GOLDEN, 0, 1), (-_GOLDEN, 0, 1),
-        ]
-        vecs = np.array(raw) / np.sqrt(1 + _GOLDEN ** 2)
-    else:
+    if n not in _PLATONIC:
         raise ValueError(f"unsupported number of settings n={n} (use 2, 3, 4 or 6)")
-    return MeasurementSet(vecs)
+    return _PLATONIC[n]
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,14 @@ class TestSidecarSchema:
             assert sorted(a.dest for a in actions) == sorted(keys - {"command"})
 
     @pytest.mark.parametrize("command", ["steer", "sweep", "dynamic", "tomo"])
+    def test_encoding_choices_are_the_receiver_kinds(self, command):
+        # the one list of kinds, in the command line's order
+        sub, = (a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        action, = (a for a in sub.choices[command]._actions if a.dest == "encoding")
+        assert action.choices == encoding.RECEIVER_KINDS == ("vortex", "polarization")
+
+    @pytest.mark.parametrize("command", ["steer", "sweep", "dynamic", "tomo"])
     def test_visibility_with_fidelity_exits_2_naming_both(self, tmp_path, capsys,
                                                           command):
         out = tmp_path / "s.csv"

@@ -352,3 +352,12 @@ def test_receiver_for_maps_state_dimension_to_encoding():
             enc.receiver_for(dim)
     with pytest.raises(ValueError, match="vortex receiver expects a 20x20 state"):
         enc.receiver("vortex").detected_state(enc.singlet_pol().density(), 0.0)
+
+
+@pytest.mark.parametrize("kind", enc.RECEIVER_KINDS)
+def test_each_kind_builds_its_own_receiver(kind):
+    # one table row per kind: the receiver it builds carries that kind, and
+    # its state dimension maps back to it
+    rx = enc.receiver(kind)
+    assert rx.kind == kind
+    assert enc.receiver_for(2 * rx.encoder.shape[0]) is rx

@@ -11,6 +11,34 @@ from vortexsteer import tomography as tm
 from vortexsteer.qmath import DensityMatrix
 
 
+# each canonical set's directions by float.hex, frozen
+PLATONIC_HEX = {
+    2: [
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+    ],
+    3: [
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+        ["0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"],
+    ],
+    4: [
+        ["0x1.279a74590331dp-1", "0x1.279a74590331dp-1", "0x1.279a74590331dp-1"],
+        ["0x1.279a74590331dp-1", "-0x1.279a74590331dp-1", "-0x1.279a74590331dp-1"],
+        ["-0x1.279a74590331dp-1", "0x1.279a74590331dp-1", "-0x1.279a74590331dp-1"],
+        ["-0x1.279a74590331dp-1", "-0x1.279a74590331dp-1", "0x1.279a74590331dp-1"],
+    ],
+    6: [
+        ["0x0.0p+0", "0x1.0d2ca0da1530dp-1", "0x1.b38880b4603e5p-1"],
+        ["0x0.0p+0", "-0x1.0d2ca0da1530dp-1", "0x1.b38880b4603e5p-1"],
+        ["0x1.0d2ca0da1530dp-1", "0x1.b38880b4603e5p-1", "0x0.0p+0"],
+        ["-0x1.0d2ca0da1530dp-1", "0x1.b38880b4603e5p-1", "0x0.0p+0"],
+        ["0x1.b38880b4603e5p-1", "0x0.0p+0", "0x1.0d2ca0da1530dp-1"],
+        ["-0x1.b38880b4603e5p-1", "0x0.0p+0", "0x1.0d2ca0da1530dp-1"],
+    ],
+}
+
+
 class TestPlatonicSets:
     def test_three_settings_are_pauli_axes(self):
         mset = st.platonic_set(3)
@@ -47,6 +75,12 @@ class TestPlatonicSets:
         for n in (3.0, np.float64(3), True, "3", -3):
             with pytest.raises(ValueError, match="n must be a non-negative integer"):
                 st.platonic_set(n)
+
+    @pytest.mark.parametrize("n", sorted(PLATONIC_HEX))
+    def test_sets_are_the_frozen_directions(self, n):
+        # bit for bit the directions each set has always had
+        assert [[x.hex() for x in row]
+                for row in st.platonic_set(n).directions.tolist()] == PLATONIC_HEX[n]
 
     def test_rejects_antipodal_directions(self):
         with pytest.raises(ValueError):
