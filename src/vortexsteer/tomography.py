@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import encoding, qmath
-from .qmath import GRID, DensityMatrix, StateVector, _real_array
+from .qmath import GRID, DensityMatrix, StateVector, _check_real, _real_array
 
 MAX_ITERATIONS = 10_000
 GAP_TOL = 1e-8  # certified likelihood gap, in nats per count
@@ -71,9 +71,24 @@ class ReconstructionReport:
     history: tuple             # log-likelihood at the start and after each step taken
 
     def __post_init__(self):
+        if not (isinstance(self.rho_hat, DensityMatrix) and self.rho_hat.dim == 4):
+            raise ValueError("rho_hat must be a 4x4 DensityMatrix")
+        if self.fidelity_to_target is not None:
+            fid = _check_real("fidelity_to_target", self.fidelity_to_target)
+            if not 0.0 <= fid <= 1.0:
+                raise ValueError("fidelity_to_target must lie in [0, 1]")
+            object.__setattr__(self, "fidelity_to_target", fid)
+        qmath._check_count("iterations", self.iterations)
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ValueError(f"converged must be a bool, got {self.converged!r}")
+        if math.isnan(gap := _check_real("gap", self.gap)):
+            raise ValueError("gap must not be NaN")
+        object.__setattr__(self, "gap", gap)
         if not isinstance(self.history, (tuple, list)) or not self.history:
             raise ValueError("history must be a non-empty tuple or list")
-        object.__setattr__(self, "history", tuple(self.history))
+        object.__setattr__(self, "history", tuple(  # an exact float skips the check
+            h if type(h) is float else _check_real("history entry", h)
+            for h in self.history))
         object.__setattr__(self, "purity", qmath.purity(self.rho_hat))
         object.__setattr__(self, "log_likelihood", self.history[-1])
 

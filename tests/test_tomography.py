@@ -277,6 +277,72 @@ class TestReconstruct:
         assert rep.fidelity_to_target < 0.005
 
 
+def _report(**fields):
+    """A report of valid fields, with `fields` replacing some of them."""
+    return tm.ReconstructionReport(**dict(
+        rho_hat=ex.werner_state(0.8), fidelity_to_target=None, iterations=0,
+        converged=True, gap=0.0, history=(-2.0,)) | fields)
+
+
+class TestReportFields:
+    """Each field of a report is checked where it is built, by name."""
+
+    @pytest.mark.parametrize("rho_hat", [
+        np.eye(4) / 4, ex.prepare_state(ex.NoiseModel(0.8), "vortex"), None],
+        ids=["array", "vortex-state", "none"])
+    def test_rho_hat_must_be_a_two_qubit_state(self, rho_hat):
+        with pytest.raises(ValueError, match="rho_hat must be a 4x4 DensityMatrix"):
+            _report(rho_hat=rho_hat)
+
+    @pytest.mark.parametrize("fid", [-0.1, 1.0 + 1e-12, float("nan"), "0.5", True],
+                             ids=["negative", "above-one", "nan", "str", "bool"])
+    def test_fidelity_is_none_or_a_real_in_the_unit_interval(self, fid):
+        with pytest.raises(ValueError, match="fidelity_to_target"):
+            _report(fidelity_to_target=fid)
+
+    def test_fidelity_is_stored_as_a_float(self):
+        rep = _report(fidelity_to_target=np.float64(0.5))
+        assert type(rep.fidelity_to_target) is float and rep.fidelity_to_target == 0.5
+        assert _report(fidelity_to_target=1).fidelity_to_target == 1.0
+
+    @pytest.mark.parametrize("iterations", [-1, 2.0, True, None],
+                             ids=["negative", "float", "bool", "none"])
+    def test_iterations_is_a_count(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be a non-negative integer"):
+            _report(iterations=iterations)
+
+    @pytest.mark.parametrize("converged", [1, 0.0, "yes", None, np.array([True])],
+                             ids=["int", "float", "str", "none", "array"])
+    def test_converged_is_a_bool(self, converged):
+        with pytest.raises(ValueError, match="converged must be a bool"):
+            _report(converged=converged)
+
+    def test_converged_is_stored_as_given(self):
+        assert type(_report(converged=np.bool_(False)).converged) is np.bool_
+
+    @pytest.mark.parametrize("gap", [float("nan"), "0", None, True],
+                             ids=["nan", "str", "none", "bool"])
+    def test_gap_is_a_real_that_is_not_nan(self, gap):
+        with pytest.raises(ValueError, match="gap"):
+            _report(gap=gap)
+
+    def test_gap_may_be_infinite_or_negative_rounding(self):
+        assert _report(gap=np.float64(np.inf)).gap == np.inf
+        assert type(_report(gap=-1e-17).gap) is float
+
+    @pytest.mark.parametrize("entry", ["-1", None, True, 1j],
+                             ids=["str", "none", "bool", "complex"])
+    def test_history_entries_are_reals(self, entry):
+        with pytest.raises(ValueError, match="history entry must be a real number"):
+            _report(history=(-3.0, entry))
+
+    def test_history_entries_are_stored_as_floats(self):
+        rep = _report(history=[np.float64(-3.0), -2])
+        assert rep.history == (-3.0, -2.0)
+        assert all(type(h) is float for h in rep.history)
+        assert type(rep.log_likelihood) is float
+
+
 def certificate(counts, spec, rho):
     """Poisson log-likelihood of rho (up to a constant) and its first-order
     gap, from the counts and the projectors alone.  f = N sum(p) - sum(n log p)
