@@ -58,8 +58,7 @@ class MeasurementSet:
         return self.directions
 
 
-# Canonical direction sets: 2 orthogonal axes, Pauli axes, tetrahedron, or six
-# icosahedron half-vertices; z-axis member listed first where the solid has one
+# built once, so that every identity-keyed cache sees one set per n
 _PLATONIC = {
     2: MeasurementSet([(0, 0, 1), (1, 0, 0)]),
     3: MeasurementSet([(0, 0, 1), (1, 0, 0), (0, 1, 0)]),
@@ -73,7 +72,9 @@ _PLATONIC = {
 
 
 def platonic_set(n: int) -> MeasurementSet:
-    """The one shared canonical set of n settings, n in 2, 3, 4 or 6."""
+    """Canonical direction sets: 2 orthogonal axes, Pauli axes, tetrahedron,
+    or six icosahedron half-vertices.  z-axis member listed first where the
+    solid has one."""
     _check_count("n", n)
     if n not in _PLATONIC:
         raise ValueError(f"unsupported number of settings n={n} (use 2, 3, 4 or 6)")
