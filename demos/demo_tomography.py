@@ -33,7 +33,8 @@ print(f"target purity    {(1 + 3 * v**2) / 4:.4f}   reconstructed "
       f"{report.purity:.4f}")
 print(f"{'converged' if report.converged else 'stopped'} in "
       f"{report.iterations} iterations (log-likelihood "
-      f"{report.log_likelihood:.1f}, within {report.gap:.1g} of the maximum)")
+      f"{report.log_likelihood:.1f}, within {report.gap:.1g} of the maximum, "
+      f"tolerance {report.tolerance:.1g})")
 print()
 print("reconstructed density matrix (real part):")
 print(np.array_str(report.rho_hat.entries.real, precision=3,

@@ -166,7 +166,7 @@ def cmd_tomo(config: dict) -> None:
     report = tomography.reconstruct(counts, spec, target=encoding.singlet_pol())
     if not report.converged:
         print(f"warning: tomography fit not certified (gap {report.gap:.3g} > "
-              f"{tomography.GAP_TOL * counts.sum():.3g} after {report.iterations} "
+              f"{report.tolerance:.3g} after {report.iterations} "
               f"iterations)", file=sys.stderr)
     payload = {
         "rho_hat": [[{"re": float(z.real), "im": float(z.imag)}

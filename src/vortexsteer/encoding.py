@@ -118,11 +118,15 @@ class Receiver:
         return READOUT.conj().T @ (modes * weights) @ READOUT
 
 
-@lru_cache(maxsize=None)
 def receiver(kind: str) -> Receiver:
     """The receiver of encoding ``kind``, one of `RECEIVER_KINDS`."""
-    if kind not in READ_MODES:
+    if not (isinstance(kind, str) and kind in READ_MODES):  # before the cache hashes it
         raise ValueError(f"unknown encoding {kind!r}")
+    return _receiver(kind)
+
+
+@lru_cache(maxsize=None)
+def _receiver(kind: str) -> Receiver:
     ladder, modes = READ_MODES[kind]
     levels = np.eye(len(ladder))
     kets = np.column_stack([np.kron(KET_L if s > 0 else KET_R, levels[ladder.index(l)])
@@ -141,7 +145,7 @@ def receiver(kind: str) -> Receiver:
 def receiver_for(dim: int) -> Receiver:
     """The receiver whose joint Alice (x) Bob states are dim x dim."""
     for kind in RECEIVER_KINDS:
-        rx = receiver(kind)
+        rx = _receiver(kind)
         if dim == 2 * rx.encoder.shape[0]:
             return rx
     raise ValueError(f"cannot infer encoding from dimension {dim}")

@@ -207,8 +207,14 @@ def _runs(state, mset, channel, policies, span, trials, seeds) -> list:
     Each run's generator draws Alice's thinning, the block angles and the
     tallies, in that order.  Block angles are fresh draws, so only fixed
     midpoints share `_gridded`."""
-    # the trial count is checked once, before any seed or table
+    # the trial count and the models are checked once, before any seed or table
     _check_count("trials", trials)
+    if not isinstance(state, DensityMatrix):
+        raise ValueError(f"state must be a DensityMatrix, got {state!r}")
+    if not isinstance(mset, steering.MeasurementSet):
+        raise ValueError(f"mset must be a MeasurementSet, got {mset!r}")
+    if not isinstance(channel, ChannelModel):
+        raise ValueError(f"channel must be a ChannelModel, got {channel!r}")
     if trials < mset.n:
         raise ValueError("need at least one trial per setting")
     if trials >= 2 ** 63:  # numpy's samplers take 64-bit counts
@@ -231,6 +237,8 @@ def run_experiment(state: DensityMatrix, mset: steering.MeasurementSet,
                    channel: ChannelModel, theta_policy: ThetaPolicy,
                    trials: int, seed: int) -> SteeringRunResult:
     """Simulate one steering run and judge it against C_n(observed xi)."""
+    if not isinstance(theta_policy, ThetaPolicy):
+        raise ValueError(f"theta_policy must be a ThetaPolicy, got {theta_policy!r}")
     span = theta_policy.theta_max - theta_policy.theta_min
     return _runs(state, mset, channel, [theta_policy], span, trials, [seed])[0]
 

@@ -13,7 +13,7 @@ holds the fit's fixed arrays; lambda_min is solved only where it can decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -59,38 +59,46 @@ class TomographySpec:
         return len(self.projectors)
 
 
+def _check_target(target) -> None:
+    if target is not None and not (isinstance(target, StateVector) and target.dim == 4):
+        raise ValueError("target must be None or a two-qubit (4-dim) StateVector")
+
+
 @dataclass(frozen=True)
 class ReconstructionReport:
+    """A fit and what it determines: fidelity to `target` and gap <= `tolerance`."""
+
     rho_hat: DensityMatrix
-    fidelity_to_target: float | None
+    target: InitVar[StateVector | None]
+    fidelity_to_target: float | None = field(init=False)
     purity: float = field(init=False)
     log_likelihood: float = field(init=False)
     iterations: int
-    converged: bool
+    tolerance: float           # GAP_TOL * sum(counts) for a fit
+    converged: bool = field(init=False)
     gap: float                 # bounds max log-likelihood - log_likelihood
     history: tuple             # log-likelihood at the start and after each step taken
 
-    def __post_init__(self):
+    def __post_init__(self, target):
         if not (isinstance(self.rho_hat, DensityMatrix) and self.rho_hat.dim == 4):
             raise ValueError("rho_hat must be a 4x4 DensityMatrix")
-        if self.fidelity_to_target is not None:
-            fid = _check_real("fidelity_to_target", self.fidelity_to_target)
-            if not 0.0 <= fid <= 1.0:
-                raise ValueError("fidelity_to_target must lie in [0, 1]")
-            object.__setattr__(self, "fidelity_to_target", fid)
+        _check_target(target)
         qmath._check_count("iterations", self.iterations)
-        if not isinstance(self.converged, (bool, np.bool_)):
-            raise ValueError(f"converged must be a bool, got {self.converged!r}")
+        if not 0.0 <= (tol := _check_real("tolerance", self.tolerance)) < math.inf:
+            raise ValueError("tolerance must be finite and non-negative")
         if math.isnan(gap := _check_real("gap", self.gap)):
             raise ValueError("gap must not be NaN")
-        object.__setattr__(self, "gap", gap)
         if not isinstance(self.history, (tuple, list)) or not self.history:
             raise ValueError("history must be a non-empty tuple or list")
         object.__setattr__(self, "history", tuple(  # an exact float skips the check
             h if type(h) is float else _check_real("history entry", h)
             for h in self.history))
-        object.__setattr__(self, "purity", qmath.purity(self.rho_hat))
-        object.__setattr__(self, "log_likelihood", self.history[-1])
+        for name, value in dict(
+                fidelity_to_target=None if target is None else
+                qmath.fidelity_pure(target, self.rho_hat),
+                purity=qmath.purity(self.rho_hat), log_likelihood=self.history[-1],
+                tolerance=tol, converged=gap <= tol, gap=gap).items():
+            object.__setattr__(self, name, value)
 
 
 def _pair_projectors(side_labels):
@@ -159,8 +167,7 @@ def reconstruct(counts, spec: TomographySpec,
     if counts.shape != (spec.n_settings,) or not np.all(
             np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be one finite non-negative number per setting")
-    if target is not None and not (isinstance(target, StateVector) and target.dim == 4):
-        raise ValueError("target must be None or a two-qubit (4-dim) StateVector")
+    _check_target(target)
     seen = counts > 0
     n_seen, seen_rows = counts[seen], spec.projectors.reshape(-1, 16)[seen]
     seen_design, total, trace = spec.design[seen], spec.total, spec.trace
@@ -226,9 +233,7 @@ def reconstruct(counts, spec: TomographySpec,
         loglik += improvement
         history.append(loglik)
 
-    rho_hat = DensityMatrix(rho)
-    fid = qmath.fidelity_pure(target, rho_hat) if target is not None else None
     return ReconstructionReport(  # an unsolved gap exceeds tol; report it exactly
-        rho_hat=rho_hat, fidelity_to_target=fid, iterations=iterations,
-        converged=gap <= tol, history=tuple(history),
+        rho_hat=DensityMatrix(rho), target=target, iterations=iterations,
+        tolerance=tol, history=tuple(history),
         gap=gap if solved else float(inner - np.linalg.eigvalsh(g)[0]))

@@ -6,7 +6,6 @@ return the same report bit for bit, for any iteration cap."""
 
 import numpy as np
 
-from vortexsteer import qmath
 from vortexsteer import tomography as tm
 from vortexsteer.qmath import DensityMatrix
 
@@ -85,13 +84,11 @@ def reconstruct(counts, spec, target=None, max_iterations=tm.MAX_ITERATIONS):
         loglik += improvement
         history.append(loglik)
 
-    rho_hat = DensityMatrix(rho)
-    fid = qmath.fidelity_pure(target, rho_hat) if target is not None else None
     return tm.ReconstructionReport(
-        rho_hat=rho_hat,
-        fidelity_to_target=fid,
+        rho_hat=DensityMatrix(rho),
+        target=target,
         iterations=iterations,
-        converged=gap <= tol,
+        tolerance=tol,
         gap=gap,
         history=tuple(history),
     )

@@ -817,6 +817,47 @@ def test_run_record_rejects_a_field_of_the_wrong_type(name, value):
         ex.SteeringRunResult(**RECORD | {name: value})
 
 
+RUN_MODELS = dict(state=ex.prepare_state(ex.NoiseModel(0.9), "polarization"), mset=M3,
+                  channel=ex.ChannelModel(bob_efficiency=0.45))
+RUN_FUNCTIONS = {
+    "run_experiment": lambda trials=1000, **models: ex.run_experiment(
+        **models, theta_policy=ex.ThetaPolicy.fixed(0.0), trials=trials, seed=1),
+    "sweep_theta": lambda trials=1000, **models: ex.sweep_theta(
+        **models, thetas=[0.0, 0.5], trials_per_point=trials, seed=1),
+    "dynamic_rotation_run": lambda trials=1000, **models: ex.dynamic_rotation_run(
+        **models, trials=trials, seed=1),
+}
+# an array of each model's numbers: the state's entries, the set's directions,
+# the channel's efficiencies
+MODEL_ARRAYS = dict(state=RUN_MODELS["state"].entries, mset=M3.directions,
+                    channel=np.array([0.45, 1.0]))
+MODEL_TYPES = dict(state="DensityMatrix", mset="MeasurementSet", channel="ChannelModel")
+
+
+@pytest.mark.parametrize("function", RUN_FUNCTIONS)
+@pytest.mark.parametrize("name", MODEL_TYPES)
+@pytest.mark.parametrize("kind", ["array", "none"])
+def test_run_functions_reject_a_model_of_the_wrong_type(function, name, kind):
+    value = MODEL_ARRAYS[name] if kind == "array" else None
+    with pytest.raises(ValueError, match=f"^{name} must be a {MODEL_TYPES[name]}, got "):
+        RUN_FUNCTIONS[function](**RUN_MODELS | {name: value})
+
+
+@pytest.mark.parametrize("function", RUN_FUNCTIONS)
+def test_models_are_checked_after_the_trial_count_and_before_the_setting_rule(function):
+    models = RUN_MODELS | dict(mset=None)
+    with pytest.raises(ValueError, match="trials must be a non-negative integer"):
+        RUN_FUNCTIONS[function](trials=1.5, **models)
+    with pytest.raises(ValueError, match="mset must be a MeasurementSet"):
+        RUN_FUNCTIONS[function](trials=1, **models)
+
+
+@pytest.mark.parametrize("policy", [None, np.array([0.0, 0.0])], ids=["none", "array"])
+def test_run_experiment_rejects_a_policy_of_the_wrong_type(policy):
+    with pytest.raises(ValueError, match="^theta_policy must be a ThetaPolicy, got "):
+        ex.run_experiment(**RUN_MODELS, theta_policy=policy, trials=1000, seed=1)
+
+
 @pytest.mark.parametrize("agree, announced, kept, trials", [
     (401, 400, 900, 1000), (300, 901, 900, 1000), (300, 400, 1001, 1000)])
 def test_run_record_requires_ordered_counts(agree, announced, kept, trials):

@@ -19,7 +19,7 @@ from hypothesis import strategies as hs
 import vortex_oracle as vo
 from qmath_helpers import unit
 from vortexsteer import encoding as enc
-from vortexsteer import steering
+from vortexsteer import experiment, steering
 from vortexsteer.qmath import DensityMatrix
 
 SPACE = enc.OAM_LEVELS
@@ -342,6 +342,16 @@ def test_detected_state_reads_integer_and_float32_angles_as_floats(rx):
 def test_unknown_encoding_rejected():
     with pytest.raises(ValueError):
         enc.receiver("time-bin")
+
+
+@pytest.mark.parametrize("kind", [["vortex"], None, b"vortex", 2, ("vortex",)],
+                         ids=["list", "none", "bytes", "int", "tuple"])
+def test_a_kind_that_is_not_a_name_is_an_unknown_encoding(kind):
+    # a list would fail the cache's hash with a bare TypeError
+    with pytest.raises(ValueError, match="unknown encoding"):
+        enc.receiver(kind)
+    with pytest.raises(ValueError, match="unknown encoding"):
+        experiment.prepare_state(experiment.NoiseModel(0.9), kind)
 
 
 def test_receiver_for_maps_state_dimension_to_encoding():

@@ -10,6 +10,7 @@ import mle_oracle
 from qmath_helpers import trace_distance
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
+from vortexsteer import qmath
 from vortexsteer import tomography as tm
 from vortexsteer.qmath import GRID, DensityMatrix, StateVector
 
@@ -187,11 +188,11 @@ class TestReconstruct:
         spec = tm.standard_settings(20_000)
         rep = tm.reconstruct(tm.simulate_counts(ex.werner_state(0.8), spec, seed=13), spec)
         assert rep.log_likelihood == rep.history[-1]
-        fields = dict(rho_hat=rep.rho_hat, fidelity_to_target=None,
-                      iterations=rep.iterations, converged=rep.converged, gap=rep.gap,
+        fields = dict(rho_hat=rep.rho_hat, target=None,
+                      iterations=rep.iterations, tolerance=rep.tolerance, gap=rep.gap,
                       history=rep.history)
         assert tm.ReconstructionReport(**fields) == rep
-        for name in ("purity", "log_likelihood"):
+        for name in ("purity", "log_likelihood", "fidelity_to_target", "converged"):
             with pytest.raises(TypeError, match=name):
                 tm.ReconstructionReport(**fields, **{name: getattr(rep, name)})
 
@@ -199,8 +200,8 @@ class TestReconstruct:
         # a list history is copied, so log_likelihood cannot drift from it
         rho = ex.werner_state(0.8)
         history = [-3.0, -2.0]
-        rep = tm.ReconstructionReport(rho_hat=rho, fidelity_to_target=None,
-                                      iterations=1, converged=True, gap=0.0,
+        rep = tm.ReconstructionReport(rho_hat=rho, target=None,
+                                      iterations=1, tolerance=0.0, gap=0.0,
                                       history=history)
         history.append(-1.0)
         assert rep.history == (-3.0, -2.0)
@@ -211,8 +212,8 @@ class TestReconstruct:
                                   "array"])
     def test_report_rejects_a_bad_history(self, history):
         with pytest.raises(ValueError, match="history must be a non-empty tuple or list"):
-            tm.ReconstructionReport(rho_hat=ex.werner_state(0.8), fidelity_to_target=None,
-                                    iterations=0, converged=True, gap=0.0,
+            tm.ReconstructionReport(rho_hat=ex.werner_state(0.8), target=None,
+                                    iterations=0, tolerance=0.0, gap=0.0,
                                     history=history)
 
     @pytest.mark.parametrize("target, match", [
@@ -280,8 +281,8 @@ class TestReconstruct:
 def _report(**fields):
     """A report of valid fields, with `fields` replacing some of them."""
     return tm.ReconstructionReport(**dict(
-        rho_hat=ex.werner_state(0.8), fidelity_to_target=None, iterations=0,
-        converged=True, gap=0.0, history=(-2.0,)) | fields)
+        rho_hat=ex.werner_state(0.8), target=None, iterations=0,
+        tolerance=0.0, gap=0.0, history=(-2.0,)) | fields)
 
 
 class TestReportFields:
@@ -294,16 +295,24 @@ class TestReportFields:
         with pytest.raises(ValueError, match="rho_hat must be a 4x4 DensityMatrix"):
             _report(rho_hat=rho_hat)
 
-    @pytest.mark.parametrize("fid", [-0.1, 1.0 + 1e-12, float("nan"), "0.5", True],
-                             ids=["negative", "above-one", "nan", "str", "bool"])
-    def test_fidelity_is_none_or_a_real_in_the_unit_interval(self, fid):
-        with pytest.raises(ValueError, match="fidelity_to_target"):
-            _report(fidelity_to_target=fid)
+    @pytest.mark.parametrize("target", [
+        enc.singlet_pol().amplitudes, StateVector(enc.KET_H), ex.werner_state(0.9), "HV"],
+        ids=["array", "qubit", "density-matrix", "str"])
+    def test_target_is_none_or_a_two_qubit_state_vector(self, target):
+        with pytest.raises(ValueError, match="target must be None or a two-qubit"):
+            _report(target=target)
 
-    def test_fidelity_is_stored_as_a_float(self):
-        rep = _report(fidelity_to_target=np.float64(0.5))
-        assert type(rep.fidelity_to_target) is float and rep.fidelity_to_target == 0.5
-        assert _report(fidelity_to_target=1).fidelity_to_target == 1.0
+    def test_fidelity_is_derived_from_the_target(self):
+        assert _report().fidelity_to_target is None
+        singlet = enc.singlet_pol()
+        for rho in (ex.werner_state(0.8), singlet.density()):
+            fid = _report(rho_hat=rho, target=singlet).fidelity_to_target
+            assert type(fid) is float and 0.0 <= fid <= 1.0
+            assert fid == qmath.fidelity_pure(singlet, rho)
+        hh = StateVector(np.kron(enc.KET_H, enc.KET_H)).density()
+        assert _report(rho_hat=hh, target=singlet).fidelity_to_target == 0.0
+        assert _report(rho_hat=singlet.density(),
+                       target=singlet).fidelity_to_target == pytest.approx(1.0)
 
     @pytest.mark.parametrize("iterations", [-1, 2.0, True, None],
                              ids=["negative", "float", "bool", "none"])
@@ -311,14 +320,35 @@ class TestReportFields:
         with pytest.raises(ValueError, match="iterations must be a non-negative integer"):
             _report(iterations=iterations)
 
-    @pytest.mark.parametrize("converged", [1, 0.0, "yes", None, np.array([True])],
-                             ids=["int", "float", "str", "none", "array"])
-    def test_converged_is_a_bool(self, converged):
-        with pytest.raises(ValueError, match="converged must be a bool"):
-            _report(converged=converged)
+    @pytest.mark.parametrize("tolerance", [-1e-300, float("nan"), float("inf"), "0", None,
+                                           True, np.array([0.0])],
+                             ids=["negative", "nan", "inf", "str", "none", "bool", "array"])
+    def test_tolerance_is_a_finite_non_negative_real(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            _report(tolerance=tolerance)
 
-    def test_converged_is_stored_as_given(self):
-        assert type(_report(converged=np.bool_(False)).converged) is np.bool_
+    def test_tolerance_is_stored_as_a_float(self):
+        rep = _report(tolerance=np.float64(0.5))
+        assert type(rep.tolerance) is float and rep.tolerance == 0.5
+        assert type(_report(tolerance=2).tolerance) is float
+
+    @pytest.mark.parametrize("cap", [0, tm.MAX_ITERATIONS])
+    def test_a_fit_reports_its_tolerance(self, cap, monkeypatch):
+        spec = tm.minimal_settings(1_000)
+        counts = tm.simulate_counts(ex.werner_state(0.8), spec, seed=3)
+        monkeypatch.setattr(tm, "MAX_ITERATIONS", cap)
+        rep = tm.reconstruct(counts, spec)
+        assert rep.tolerance == tm.GAP_TOL * counts.sum()
+        assert rep.converged is (cap > 0)
+        assert rep.converged is (rep.gap <= rep.tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 5e-324, 1e-3, 7.0])
+    def test_converged_is_gap_within_tolerance_at_the_edge(self, tolerance):
+        above, below = (np.nextafter(tolerance, d) for d in (np.inf, -np.inf))
+        for gap, certified in [(tolerance, True), (below, True), (above, False),
+                               (-np.inf, True), (np.inf, False)]:
+            rep = _report(tolerance=tolerance, gap=gap)
+            assert rep.converged is certified
 
     @pytest.mark.parametrize("gap", [float("nan"), "0", None, True],
                              ids=["nan", "str", "none", "bool"])
