@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -57,16 +57,6 @@ class CheatStrategy:
             raise ValueError("strategy must answer at least one setting")
         object.__setattr__(self, "answers", tuple(map(int, answers)))
         object.__setattr__(self, "bloch", unit_directions(self.bloch, ndim=1))
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """C_n(xi) on a grid, with the optimizing strategy mixtures attached."""
-
-    n: int
-    xi_grid: tuple
-    c_values: tuple
-    witnesses: tuple
 
 
 _Facet = namedtuple("_Facet", "lo hi p_lo p_hi s_lo s_hi alpha beta")
@@ -130,6 +120,8 @@ def loss_tolerant_bound(mset: MeasurementSet, xi: float):
     xi = _check_real("xi", xi)
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
+    if not isinstance(mset, MeasurementSet):
+        raise ValueError(f"mset must be a MeasurementSet, got {mset!r}")
     verts, facets = _facets(mset)
     floor = mset.n * xi
     return _mix(facets[bisect.bisect_left(verts, floor)], floor)
@@ -151,27 +143,45 @@ def deterministic_bound(mset: MeasurementSet) -> float:
     return loss_tolerant_bound(mset, 1.0)[0]
 
 
+@dataclass(frozen=True)
+class BoundCurve:
+    """C_n(xi) on a grid, with the optimizing strategy mixtures attached."""
+
+    mset: InitVar[MeasurementSet]
+    n: int = field(init=False)
+    xi_grid: tuple
+    c_values: tuple = field(init=False)
+    witnesses: tuple = field(init=False)
+
+    def __post_init__(self, mset):
+        grid = [x if type(x) is float else _check_real("grid value", x)
+                for x in self.xi_grid]     # a float skips the call, 0.5 us a point
+        for x in grid:
+            if not 0.0 < x <= 1.0:
+                raise ValueError("grid values must lie in (0, 1]")
+        if not isinstance(mset, MeasurementSet):
+            raise ValueError(f"mset must be a MeasurementSet, got {mset!r}")
+        verts, facets = _facets(mset)
+        n, i, last, c_last = mset.n, 0, 0.0, np.inf
+        values, witnesses = [], []
+        for xi in grid:     # one facet cursor; n xi <= n, the last vertex
+            if xi <= last:
+                raise ValueError("xi grid must be strictly increasing")
+            floor, last = n * xi, xi
+            while verts[i] < floor:
+                i += 1
+            c, w = _mix(facets[i], floor)
+            if c > c_last + 1e-9:
+                raise RuntimeError("bound curve is not non-increasing")
+            c_last = c
+            values.append(c)
+            witnesses.append(w)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "xi_grid", tuple(grid))
+        object.__setattr__(self, "c_values", tuple(values))
+        object.__setattr__(self, "witnesses", tuple(witnesses))
+
+
 def bound_curve(mset: MeasurementSet, xi_grid) -> BoundCurve:
     """Evaluate the loss-tolerant bound on a strictly increasing xi grid."""
-    grid = [x if type(x) is float else _check_real("grid value", x)
-            for x in xi_grid]     # a float skips the call, 0.5 us a point
-    for x in grid:
-        if not 0.0 < x <= 1.0:
-            raise ValueError("grid values must lie in (0, 1]")
-    verts, facets = _facets(mset)
-    n, i, last, c_last = mset.n, 0, 0.0, np.inf
-    values, witnesses = [], []
-    for xi in grid:     # one facet cursor; n xi <= n, the last vertex
-        if xi <= last:
-            raise ValueError("xi grid must be strictly increasing")
-        floor, last = n * xi, xi
-        while verts[i] < floor:
-            i += 1
-        c, w = _mix(facets[i], floor)
-        if c > c_last + 1e-9:
-            raise RuntimeError("bound curve is not non-increasing")
-        c_last = c
-        values.append(c)
-        witnesses.append(w)
-    return BoundCurve(n=n, xi_grid=tuple(grid), c_values=tuple(values),
-                      witnesses=tuple(witnesses))
+    return BoundCurve(mset, xi_grid)

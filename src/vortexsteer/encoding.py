@@ -111,6 +111,8 @@ class Receiver:
 
     def read(self, rho: DensityMatrix, weights) -> np.ndarray:
         """rho read out, entry (i, j) on Alice (x) read modes times weights[..., i, j]."""
+        if not isinstance(rho, DensityMatrix):
+            raise ValueError(f"rho must be a DensityMatrix, got {rho!r}")
         dim = self.lift.shape[0]
         if rho.dim != dim:
             raise ValueError(f"{self.kind} receiver expects a {dim}x{dim} state")

@@ -127,6 +127,10 @@ class DensityMatrix:
 
 def fidelity_pure(psi: StateVector, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi> of a pure target with a mixed state, in [0, 1]."""
+    if not isinstance(psi, StateVector):
+        raise ValueError(f"psi must be a StateVector, got {psi!r}")
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"rho must be a DensityMatrix, got {rho!r}")
     if psi.dim != rho.dim:
         raise ValueError("dimension mismatch")
     val = complex(psi.amplitudes.conj() @ rho.entries @ psi.amplitudes)
@@ -137,5 +141,7 @@ def fidelity_pure(psi: StateVector, rho: DensityMatrix) -> float:
 
 def purity(rho: DensityMatrix) -> float:
     """Tr rho^2; equals 1 iff the state is pure."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"rho must be a DensityMatrix, got {rho!r}")
     val = float(np.trace(rho.entries @ rho.entries).real)
     return min(1.0, max(1.0 / rho.dim, val))

@@ -186,6 +186,10 @@ def steering_parameter_exact(rho: DensityMatrix, mset: MeasurementSet,
     and put on the grid."""
     if not math.isfinite(_check_real("theta", theta)):  # a vortex table never reads it
         raise ValueError("theta must be finite")
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"rho must be a DensityMatrix, got {rho!r}")
+    if not isinstance(mset, MeasurementSet):
+        raise ValueError(f"mset must be a MeasurementSet, got {mset!r}")
     return _exact(_tables(rho, mset, 1.0, np.array([[theta]], dtype=float), 0.0)[0])
 
 

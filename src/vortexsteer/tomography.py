@@ -127,6 +127,10 @@ def _born(design: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def born_probabilities(rho: DensityMatrix, spec: TomographySpec) -> np.ndarray:
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"rho must be a DensityMatrix, got {rho!r}")
+    if not isinstance(spec, TomographySpec):
+        raise ValueError(f"spec must be a TomographySpec, got {spec!r}")
     if rho.dim != 4:
         raise ValueError("tomography operates on two-qubit (4x4) states")
     return np.maximum(_born(spec.design, rho.entries), 0.0)
@@ -164,6 +168,8 @@ def reconstruct(counts, spec: TomographySpec,
     The log-likelihood is Poisson's for means N Tr(P_s rho), up to a constant.
     """
     counts = _real_array("counts", counts)
+    if not isinstance(spec, TomographySpec):
+        raise ValueError(f"spec must be a TomographySpec, got {spec!r}")
     if counts.shape != (spec.n_settings,) or not np.all(
             np.isfinite(counts) & (counts >= 0)):
         raise ValueError("counts must be one finite non-negative number per setting")

@@ -160,6 +160,24 @@ class TestBoundCurve:
         # errors in order of precedence: real numbers, then range, then order
         with pytest.raises(ValueError, match=message):
             bd.bound_curve(M3, grid)
+        # the set is checked after the range and before the order
+        if message == "strictly increasing":
+            message = "^mset must be a MeasurementSet, got None$"
+        with pytest.raises(ValueError, match=message):
+            bd.BoundCurve(None, grid)
+
+    @pytest.mark.parametrize("mset", [None, M3.directions, M3.directions.tolist()],
+                             ids=["none", "array", "rows"])
+    def test_set_must_be_a_measurement_set(self, mset):
+        for build in (bd.BoundCurve, bd.bound_curve):
+            with pytest.raises(ValueError, match="^mset must be a MeasurementSet, got "):
+                build(mset, [0.5])
+
+    def test_curve_is_built_only_from_a_set_and_a_grid(self):
+        with pytest.raises(TypeError):
+            bd.BoundCurve(n=3, xi_grid=(), c_values=(), witnesses=())
+        with pytest.raises(TypeError):
+            bd.BoundCurve(M3, (), (), ())
 
     @pytest.mark.parametrize("rise, raises", [(3e-9, False), (4e-9, True)])
     def test_self_check_rejects_a_rising_curve(self, monkeypatch, rise, raises):
@@ -179,7 +197,9 @@ class TestBoundCurve:
     def test_array_and_one_shot_grids_give_the_list_curve(self):
         grid = [0.2, 1 / 3, 0.5, 2 / 3, 0.9, 1.0]
         want = bd.bound_curve(M4, grid)
-        assert bd.bound_curve(M4, []) == bd.BoundCurve(4, (), (), ())
+        empty = bd.BoundCurve(M4, ())
+        assert bd.bound_curve(M4, []) == empty
+        assert (empty.n, empty.xi_grid, empty.c_values, empty.witnesses) == (4, (), (), ())
         for other in (np.array(grid), (x for x in grid)):
             got = bd.bound_curve(M4, other)
             assert got == want
@@ -222,13 +242,17 @@ class TestCurveWalk:
         assume(grid)
         grid = grid[-1:] if one_point else grid
         curve = bd.bound_curve(mset, grid)
-        for xi, c, witness in zip(curve.xi_grid, curve.c_values, curve.witnesses):
+        direct = bd.BoundCurve(mset, grid)
+        assert len(curve.c_values) == len(direct.c_values) == len(grid)
+        for xi, *got in zip(curve.xi_grid, curve.c_values, curve.witnesses,
+                            direct.c_values, direct.witnesses):
             c_ref, witness_ref = bd.loss_tolerant_bound(mset, xi)
-            assert c.hex() == c_ref.hex()
-            assert len(witness) == len(witness_ref)
-            for (w, s), (w_ref, s_ref) in zip(witness, witness_ref):
-                assert w.hex() == w_ref.hex()
-                assert s is s_ref
+            for c, witness in (got[:2], got[2:]):
+                assert c.hex() == c_ref.hex()
+                assert len(witness) == len(witness_ref)
+                for (w, s), (w_ref, s_ref) in zip(witness, witness_ref):
+                    assert w.hex() == w_ref.hex()
+                    assert s is s_ref
 
 
 class TestFrozenMix:
@@ -243,11 +267,15 @@ class TestFrozenMix:
         grid = sorted({x for x in points if 0.0 < x <= 1.0})
         assume(grid)
         curve = bd.bound_curve(mset, grid)
-        for xi, c, witness in zip(grid, curve.c_values, curve.witnesses):
+        direct = bd.BoundCurve(mset, grid)
+        assert len(curve.c_values) == len(direct.c_values) == len(grid)
+        for xi, c, witness, c_direct, witness_direct in zip(
+                grid, curve.c_values, curve.witnesses, direct.c_values, direct.witnesses):
             c_ref, witness_ref, slope_ref = bo.frozen_bound(mset, xi)
             value, slope = bd._bound_and_slope(mset, xi)
             assert (value.hex(), slope.hex()) == (c_ref.hex(), slope_ref.hex())
-            for c_got, witness_got in ((c, witness), bd.loss_tolerant_bound(mset, xi)):
+            for c_got, witness_got in ((c, witness), (c_direct, witness_direct),
+                                       bd.loss_tolerant_bound(mset, xi)):
                 assert c_got.hex() == c_ref.hex()
                 assert len(witness_got) == len(witness_ref)
                 for (w, s), (w_ref, s_ref) in zip(witness_got, witness_ref):

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from vortexsteer import bounds as bd
 from vortexsteer import encoding as enc
 from vortexsteer import experiment as ex
 from vortexsteer import steering as st
+from vortexsteer import tomography as tm
 from vortexsteer.qmath import DensityMatrix, StateVector, fidelity_pure, purity
 
 SIGMA = {
@@ -213,11 +212,49 @@ class TestFidelityPurity:
             fidelity_pure(normalized([1, 1]), ex.werner_state(1.0))
 
     def test_fidelity_rejects_an_imaginary_overlap(self):
-        # a validated DensityMatrix is Hermitian to 1e-12, so only an
-        # unvalidated stand-in reaches the imaginary-part check
-        rho = types.SimpleNamespace(dim=4, entries=np.eye(4) / 4 + 1e-6j * np.eye(4))
+        # a validated DensityMatrix is Hermitian to 1e-12, so only one whose
+        # entries were replaced after validation reaches the imaginary-part check
+        rho = DensityMatrix(np.eye(4) / 4)
+        object.__setattr__(rho, "entries", np.eye(4) / 4 + 1e-6j * np.eye(4))
         with pytest.raises(ValueError, match="non-negligible imaginary part 1e-06"):
             fidelity_pure(StateVector(np.eye(4)[0]), rho)
+
+
+# each model argument: a valid value, an array of its numbers, its type's name
+MODELS = dict(psi=(enc.singlet_pol(), enc.singlet_pol().amplitudes, "StateVector"),
+              rho=(RHO := enc.singlet_pol().density(), RHO.entries, "DensityMatrix"),
+              spec=(SPEC := tm.minimal_settings(100), SPEC.projectors, "TomographySpec"),
+              mset=(st.platonic_set(3), st.platonic_set(3).directions, "MeasurementSet"))
+RX = enc.receiver("polarization")
+# the functions outside the run functions that read a model's attributes, and
+# the model arguments each takes
+MODEL_CALLS = {
+    "fidelity_pure": (lambda psi, rho, **_: fidelity_pure(psi, rho), "psi rho"),
+    "purity": (lambda rho, **_: purity(rho), "rho"),
+    "born_probabilities": (lambda rho, spec, **_: tm.born_probabilities(rho, spec),
+                           "rho spec"),
+    "expected_counts": (lambda rho, spec, **_: tm.expected_counts(rho, spec), "rho spec"),
+    "simulate_counts": (lambda rho, spec, **_: tm.simulate_counts(rho, spec, 1),
+                        "rho spec"),
+    "reconstruct": (lambda spec, **_: tm.reconstruct(np.full(16, 10), spec), "spec"),
+    "Receiver.read": (lambda rho, **_: RX.read(rho, np.ones((4, 4))), "rho"),
+    "Receiver.detected_state": (lambda rho, **_: RX.detected_state(rho, 0.0), "rho"),
+    "steering_parameter_exact": (lambda rho, mset, **_: st.steering_parameter_exact(
+        rho, mset), "rho mset"),
+    "loss_tolerant_bound": (lambda mset, **_: bd.loss_tolerant_bound(mset, 0.5), "mset"),
+    "deterministic_bound": (lambda mset, **_: bd.deterministic_bound(mset), "mset"),
+}
+
+
+@pytest.mark.parametrize("function, name", [
+    (function, name) for function, (_, names) in MODEL_CALLS.items()
+    for name in names.split()])
+@pytest.mark.parametrize("kind", ["array", "none"])
+def test_functions_reject_a_model_of_the_wrong_type(function, name, kind):
+    valid = {arg: value for arg, (value, _, _) in MODELS.items()}
+    _, array, type_name = MODELS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be a {type_name}, got "):
+        MODEL_CALLS[function][0](**valid | {name: array if kind == "array" else None})
 
 
 class TestExpectation:
