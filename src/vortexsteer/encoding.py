@@ -23,6 +23,7 @@ major.  The logical vortex qubit is |0> = |L, l=-1>, |1> = |R, l=+1>.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,6 +108,11 @@ class Receiver:
         at theta (which leads the shape): e^{i(m_i - m_j)theta} weighs entry (i, j)."""
         if not np.all(np.isfinite(angle := _real_array("theta", theta))):
             raise ValueError("theta must be finite")
+        if (top := np.abs(self.gaps).max()) and not (
+                np.abs(angle).max(initial=0.0) <= sys.float_info.max / top):
+            # the gap times theta would overflow, as in `steering._tables`
+            raise ValueError(f"theta must not exceed {sys.float_info.max / top:.6g} "
+                             f"in magnitude at the receiver's gap {top}")
         return self.read(rho, np.exp(1j * self.gaps * angle[..., None, None]))
 
     def read(self, rho: DensityMatrix, weights) -> np.ndarray:
@@ -116,6 +122,8 @@ class Receiver:
         dim = self.lift.shape[0]
         if rho.dim != dim:
             raise ValueError(f"{self.kind} receiver expects a {dim}x{dim} state")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         modes = self.lift.conj().T @ rho.entries @ self.lift
         return READOUT.conj().T @ (modes * weights) @ READOUT
 

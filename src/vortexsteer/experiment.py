@@ -154,6 +154,8 @@ def prepare_state(noise: NoiseModel, encoding_kind: str = "vortex") -> DensityMa
     Polarization: 4x4 on Alice-pol (x) Bob-pol.  Vortex: Bob's factor is the
     composite polarization (x) OAM space, reached through the q-plate isometry.
     """
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"noise must be a NoiseModel, got {noise!r}")
     rho4 = werner_state(noise.werner_v).entries
     if noise.dephasing > 0:
         rho4 = _dephase_bob(rho4, noise.dephasing)

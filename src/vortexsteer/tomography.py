@@ -2,12 +2,28 @@
 
 Settings are coincidence projector pairs on the Alice (x) Bob polarization
 space.  Counts are Poisson-sampled from Born probabilities.  Reconstruction
-projects the linear inversion onto the density matrices, then minimises the
-negative Poisson log-likelihood f by accelerated projected gradient (Shang,
-Zhang & Ng, PRA 95, 062336, 2017), which never lowers the likelihood.  As f is
-convex, gap = <grad f(rho), rho> - lambda_min(grad f(rho)) bounds f(rho) -
-min f; the fit has converged once gap <= GAP_TOL * sum(counts).  The spec
-holds the fit's fixed arrays; lambda_min is solved only where it can decide.
+starts from the linear inversion projected onto the density matrices and
+minimises the negative Poisson log-likelihood f, never lowering the
+likelihood.  As f is convex, gap = <grad f(rho), rho> - lambda_min(grad f(rho))
+bounds f(rho) - min f; the fit has converged once gap <= GAP_TOL * sum(counts).
+
+Three phases, each counted in `iterations` and stopped at MAX_ITERATIONS:
+
+* Newton (Boyd & Vandenberghe 2004, 9.5), for interior optima: if the start
+  is not certified and at least 15 settings saw counts, damped Newton steps
+  in the 15 traceless Hermitian directions, Hessian D^T diag(n/p^2) D, from
+  the start mixed 1e-3 with I/4.  Each step is halved until it gains an
+  Armijo share of the Newton decrement and keeps rho positive definite.  An
+  attempt not certified within _NEWTON_STEPS steps, or damped below
+  _MIN_STEP, is discarded without trace.
+* Otherwise accelerated projected gradient (Shang, Zhang & Ng, PRA 95,
+  062336, 2017) from the start, until the gap certifies or a fixed point.
+* At an uncertified fixed point below the cap, a Frank-Wolfe end game (Jaggi,
+  ICML 2013): exact line searches toward the eigenvector of lambda_min(grad f),
+  which certify fits whose projected steps are lost to rounding.
+
+The spec holds the fit's fixed arrays; lambda_min is solved only where it can
+decide.
 """
 
 from __future__ import annotations
@@ -23,6 +39,19 @@ from .qmath import GRID, DensityMatrix, StateVector, _check_real, _real_array
 
 MAX_ITERATIONS = 10_000
 GAP_TOL = 1e-8  # certified likelihood gap, in nats per count
+_NEWTON_STEPS = 8    # a Newton attempt not certified after these is discarded
+_NEWTON_MIX = 1e-3   # weight of I/4 in the Newton start
+_ARMIJO = 0.25       # share of the Newton decrement a damped step must gain
+# a step damped below this meets the boundary: the optimum is not interior.
+# In 320 random fits (1e2 to 1e5 counts per setting), no attempt that went on
+# to certify took a step below 1/8
+_MIN_STEP = 2.0 ** -4
+
+# the 15 traceless Pauli products sigma_a (x) sigma_b, flattened: a basis B_k
+# of the traceless Hermitian directions
+_PAULI = (np.eye(2), ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+_TRACELESS = qmath._freeze([np.kron(a, b).reshape(16)
+                            for a in _PAULI for b in _PAULI][1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +64,7 @@ class TomographySpec:
     counts_per_setting: int
     design: np.ndarray = field(init=False, repr=False)  # rows conj(vec P_s)
     pinv: np.ndarray = field(init=False, repr=False)    # of design
+    coords: np.ndarray = field(init=False, repr=False)  # real Tr(P_s B_k), (settings, 15)
     total: np.ndarray = field(init=False, repr=False)   # N sum_s P_s
     trace: np.ndarray = field(init=False, repr=False)   # trace @ vec r = N sum_s p_s
 
@@ -53,6 +83,9 @@ class TomographySpec:
                                 pinv=np.linalg.pinv(design), trace=n * design.sum(0),
                                 total=n * projectors.sum(0)).items():
             object.__setattr__(self, name, qmath._freeze(value))  # fixed per spec
+        coords = (design @ _TRACELESS.T).real.copy()
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
     @property
     def n_settings(self) -> int:
@@ -189,26 +222,69 @@ def reconstruct(counts, spec: TomographySpec,
     def gradient(p):  # of f = -log-likelihood
         return total - ((n_seen / p) @ seen_rows).reshape(4, 4)
 
+    def log_likelihood(r, p):
+        return float(n_seen @ np.log(p) - (trace @ r.reshape(16)).real)
+
+    tol = GAP_TOL * counts.sum()
+
+    def certified_gap(g, r, exact=False):
+        # gap >= inner - min Re g_ii: solve only where gap may be <= tol, with a
+        # margin far above eigvalsh's rounding; math.inf stands for unsolved
+        inner = np.vdot(g, r).real
+        if exact or inner - min(g.diagonal().real.tolist()) <= (
+                tol + 1e-12 * math.sqrt(np.vdot(g, g).real)):
+            return float(inner - np.linalg.eigvalsh(g)[0])
+        return math.inf
+
+    def newton(start):
+        """Damped Newton from start mixed with I/4, in the coordinates x of
+        r = sum_k x_k B_k: the report if it certifies within _NEWTON_STEPS
+        steps and the cap, else None."""
+        seen_coords = spec.coords[seen]
+        linear = spec.counts_per_setting * spec.coords.sum(0)  # d/dx of N sum_s p_s
+        rho = (1 - _NEWTON_MIX) * start + _NEWTON_MIX / 4 * np.eye(4)
+        p = _born(seen_design, rho)
+        history = [log_likelihood(rho, p)]
+        steps = min(_NEWTON_STEPS, MAX_ITERATIONS)
+        for iterations in range(steps + 1):
+            if (gap := certified_gap(gradient(p), rho)) <= tol:
+                return ReconstructionReport(
+                    rho_hat=DensityMatrix(rho), target=target, iterations=iterations,
+                    tolerance=tol, history=tuple(history), gap=gap)
+            if iterations == steps:
+                return None
+            w = n_seen / p
+            ascent = w @ seen_coords - linear        # -grad f
+            try:  # the Hessian of f, D^T diag(n/p^2) D
+                x = np.linalg.solve((seen_coords.T * (w / p)) @ seen_coords, ascent)
+            except np.linalg.LinAlgError:
+                return None
+            decrement, d = ascent @ x, (x @ _TRACELESS).reshape(4, 4)
+            t = 1.0  # halve until the step gains an Armijo share and rho stays > 0
+            while not ((step_gain := gain(p, t * d)) >= _ARMIJO * t * decrement > 0
+                       and np.linalg.eigvalsh(rho + t * d)[0] > 0):
+                if (t := t / 2) < _MIN_STEP:
+                    return None
+            rho = rho + t * d
+            p = _born(seen_design, rho)
+            history.append(history[-1] + step_gain)
+
     # least-squares linear inversion, p_s = conj(vec P_s) . vec rho
     rho = _project_density((spec.pinv @ (counts / spec.counts_per_setting)).reshape(4, 4))
     if _born(seen_design, rho).min(initial=np.inf) <= 0:
         rho = (rho + np.eye(4) / 4) / 2  # I/4 gives every seen setting p > 0
     p = _born(seen_design, rho)
-    loglik = float(n_seen @ np.log(p) - (trace @ rho.reshape(16)).real)
+    g = gradient(p)
+    gap = certified_gap(g, rho)
+    # an interior optimum: Newton; below 15 seen settings its Hessian is singular
+    if gap > tol and len(n_seen) >= 15 and (report := newton(rho)) is not None:
+        return report
+    loglik = log_likelihood(rho, p)
     history = [loglik]
 
-    tol = GAP_TOL * counts.sum()
     step, momentum, prev, iterations = 1 / max(counts.sum(), 1.0), 1.0, rho, 0
-    while True:
-        g = gradient(p)
-        inner = np.vdot(g, rho).real
-        # gap >= inner - min Re g_ii: solve only where gap may be <= tol, with a
-        # margin far above eigvalsh's rounding
-        solved = inner - min(g.diagonal().real.tolist()) <= (
-            tol + 1e-12 * math.sqrt(np.vdot(g, g).real))
-        gap = float(inner - np.linalg.eigvalsh(g)[0]) if solved else math.inf
-        if gap <= tol or iterations == MAX_ITERATIONS:
-            break
+    stalled = False
+    while gap > tol and iterations < MAX_ITERATIONS:
         iterations += 1
         # Nesterov extrapolation, restarted where it leaves the domain of f
         next_momentum = (1 + math.sqrt(1 + 4 * momentum ** 2)) / 2
@@ -232,14 +308,39 @@ def reconstruct(counts, spec: TomographySpec,
         improvement = step_gain if restarted else gain(p, cand - rho)
         if improvement <= 0:
             if restarted:  # such a step descends unless zero: a fixed point
+                stalled = True
                 break
             momentum = 1.0
             continue
         prev, rho, p, momentum = rho, cand, _born(seen_design, cand), next_momentum
         loglik += improvement
         history.append(loglik)
+        g = gradient(p)
+        gap = certified_gap(g, rho)
+
+    # Frank-Wolfe end game (Jaggi, ICML 2013) at a fixed point: toward v v+,
+    # v the eigenvector of lambda_min(g), by an exact line search on the
+    # concave h(t) = sum_s n_s log1p(t q_s) - t c, t in [0, 1)
+    while stalled and gap > tol and iterations < MAX_ITERATIONS:
+        evals, evecs = np.linalg.eigh(g)
+        if (gap := float(np.vdot(g, rho).real - evals[0])) <= tol:
+            break
+        d = np.outer(evecs[:, 0], evecs[:, 0].conj()) - rho
+        q, c = _born(seen_design, d) / p, (trace @ d.reshape(16)).real
+        lo, hi = 0.0, 1.0  # bisect h'(t) = sum_s n_s q_s / (1 + t q_s) - c
+        for _ in range(53):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if n_seen @ (q / (1 + mid * q)) > c else (lo, mid)
+        if (step_gain := gain(p, lo * d)) <= 0:
+            break
+        iterations += 1
+        rho = rho + lo * d
+        p = _born(seen_design, rho)
+        loglik += step_gain
+        history.append(loglik)
+        g, gap = gradient(p), math.inf
 
     return ReconstructionReport(  # an unsolved gap exceeds tol; report it exactly
         rho_hat=DensityMatrix(rho), target=target, iterations=iterations,
         tolerance=tol, history=tuple(history),
-        gap=gap if solved else float(inner - np.linalg.eigvalsh(g)[0]))
+        gap=gap if gap < math.inf else certified_gap(g, rho, exact=True))

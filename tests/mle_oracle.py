@@ -2,7 +2,9 @@
 without shortcuts.  It rebuilds the design matrix and its pinv on every fit,
 projects with the array form of the simplex threshold and takes the exact
 gap, eigvalsh included, on every iteration.  `tomography.reconstruct` must
-return the same report bit for bit, for any iteration cap."""
+return the same report bit for bit, for any iteration cap, on every fit that
+its Newton phase does not certify, up to the loop's fixed point, after which
+reconstruct's Frank-Wolfe end game carries the history on."""
 
 import numpy as np
 

@@ -85,6 +85,12 @@ class TestPrepareState:
         v = ex.visibility_for_fidelity(np.float32(0.9))
         assert type(v) is float and v == (4 * float(np.float32(0.9)) - 1) / 3
 
+    @pytest.mark.parametrize("noise", [None, 0.5, "x", np.eye(4) / 4])
+    def test_noise_must_be_a_noise_model(self, noise):
+        # the attribute read of werner_v raised AttributeError
+        with pytest.raises(ValueError, match="^noise must be a NoiseModel, got "):
+            ex.prepare_state(noise, "polarization")
+
     def test_dephasing_keeps_state_valid_and_lowers_fidelity(self):
         clean = ex.prepare_state(ex.NoiseModel(0.98), "polarization")
         damped = ex.prepare_state(ex.NoiseModel(0.98, dephasing=0.2),

@@ -9,6 +9,7 @@ there from the phase conventions in `encoding`.  None of it reads a
 oracle's two-stage table and against quadrature over the angle.
 """
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -329,6 +330,34 @@ def test_detected_state_rejects_a_non_real_or_non_finite_angle(rx, theta, messag
     rho = DensityMatrix(np.eye(rx.lift.shape[0]) / rx.lift.shape[0])
     with pytest.raises(ValueError, match=f"theta must be .*{message}"):
         rx.detected_state(rho, theta)
+
+
+@pytest.mark.parametrize("theta", [1e308, -1e308, [0.0, 8.99e307]])
+def test_polarization_angle_whose_phase_would_overflow_is_rejected(theta):
+    # the polarization gap of 2 times theta overflows beyond about 9e307,
+    # where numpy warned and returned NaN entries; the vortex gaps are 0
+    rho = experiment.werner_state(0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^theta must not exceed 8\.98847e\+307 "
+                           "in magnitude at the receiver's gap 2$"):
+            enc.receiver("polarization").detected_state(rho, theta)
+        assert np.all(np.isfinite(enc.receiver("polarization").detected_state(rho, 1e300)))
+        vortex = experiment.prepare_state(experiment.NoiseModel(0.9), "vortex")
+        assert np.all(np.isfinite(enc.receiver("vortex").detected_state(vortex, 1e308)))
+
+
+@pytest.mark.parametrize("rx", RECEIVERS, ids=lambda rx: rx.kind)
+@pytest.mark.parametrize("weights", [np.inf, np.nan, -np.inf,
+                                     np.diag([1.0, np.nan, 1.0, 1.0])],
+                         ids=["inf", "nan", "-inf", "nan-entry"])
+def test_read_requires_finite_weights(rx, weights):
+    # inf warned in numpy's product and nan returned an all-NaN state
+    rho = DensityMatrix(np.eye(rx.lift.shape[0]) / rx.lift.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            rx.read(rho, weights)
 
 
 @pytest.mark.parametrize("rx", RECEIVERS, ids=lambda rx: rx.kind)

@@ -71,7 +71,15 @@ class TestSettings:
         np.testing.assert_array_equal(spec.pinv, np.linalg.pinv(design))
         np.testing.assert_array_equal(spec.total, 1_000 * spec.projectors.sum(axis=0))
         np.testing.assert_array_equal(spec.trace, 1_000 * design.sum(axis=0))
-        for arr in (spec.design, spec.pinv, spec.total, spec.trace):
+        # Newton's coordinates: Tr(P_s B_k) over the 15 traceless Pauli products
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1, -1])]
+        basis = np.array([np.kron(a, b) for a in paulis for b in paulis][1:])
+        assert spec.coords.dtype == float and spec.coords.shape == (spec.n_settings, 15)
+        np.testing.assert_allclose(
+            spec.coords, np.einsum("sij,kji->sk", spec.projectors, basis).real,
+            rtol=0, atol=1e-15)
+        for arr in (spec.design, spec.pinv, spec.coords, spec.total, spec.trace):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.5
 
@@ -405,9 +413,10 @@ def unseen_settings_fit(kind, case):
     return spec, counts
 
 
-# Rank-4 states at 14 counts per setting whose fits stop at the numerical
+# Rank-4 states at 14 counts per setting whose loops stop at the numerical
 # floor, 1.07x, 1.07x and 1.54x above the gap tolerance after 34, 32 and 31
-# iterations: the rounding of the eigenvalue projection outweighs each step's gain
+# iterations: the rounding of the eigenvalue projection outweighs each step's
+# gain; one Frank-Wolfe step each then certifies them
 FLOOR_SEEDS = [1350, 1413, 1954]
 
 
@@ -419,8 +428,8 @@ def floor_fit(seed):
 
 # Counts at 1e3 per setting, every other setting 0, whose projected linear
 # inversion gives a seen setting p = 0, so the fit starts from its mix with
-# I/4; they stop uncertified at 1.72x and 4.98x the gap tolerance after 20
-# and 59 iterations
+# I/4; their loops stop uncertified at 1.72x and 4.98x the gap tolerance
+# after 20 and 59 iterations, and 3 and 6 Frank-Wolfe steps certify them
 MIXED_START_CASES = [{"RH": 980, "LH": 261, "LV": 705},
                      {"RA": 390, "LD": 23, "RD": 913, "LA": 395}]
 
@@ -467,12 +476,14 @@ class TestCertifiedFit:
         assert rep.history[-1] == rep.log_likelihood
 
     def test_iteration_cap_is_not_convergence(self, monkeypatch):
+        # Newton certifies this fit in 3 steps and the loop in 131: at a cap
+        # of 2 neither does
         spec = tm.minimal_settings(100_000)
         counts = tm.simulate_counts(F977, spec, 56)
-        monkeypatch.setattr(tm, "MAX_ITERATIONS", 3)
+        monkeypatch.setattr(tm, "MAX_ITERATIONS", 2)
         rep = tm.reconstruct(counts, spec)
         _, gap = certificate(counts, spec, rep.rho_hat.entries)
-        assert rep.iterations == 3
+        assert rep.iterations == 2
         assert not rep.converged
         assert gap > tm.GAP_TOL * counts.sum()
 
@@ -492,25 +503,40 @@ class TestCertifiedFit:
         assert rep.gap == pytest.approx(gap, rel=1e-6, abs=slack)
         assert rep.log_likelihood == pytest.approx(loglik, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="the fit stops above GAP_TOL at the "
-                       "numerical floor (CHANGES.md FOUND)")
     @pytest.mark.parametrize("seed", FLOOR_SEEDS)
     def test_fit_certifies_at_the_numerical_floor(self, seed):
         spec, counts = floor_fit(seed)
         assert tm.reconstruct(counts, spec).converged
 
-    @pytest.mark.xfail(strict=True, reason="the fit from the I/4 mix stops above "
-                       "GAP_TOL (CHANGES.md FOUND)")
     @pytest.mark.parametrize("case", MIXED_START_CASES)
     def test_fit_from_the_mixed_start_certifies(self, case):
         spec, counts = mixed_start_fit(case)
         assert tm.reconstruct(counts, spec).converged
 
 
-def assert_same_fit(counts, spec, cap=tm.MAX_ITERATIONS):
-    """reconstruct and the reference loop in mle_oracle agree bit for bit."""
-    with mock.patch.object(tm, "MAX_ITERATIONS", cap):
-        rep = tm.reconstruct(counts, spec)
+def is_newton_fit(rep, ref):
+    """Whether a report starts elsewhere than the reference loop: a Newton
+    fit, whose start is the loop's mixed with I/4."""
+    return rep.history[0] != ref.history[0]
+
+
+def assert_newton_fit(rep, counts, spec):
+    """A Newton fit comes from an uncertified start, is certified within its
+    steps and the cap, and lies within 2 tolerances of the uncapped
+    reference loop's log-likelihood."""
+    best = mle_oracle.reconstruct(counts, spec)
+    assert is_newton_fit(rep, best)
+    assert not mle_oracle.reconstruct(counts, spec, max_iterations=0).converged
+    assert rep.converged and rep.iterations <= min(tm._NEWTON_STEPS, tm.MAX_ITERATIONS)
+    assert abs(rep.log_likelihood - best.log_likelihood) <= 2 * rep.tolerance
+
+
+def assert_same_fit(counts, spec, cap=tm.MAX_ITERATIONS, rep=None):
+    """reconstruct (or its report rep) and the reference loop in mle_oracle
+    agree bit for bit."""
+    if rep is None:
+        with mock.patch.object(tm, "MAX_ITERATIONS", cap):
+            rep = tm.reconstruct(counts, spec)
     ref = mle_oracle.reconstruct(counts, spec, max_iterations=cap)
     assert rep.rho_hat.entries.tobytes() == ref.rho_hat.entries.tobytes()
     assert rep.history == ref.history
@@ -521,7 +547,8 @@ def assert_same_fit(counts, spec, cap=tm.MAX_ITERATIONS):
 
 
 class TestOracleFit:
-    """reconstruct returns the reference loop's report bit for bit."""
+    """reconstruct returns the reference loop's report bit for bit on every
+    fit its gate sends to the loop, up to the loop's fixed point."""
 
     @settings(max_examples=60, deadline=None)
     @given(rank=hs.integers(1, 4), exponent=hs.floats(1, 5),
@@ -530,8 +557,17 @@ class TestOracleFit:
     def test_fit_equals_reference_loop(self, rank, exponent, minimal, cap, seed):
         spec = (tm.minimal_settings if minimal else tm.standard_settings)(
             int(10 ** exponent))
-        rho = ginibre_state(np.random.default_rng(seed), rank)
-        assert_same_fit(tm.simulate_counts(rho, spec, seed), spec, cap)
+        counts = tm.simulate_counts(ginibre_state(np.random.default_rng(seed), rank),
+                                    spec, seed)
+        with mock.patch.object(tm, "MAX_ITERATIONS", cap):
+            rep = tm.reconstruct(counts, spec)
+            ref = mle_oracle.reconstruct(counts, spec, max_iterations=cap)
+            if is_newton_fit(rep, ref):
+                assert_newton_fit(rep, counts, spec)
+            elif ref.converged or ref.iterations == cap:
+                assert_same_fit(counts, spec, cap, rep)
+            else:
+                assert_loop_then_end_game(counts, spec, rep)
 
     @pytest.mark.parametrize("kind", ["standard", "minimal"])
     @pytest.mark.parametrize("case", UNSEEN_CASES)
@@ -542,7 +578,8 @@ class TestOracleFit:
     @pytest.mark.parametrize("seed", FLOOR_SEEDS)
     def test_floor_fit_equals_reference_loop(self, seed):
         spec, counts = floor_fit(seed)
-        assert not assert_same_fit(counts, spec).converged
+        rep, ref = assert_loop_then_end_game(counts, spec)
+        assert rep.converged and len(rep.history) > len(ref.history)
 
     @pytest.mark.parametrize("case", MIXED_START_CASES)
     def test_mixed_start_fit_equals_reference_loop(self, case):
@@ -550,10 +587,19 @@ class TestOracleFit:
         start = tm._project_density(
             (spec.pinv @ (counts / spec.counts_per_setting)).reshape(4, 4))
         assert tm._born(spec.design[counts > 0], start).min() <= 0
-        rep = assert_same_fit(counts, spec)
-        assert np.all(np.diff(rep.history) > 0)
+        rep, ref = assert_loop_then_end_game(counts, spec)
+        assert rep.converged and len(rep.history) > len(ref.history)
+        assert np.all(np.diff(ref.history) > 0)
+
+    def test_end_game_stops_at_the_cap(self):
+        # capped at the iteration where the loop stalls, the fit takes no
+        # Frank-Wolfe step and is the reference loop's, uncertified
+        spec, counts = floor_fit(FLOOR_SEEDS[0])
+        cap = mle_oracle.reconstruct(counts, spec).iterations
+        assert not assert_same_fit(counts, spec, cap).converged
 
     def test_gap_solve_runs_only_when_it_can_decide(self, monkeypatch):
+        # a singular Hessian sends this interior fit back to the loop
         spec = tm.standard_settings(100_000)
         counts = tm.simulate_counts(F977, spec, 0)
         solves, eigvalsh = [], np.linalg.eigvalsh
@@ -562,8 +608,83 @@ class TestOracleFit:
             solves.append(g)
             return eigvalsh(g)
 
+        monkeypatch.setattr(np.linalg, "solve", mock.Mock(
+            side_effect=np.linalg.LinAlgError("Singular matrix")))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         rep = tm.reconstruct(counts, spec)
         # an exact gap on every iteration would take iterations + 1 solves
         assert rep.converged
         assert 1 <= len(solves) < rep.iterations
+        assert_same_fit(counts, spec, rep=rep)
+
+
+def assert_loop_then_end_game(counts, spec, rep=None):
+    """The reference loop stops uncertified at a fixed point below the cap;
+    reconstruct's report (or rep) carries its history on with Frank-Wolfe
+    steps, one iteration each, certified exactly when the gap allows."""
+    rep = rep or tm.reconstruct(counts, spec)
+    ref = mle_oracle.reconstruct(counts, spec, max_iterations=tm.MAX_ITERATIONS)
+    assert not ref.converged and ref.iterations < tm.MAX_ITERATIONS
+    assert rep.history[:len(ref.history)] == ref.history
+    assert rep.iterations - ref.iterations == len(rep.history) - len(ref.history)
+    assert np.all(np.diff(rep.history) >= 0)
+    loglik, gap = certificate(counts, spec, rep.rho_hat.entries)
+    assert rep.converged == (gap <= rep.tolerance)
+    assert rep.log_likelihood == pytest.approx(loglik, rel=1e-12)
+    return rep, ref
+
+
+class TestNewtonFit:
+    """Interior optima are fitted by damped Newton steps, certified or discarded."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(exponent=hs.floats(4, 5), minimal=hs.booleans(),
+           seed=hs.integers(0, 2**32 - 1))
+    def test_full_rank_fit_is_certified_and_ascends(self, exponent, minimal, seed):
+        spec = (tm.minimal_settings if minimal else tm.standard_settings)(
+            int(10 ** exponent))
+        counts = tm.simulate_counts(ginibre_state(np.random.default_rng(seed), 4),
+                                    spec, seed)
+        rep = tm.reconstruct(counts, spec)
+        _, gap = certificate(counts, spec, rep.rho_hat.entries)
+        assert rep.converged == (gap <= tm.GAP_TOL * counts.sum())
+        assert np.all(np.diff(rep.history) >= 0)
+        assert rep.iterations <= tm.MAX_ITERATIONS
+        if is_newton_fit(rep, mle_oracle.reconstruct(counts, spec, max_iterations=0)):
+            assert_newton_fit(rep, counts, spec)
+
+    def test_a_certified_start_is_the_fit(self):
+        # exact counts certify the projected linear inversion itself
+        spec = tm.standard_settings(100_000)
+        assert assert_same_fit(tm.expected_counts(F977, spec), spec).iterations == 0
+
+    def test_a_step_that_loses_likelihood_is_not_taken(self, monkeypatch):
+        # a reversed first Newton direction descends at every step length, so
+        # the attempt is discarded and the loop's fit is reported, bit for bit
+        spec = tm.standard_settings(100_000)
+        counts = tm.simulate_counts(F977, spec, 0)
+        solve, calls = np.linalg.solve, []
+
+        def first_reversed(a, b):
+            calls.append(b)
+            return -solve(a, b) if len(calls) == 1 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", first_reversed)
+        rep = assert_same_fit(counts, spec)
+        assert len(calls) == 1
+        assert rep.converged and np.all(np.diff(rep.history) >= 0)
+
+    @pytest.mark.parametrize("case", ["one seen setting", "mixed start"])
+    def test_fewer_than_15_seen_settings_take_no_newton_step(self, case, monkeypatch):
+        # the Hessian D^T diag(n/p^2) D of fewer than 15 rows is singular
+        spec, counts = (unseen_settings_fit("standard", case) if case == "one seen setting"
+                        else mixed_start_fit(MIXED_START_CASES[0]))
+        monkeypatch.setattr(np.linalg, "solve", mock.Mock(side_effect=AssertionError))
+        assert tm.reconstruct(counts, spec).converged
+
+    def test_a_cap_of_zero_takes_no_newton_step(self, monkeypatch):
+        spec = tm.standard_settings(100_000)
+        counts = tm.simulate_counts(F977, spec, 0)
+        assert_newton_fit(tm.reconstruct(counts, spec), counts, spec)
+        monkeypatch.setattr(np.linalg, "solve", mock.Mock(side_effect=AssertionError))
+        assert not assert_same_fit(counts, spec, cap=0).converged
